@@ -49,7 +49,7 @@ from .fields import (
     to_physical,
     to_spectral,
 )
-from .fluid import EulerConfig, FluidState, StoppingRecord, make_fluid_state, pressure, sample_velocity, state_norm, stopping_guard
+from .fluid import EulerConfig, FluidState, StoppingRecord, make_fluid_state, sample_velocity, state_norm, stopping_guard
 from .kernels import (
     MollifierSpec,
     ScaledKernel,

@@ -81,7 +81,6 @@ def make_euler_config(cfg: RunConfig) -> fluid_mod.EulerConfig:
         hyperviscosity_order=e.hyperviscosity_order,
         guard_s=e.guard_s,
         guard_m=e.guard_m,
-        velocity_interpolation=e.velocity_interpolation,
     )
 
 
@@ -122,11 +121,13 @@ class CoupledRun:
         return self.fluid.time
 
 
-def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None, n_steps=None) -> CoupledRun:
-    """Assemble a coupled run from a validated configuration."""
+def build_runs(cfg: RunConfig, sample_index: int, n_values, n_steps=None) -> list[CoupledRun]:
+    """Assemble one fluid and noise path plus one particle system per N in ``n_values``.
+
+    The runs share the grid, sigma, noise path and guarded fluid state; only
+    the kernel and the particles depend on N.
+    """
     grid = make_grid(cfg)
-    n = cfg.particles.n if n_particles is None else int(n_particles)
-    kernel = make_kernel(cfg, n)
     sigma = make_sigma(cfg)
     density, velocity = make_profiles(cfg)
     euler_cfg = make_euler_config(cfg)
@@ -134,60 +135,77 @@ def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None, n_steps=N
     if n_steps is None:
         n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
     path = NoisePath.generate(cfg.run.master_seed, sample_index, n_steps, grid.dim, cfg.integrator.dt)
-    state = particles_mod.init_well_prepared(
-        density,
-        velocity,
-        n,
-        grid.period,
-        scheme=cfg.particles.init_scheme,
-        master_seed=cfg.run.master_seed,
-        seed_tags=(int(sample_index), n),
-        dim=grid.dim,
-    )
-    fl = fluid_mod.make_fluid_state(grid, density, velocity)
-    fl = fluid_mod.stopping_guard(fl, euler_cfg)
-    return CoupledRun(
-        particles=state,
-        fluid=fl,
-        path=path,
-        kernel=kernel,
-        grid=grid,
-        sigma=sigma,
-        euler_config=euler_cfg,
-        force_method=cfg.integrator.force_method,
-        deposit_scheme=cfg.integrator.deposit_scheme,
-        velocity_interpolation=cfg.euler.velocity_interpolation,
-    )
+    fl = fluid_mod.stopping_guard(fluid_mod.make_fluid_state(grid, density, velocity), euler_cfg)
+    return [
+        CoupledRun(
+            particles=particles_mod.init_well_prepared(
+                density,
+                velocity,
+                n,
+                grid.period,
+                scheme=cfg.particles.init_scheme,
+                master_seed=cfg.run.master_seed,
+                seed_tags=(int(sample_index), n),
+                dim=grid.dim,
+            ),
+            fluid=fl,
+            path=path,
+            kernel=make_kernel(cfg, n),
+            grid=grid,
+            sigma=sigma,
+            euler_config=euler_cfg,
+            force_method=cfg.integrator.force_method,
+            deposit_scheme=cfg.integrator.deposit_scheme,
+            velocity_interpolation=cfg.euler.velocity_interpolation,
+        )
+        for n in map(int, n_values)
+    ]
+
+
+def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
+    """Advance runs that share one fluid and path by one Brownian increment.
+
+    Every particle system steps on the increment, then the shared fluid steps
+    once.  Once the fluid guard has fired, the runs are frozen: both clocks
+    stay at the stopping time and the states are returned unchanged.
+    """
+    head = runs[0]
+    if head.fluid.stopped:
+        return runs
+    if head.step_index >= head.path.n_steps:
+        raise IndexError("noise path exhausted")
+    dB = head.path.increments[head.step_index]
+    context = f"seed={head.path.master_seed} sample={head.path.sample_index} step={head.step_index}"
+    stepped = [
+        particles_mod.step(
+            run.particles,
+            dB,
+            run.dt,
+            run.kernel,
+            run.sigma,
+            run.grid.period,
+            method=run.force_method,
+            grid=run.grid,
+            deposit_scheme=run.deposit_scheme,
+            context=context,
+        )
+        for run in runs
+    ]
+    fl = fluid_mod.step(head.fluid, dB, head.sigma, head.euler_config)
+    return [replace(run, particles=p, fluid=fl, step_index=run.step_index + 1) for run, p in zip(runs, stepped)]
+
+
+def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None, n_steps=None) -> CoupledRun:
+    """Assemble a one-system coupled run from a validated configuration."""
+    return build_runs(cfg, sample_index, [cfg.particles.n if n_particles is None else n_particles], n_steps)[0]
 
 
 def coupled_step(run: CoupledRun) -> CoupledRun:
-    """Advance both subsystems by one shared Brownian increment.
-
-    Once the fluid guard has fired, the run is frozen: both clocks stay at the
-    stopping time and the state is returned unchanged.
-    """
-    if run.fluid.stopped:
-        return run
-    if run.step_index >= run.path.n_steps:
-        raise IndexError("noise path exhausted")
-    dB = run.path.increments[run.step_index]
-    new_particles = particles_mod.step(
-        run.particles,
-        dB,
-        run.dt,
-        run.kernel,
-        run.sigma,
-        run.grid.period,
-        method=run.force_method,
-        grid=run.grid,
-        deposit_scheme=run.deposit_scheme,
-        context=f"seed={run.path.master_seed} sample={run.path.sample_index} step={run.step_index}",
-    )
-    new_fluid = fluid_mod.step(run.fluid, dB, run.sigma, run.euler_config)
-    return replace(run, particles=new_particles, fluid=new_fluid, step_index=run.step_index + 1)
+    """Advance both subsystems of a one-system run by one shared Brownian increment."""
+    return step_runs([run])[0]
 
 
-def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, scheme="linear", window_correction=True) -> GridField:
+def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, scheme="linear") -> GridField:
     """Lattice samples of the mollified empirical density (deposit then convolve).
 
     The alias-suppressed deposit spectrum (window deconvolution plus
@@ -195,9 +213,13 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
     (1/N) sum_j density(x - X_j) up to residual deposit aliasing.
     """
     positions = np.atleast_2d(positions)
-    dens_hat = particles_mod.deposit_spectrum(positions, grid, scheme, window_correction)
+    dens_hat = particles_mod.deposit_spectrum(positions, grid, scheme)
     field = GridField(grid, np.fft.ifftn(dens_hat).real)
-    return convolve(field, kernel.density, mass_outside=kernel.mass_outside(grid.period / 2.0))
+    return convolve(
+        field,
+        particles_mod.sampled_mollifier(kernel, grid),
+        mass_outside=kernel.mass_outside(grid.period / 2.0),
+    )
 
 
 def q_functional(run: CoupledRun) -> QRecord:
@@ -295,79 +317,16 @@ class _SampleResult:
 
 
 def _run_sample(cfg: RunConfig, sample_index: int) -> _SampleResult:
-    grid = make_grid(cfg)
-    sigma = make_sigma(cfg)
-    density, velocity = make_profiles(cfg)
-    euler_cfg = make_euler_config(cfg)
-    euler_cfg.validate_guard_order(grid.dim)
-    dt = cfg.integrator.dt
-    n_steps = int(round(cfg.study.t_final / dt))
-    n_values = cfg.study.n_values
+    runs = build_runs(cfg, sample_index, cfg.study.n_values)
+    q0 = np.array([q_functional(run).q_total for run in runs])
+    for _ in range(runs[0].path.n_steps):
+        runs = step_runs(runs)
+    qT = np.array([q_functional(run).q_total for run in runs])
     cutoff = cfg.study.freq_cutoff or None
-
-    path = NoisePath.generate(cfg.run.master_seed, sample_index, n_steps, grid.dim, dt)
-    fl = fluid_mod.stopping_guard(fluid_mod.make_fluid_state(grid, density, velocity), euler_cfg)
-
-    systems = []
-    for n in n_values:
-        kernel = make_kernel(cfg, n)
-        state = particles_mod.init_well_prepared(
-            density,
-            velocity,
-            n,
-            grid.period,
-            scheme=cfg.particles.init_scheme,
-            master_seed=cfg.run.master_seed,
-            seed_tags=(int(sample_index), int(n)),
-            dim=grid.dim,
-        )
-        systems.append(
-            CoupledRun(
-                particles=state,
-                fluid=fl,
-                path=path,
-                kernel=kernel,
-                grid=grid,
-                sigma=sigma,
-                euler_config=euler_cfg,
-                force_method=cfg.integrator.force_method,
-                deposit_scheme=cfg.integrator.deposit_scheme,
-                velocity_interpolation=cfg.euler.velocity_interpolation,
-            )
-        )
-
-    q0 = np.array([q_functional(run).q_total for run in systems])
-
-    # advance the shared fluid once; particles per N consume the same increment
-    for i in range(n_steps):
-        if fl.stopped:
-            break
-        dB = path.increments[i]
-        for j, run in enumerate(systems):
-            systems[j] = replace(
-                run,
-                particles=particles_mod.step(
-                    run.particles,
-                    dB,
-                    dt,
-                    run.kernel,
-                    run.sigma,
-                    grid.period,
-                    method=run.force_method,
-                    grid=grid,
-                    deposit_scheme=run.deposit_scheme,
-                    context=f"seed={path.master_seed} sample={sample_index} step={i}",
-                ),
-                step_index=i + 1,
-            )
-        fl = fluid_mod.step(fl, dB, sigma, euler_cfg)
-        for j in range(len(systems)):
-            systems[j] = replace(systems[j], fluid=fl)
-
-    qT = np.array([q_functional(run).q_total for run in systems])
-    dists = [mean_field_distances(run, cfg.study.alpha, cutoff) for run in systems]
+    dists = [mean_field_distances(run, cfg.study.alpha, cutoff) for run in runs]
     dist_s = np.array([d[0] for d in dists])
     dist_v = np.array([d[1] for d in dists])
+    fl = runs[0].fluid
     censored = bool(fl.stopped and fl.stopping.time < cfg.study.t_final - 1e-12)
     return _SampleResult(q0, qT, dist_s, dist_v, censored)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -316,13 +316,14 @@ def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
     return np.einsum("nk,kl,nl->n", ex, coeffs, ey).real
 
 
+@cache
 def assignment_window(grid: PeriodicGrid, scheme: str) -> np.ndarray:
-    """Fourier transform of the deposit assignment window (per-mode)."""
+    """Fourier transform of the deposit assignment window (per-mode), built once per (grid, scheme)."""
     power = {"nearest": 1, "linear": 2}[scheme]
     axis = np.sinc(grid.axis_modes / grid.points_per_dim) ** power
-    if grid.dim == 1:
-        return axis
-    return np.outer(axis, axis)
+    window = axis if grid.dim == 1 else np.outer(axis, axis)
+    window.flags.writeable = False
+    return window
 
 
 def mode_set(grid: PeriodicGrid, cutoff: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class EulerConfig:
     hyperviscosity_order: int = 4
     guard_s: float = 3.5
     guard_m: float = 50.0
-    velocity_interpolation: str = "linear"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -100,11 +100,6 @@ class FluidState:
         )
 
 
-def pressure(rho: GridField) -> GridField:
-    """Pointwise pressure rho^2 / 2."""
-    return GridField(rho.grid, 0.5 * rho.values**2)
-
-
 def state_norm(state: FluidState, s: float) -> float:
     """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2)."""
     total = sobolev_norm(state.rho, s) ** 2
@@ -113,33 +108,22 @@ def state_norm(state: FluidState, s: float) -> float:
     return math.sqrt(total)
 
 
-class _SpectralWorkspace:
-    """Per-grid cached arrays for the drift right-hand side."""
-
-    def __init__(self, grid: PeriodicGrid, config: EulerConfig):
-        self.grid = grid
-        self.ilam = [1j * lam for lam in grid.freq_mesh]
-        keep = int(config.dealias_fraction * (grid.points_per_dim // 2))
-        axis_ok = np.abs(grid.axis_modes) <= keep
-        if grid.dim == 1:
-            self.dealias = axis_ok.astype(float)
-        else:
-            self.dealias = (axis_ok[:, None] & axis_ok[None, :]).astype(float)
-        nyq = np.pi / grid.spacing
-        ratio = grid.freq_norm_sq / nyq**2
-        self.hyper = -config.hyperviscosity_nu * ratio**config.hyperviscosity_order
-
-
-_WORKSPACES: dict = {}
-
-
-def _workspace(grid: PeriodicGrid, config: EulerConfig) -> _SpectralWorkspace:
-    key = (grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _SpectralWorkspace(grid, config)
-        _WORKSPACES[key] = ws
-    return ws
+@cache
+def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: float, hyperviscosity_order: int):
+    """Per-grid arrays of the drift right-hand side: (i*lambda per axis, dealias mask, hyperviscous rate)."""
+    ilam = tuple(1j * lam for lam in grid.freq_mesh)
+    keep = int(dealias_fraction * (grid.points_per_dim // 2))
+    axis_ok = np.abs(grid.axis_modes) <= keep
+    if grid.dim == 1:
+        dealias = axis_ok.astype(float)
+    else:
+        dealias = (axis_ok[:, None] & axis_ok[None, :]).astype(float)
+    nyq = np.pi / grid.spacing
+    ratio = grid.freq_norm_sq / nyq**2
+    hyper = -hyperviscosity_nu * ratio**hyperviscosity_order
+    for array in (*ilam, dealias, hyper):
+        array.flags.writeable = False
+    return ilam, dealias, hyper
 
 
 def drift_rhs(state: FluidState, config: EulerConfig):
@@ -155,22 +139,24 @@ def drift_rhs(state: FluidState, config: EulerConfig):
 
 
 def _drift_rhs_values(rho, vels, grid, config):
-    ws = _workspace(grid, config)
+    ilam, dealias, hyper = _workspace(
+        grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
+    )
     rho_hat = np.fft.fftn(rho)
     vel_hats = [np.fft.fftn(v) for v in vels]
 
-    drho_hat = ws.hyper * rho_hat
+    drho_hat = hyper * rho_hat
     for q, v in enumerate(vels):
-        flux_hat = np.fft.fftn(rho * v) * ws.dealias
-        drho_hat = drho_hat - ws.ilam[q] * flux_hat
+        flux_hat = np.fft.fftn(rho * v) * dealias
+        drho_hat = drho_hat - ilam[q] * flux_hat
 
     dvel_hats = []
     for q, v_hat in enumerate(vel_hats):
         advect = np.zeros_like(rho)
         for qq in range(grid.dim):
-            dv = np.fft.ifftn(ws.ilam[qq] * v_hat).real
+            dv = np.fft.ifftn(ilam[qq] * v_hat).real
             advect += vels[qq] * dv
-        dv_hat = -np.fft.fftn(advect) * ws.dealias - ws.ilam[q] * rho_hat + ws.hyper * v_hat
+        dv_hat = -np.fft.fftn(advect) * dealias - ilam[q] * rho_hat + hyper * v_hat
         dvel_hats.append(dv_hat)
 
     drho = np.fft.ifftn(drho_hat).real

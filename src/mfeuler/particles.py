@@ -17,6 +17,7 @@ kernel, interpolation back).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -83,38 +84,54 @@ def force_direct(state: ParticleState, kernel: ScaledKernel, period: float, bloc
     return forces
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@cache
 def _half_cell_phase(grid: PeriodicGrid) -> np.ndarray:
     phase = np.ones(grid.shape, dtype=complex)
     for lam in grid.freq_mesh:
         phase = phase * np.exp(1j * lam * grid.spacing / 2.0)
-    return phase
+    return _read_only(phase)
 
 
-def deposit_spectrum(positions, grid: PeriodicGrid, scheme: str, window_correction: bool = True):
+@cache
+def force_kernel_spectrum(kernel: ScaledKernel, grid: PeriodicGrid) -> tuple:
+    """Per-component FFT of the force kernel sampled on the lattice, built once per (kernel, grid)."""
+    return tuple(
+        _read_only(np.fft.fftn(sample_kernel(grid, lambda pts: np.asarray(kernel.potential_gradient(pts))[:, q])))
+        for q in range(grid.dim)
+    )
+
+
+@cache
+def sampled_mollifier(kernel: ScaledKernel, grid: PeriodicGrid) -> np.ndarray:
+    """The mollifier ``kernel.density`` sampled on the lattice, built once per (kernel, grid)."""
+    return _read_only(sample_kernel(grid, kernel.density))
+
+
+def deposit_spectrum(positions, grid: PeriodicGrid, scheme: str):
     """FFT of the deposited unit-mass empirical density, alias-suppressed.
 
-    With ``window_correction`` the assignment-window transform is divided out
-    and a second half-cell-shifted deposit is averaged in (interlacing), which
-    cancels the odd-order alias images of the point masses.
+    The assignment-window transform is divided out and a second
+    half-cell-shifted deposit is averaged in (interlacing), which cancels the
+    odd-order alias images of the point masses.
     """
     measure = EmpiricalMeasure(positions)
     dens_hat = np.fft.fftn(deposit(measure, grid, scheme).values)
-    if not window_correction:
-        return dens_hat
     shifted = deposit(EmpiricalMeasure(np.mod(positions + grid.spacing / 2.0, grid.period)), grid, scheme)
     dens_hat = 0.5 * (dens_hat + _half_cell_phase(grid) * np.fft.fftn(shifted.values))
     return dens_hat / assignment_window(grid, scheme)
 
 
-def gather(field_hat, grid: PeriodicGrid, positions, scheme: str, window_correction: bool = True):
+def gather(field_hat, grid: PeriodicGrid, positions, scheme: str):
     """Read a spectral field back at particle positions with the deposit's adjoint.
 
     Mirrors ``deposit_spectrum``: window deconvolution plus an interlaced
     second gather from the half-cell-shifted lattice.
     """
-    if not window_correction:
-        vals = np.fft.ifftn(field_hat).real
-        return interpolate(GridField(grid, vals), positions, scheme)
     corrected = field_hat / assignment_window(grid, scheme)
     direct = interpolate(GridField(grid, np.fft.ifftn(corrected).real), positions, scheme)
     shifted_vals = np.fft.ifftn(corrected * _half_cell_phase(grid)).real
@@ -124,13 +141,7 @@ def gather(field_hat, grid: PeriodicGrid, positions, scheme: str, window_correct
     return 0.5 * (direct + shifted)
 
 
-def force_particle_mesh(
-    state: ParticleState,
-    kernel: ScaledKernel,
-    grid: PeriodicGrid,
-    deposit_scheme: str = "linear",
-    window_correction: bool = True,
-):
+def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: PeriodicGrid, deposit_scheme: str = "linear"):
     """Particle-mesh force: deposit, spectral convolution, gather.
 
     The deposited density spectrum is multiplied by the transform of the
@@ -150,12 +161,11 @@ def force_particle_mesh(
             f"grid spacing {grid.spacing:.4g} > effective kernel width / 4 = "
             f"{kernel.effective_width() / 4.0:.4g}"
         )
-    dens_hat = deposit_spectrum(state.positions, grid, deposit_scheme, window_correction)
+    dens_hat = deposit_spectrum(state.positions, grid, deposit_scheme)
     forces = np.empty_like(state.positions)
-    for q in range(state.dim):
-        gvals = sample_kernel(grid, lambda pts: np.asarray(kernel.potential_gradient(pts))[:, q])
-        conv_hat = dens_hat * np.fft.fftn(gvals) * grid.cell_volume
-        forces[:, q] = -gather(conv_hat, grid, state.positions, deposit_scheme, window_correction)
+    for q, g_hat in enumerate(force_kernel_spectrum(kernel, grid)):
+        conv_hat = dens_hat * g_hat * grid.cell_volume
+        forces[:, q] = -gather(conv_hat, grid, state.positions, deposit_scheme)
     return forces
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import mfeuler.coupling as coupling_mod
+import mfeuler.fluid as fluid_mod
 from mfeuler.config import RunConfig, validate
 from mfeuler.coupling import (
     build_run,
@@ -16,7 +18,7 @@ from mfeuler.coupling import (
 )
 from mfeuler.errors import DegenerateFit
 from mfeuler.fields import GridField, PeriodicGrid
-from mfeuler.fluid import EulerConfig, FluidState
+from mfeuler.fluid import EulerConfig, FluidState, state_norm
 from mfeuler.kernels import MollifierSpec, ScaledKernel
 from mfeuler.noise import NoisePath, SigmaField
 from mfeuler.particles import ParticleState
@@ -143,6 +145,58 @@ def test_frozen_run_diagnostics_stable():
     rec2 = q_functional(again)
     assert rec2 == frozen_rec
     assert frozen_rec.stopped
+
+
+@pytest.mark.parametrize("tight_guard", [False, True], ids=["default_guard", "tight_guard"])
+def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
+    cfg = tiny_config(**{"study.t_final": 0.05, "init.velocity_amplitude": 0.4})
+    if tight_guard:
+        # threshold just above the initial norm: fires within a few steps
+        cfg.euler.guard_m = 1.0002 * state_norm(build_run(cfg).fluid, cfg.euler.guard_s)
+    n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
+
+    fluid_steps = []
+    final_runs = []
+    fluid_step = fluid_mod.step
+    distances = coupling_mod.mean_field_distances
+
+    def counted_step(state, *args):
+        fluid_steps.append(state.step_index)
+        return fluid_step(state, *args)
+
+    def recorded_distances(run, *args):
+        final_runs.append(run)
+        return distances(run, *args)
+
+    monkeypatch.setattr(fluid_mod, "step", counted_step)
+    monkeypatch.setattr(coupling_mod, "mean_field_distances", recorded_distances)
+    result = _run_sample(cfg, 1)
+    monkeypatch.undo()
+
+    if tight_guard:
+        stop_step = final_runs[0].fluid.stopping.step_index
+        assert result.censored and 0 < stop_step < n_steps
+    else:
+        stop_step = n_steps
+        assert not result.censored
+    # the shared fluid steps once per increment, for all N together
+    assert fluid_steps == list(range(stop_step))
+    for j, n in enumerate(cfg.study.n_values):
+        solo = build_run(cfg, 1, n_particles=n)
+        for _ in range(n_steps):
+            solo = coupled_step(solo)
+        inside = final_runs[j]
+        assert inside.particles.n_particles == n
+        np.testing.assert_array_equal(inside.particles.positions, solo.particles.positions)
+        np.testing.assert_array_equal(inside.particles.velocities, solo.particles.velocities)
+        assert result.qT[j] == q_functional(solo).q_total
+        assert solo.step_index == stop_step
+        if tight_guard:
+            # a step after the stop changes nothing
+            assert coupled_step(solo) is solo
+        else:
+            with pytest.raises(IndexError, match="noise path exhausted"):
+                coupled_step(solo)
 
 
 def test_mean_field_distances_permutation_invariant():

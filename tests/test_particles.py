@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from mfeuler.errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
-from mfeuler.fields import PeriodicGrid
+import mfeuler.particles as particles_mod
+from mfeuler.fields import PeriodicGrid, assignment_window
 from mfeuler.kernels import MollifierSpec, ScaledKernel
 from mfeuler.noise import NoisePath, SigmaField
 from mfeuler.particles import (
     ParticleState,
+    _half_cell_phase,
     force_direct,
+    force_kernel_spectrum,
     force_particle_mesh,
     init_well_prepared,
     ito_reference,
+    sampled_mollifier,
     step,
 )
 from mfeuler.profiles import DensityProfile, VelocityProfile
@@ -105,6 +109,31 @@ def test_particle_mesh_2d_matches_direct():
     fd = force_direct(st, kern, TWO_PI)
     fp = force_particle_mesh(st, kern, grid)
     assert np.max(np.abs(fd - fp)) < 5e-3 * np.max(np.abs(fd))
+
+
+def test_particle_mesh_bump_matches_direct_with_operators_built_once(monkeypatch):
+    grid = PeriodicGrid(1, 512, TWO_PI)
+    kern = ScaledKernel(MollifierSpec("bump", 2.0, 1), 64, 0.5)
+    rng = np.random.default_rng(0)
+    pos = rng.random((64, 1)) * TWO_PI
+    st = ParticleState(pos, np.zeros_like(pos))
+    fd = force_direct(st, kern, TWO_PI)
+    fp = force_particle_mesh(st, kern, grid)
+    assert np.max(np.abs(fd - fp)) < 1e-3 * np.max(np.abs(fd))
+
+    def resample(*args):
+        raise AssertionError("force kernel sampled again for the same (kernel, grid)")
+
+    monkeypatch.setattr(particles_mod, "sample_kernel", resample)
+    np.testing.assert_array_equal(force_particle_mesh(st, kern, grid), fp)
+    monkeypatch.undo()
+    operators = [
+        *force_kernel_spectrum(kern, grid),
+        sampled_mollifier(kern, grid),
+        _half_cell_phase(grid),
+        assignment_window(grid, "linear"),
+    ]
+    assert not any(op.flags.writeable for op in operators)
 
 
 def test_grid_too_coarse_raises():
