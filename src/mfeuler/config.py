@@ -230,6 +230,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     p = cfg.particles
     _require(p.n >= 1, "particles.n must be >= 1")
     _require(p.init_scheme in ("stratified", "iid"), "particles.init_scheme must be stratified or iid")
+    _require(
+        p.init_scheme == "iid" or g.dim == 1,
+        "particles.init_scheme = stratified is defined for grid.dim = 1 only; use iid",
+    )
 
     it = cfg.integrator
     _require(it.dt > 0, "integrator.dt must be positive")

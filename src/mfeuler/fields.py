@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .errors import AlphaTooSmall, KernelAliasingWarning
 
 DEFAULT_PERIOD = 4.0 * 2.0 * np.pi
+
+
+def _lattice(axis, dim):
+    """Every point of the product lattice axis**dim, shape (len(axis)**dim, dim), C order."""
+    mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,6 @@ class PeriodicGrid:
         return np.arange(self.points_per_dim) * self.spacing
 
     @cached_property
-    def axis_wrapped_coords(self):
-        """Axis coordinates folded to [-period/2, period/2) (minimum image)."""
-        half = 0.5 * self.period
-        return (self.axis_coords + half) % self.period - half
-
-    @cached_property
     def axis_modes(self):
         """Integer mode numbers in FFT order: 0..M/2-1, -M/2..-1."""
         m = self.points_per_dim
@@ -75,9 +75,7 @@ class PeriodicGrid:
 
     @cached_property
     def freq_mesh(self):
-        if self.dim == 1:
-            return (self.axis_freqs,)
-        return tuple(np.meshgrid(self.axis_freqs, self.axis_freqs, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_freqs,) * self.dim, indexing="ij"))
 
     @cached_property
     def freq_norm_sq(self):
@@ -86,12 +84,14 @@ class PeriodicGrid:
             total = total + lam * lam
         return total
 
+    def points(self):
+        """All lattice nodes, shape (M**dim, dim), in the C order of ``shape``."""
+        return _lattice(self.axis_coords, self.dim)
+
     def wrapped_points(self):
-        """All lattice nodes as minimum-image points, shape (M**dim, dim)."""
-        if self.dim == 1:
-            return self.axis_wrapped_coords[:, None]
-        xx, yy = np.meshgrid(self.axis_wrapped_coords, self.axis_wrapped_coords, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        """All lattice nodes folded to [-period/2, period/2) (minimum image), shape (M**dim, dim)."""
+        half = 0.5 * self.period
+        return (self.points() + half) % self.period - half
 
     def wrap(self, points):
         return np.mod(points, self.period)
@@ -146,12 +146,7 @@ def spectral_derivative(field: GridField, axis: int = 0) -> GridField:
     lam = grid.freq_mesh[axis]
     coeffs = spec.coeffs * (1j * lam)
     nyquist = grid.axis_modes == -(grid.points_per_dim // 2)
-    if grid.dim == 1:
-        coeffs[nyquist] = 0.0
-    elif axis == 0:
-        coeffs[nyquist, :] = 0.0
-    else:
-        coeffs[:, nyquist] = 0.0
+    coeffs[(slice(None),) * axis + (nyquist,)] = 0.0
     return to_physical(SpectralField(grid, coeffs))
 
 
@@ -236,6 +231,40 @@ class EmpiricalMeasure:
         return 1.0 if self.weights is None else float(np.sum(self.weights))
 
 
+def _stencil(points: np.ndarray, grid: PeriodicGrid, scheme: str):
+    """Assignment stencil shared by ``deposit`` and ``interpolate``.
+
+    Returns ``(flat, factors)``.  ``flat`` holds the flat node index of every
+    (corner, point) pair: shape (1, n_points) for ``nearest``, and for
+    ``linear`` shape (2,) * dim + (n_points,) with the last axis's corner
+    offset first, so that in C order axis 0 varies fastest.  ``factors`` holds
+    the barycentric weight factors of the axes in axis order (none for
+    ``nearest``), each broadcastable to ``flat.shape``; a corner's weight is
+    their product, multiplied in that order.
+    """
+    m = grid.points_per_dim
+    wrap = m - 1  # index & wrap == index mod m, as m is a power of two
+    flat = 0
+    factors = []
+    for a, u in enumerate((points / grid.spacing).T):  # node units, one axis at a time
+        if scheme == "nearest":
+            node = np.rint(u).astype(int)[None] & wrap
+        else:
+            base = np.floor(u).astype(int)
+            frac = u - base
+            corner_shape = (2,) + (1,) * a + (u.size,)
+            node = (np.array([base, base + 1]) & wrap).reshape(corner_shape)
+            factors.append(np.array([1.0 - frac, frac]).reshape(corner_shape))
+        flat = flat * m + node
+    return flat, factors
+
+
+def _weighted(values, factors):
+    for f in factors:
+        values = values * f
+    return values
+
+
 def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear") -> GridField:
     """Spread particle weights onto the lattice as a density field.
 
@@ -245,75 +274,44 @@ def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
-    w = measure.scalar_weights()
-    m = grid.points_per_dim
-    u = measure.points / grid.spacing  # node units
-    out = np.zeros(grid.shape)
-    if scheme == "nearest":
-        idx = np.mod(np.rint(u).astype(int), m)
-        if grid.dim == 1:
-            np.add.at(out, idx[:, 0], w)
-        else:
-            np.add.at(out, (idx[:, 0], idx[:, 1]), w)
-    else:
-        base = np.floor(u).astype(int)
-        frac = u - base
-        if grid.dim == 1:
-            i0 = np.mod(base[:, 0], m)
-            i1 = np.mod(base[:, 0] + 1, m)
-            np.add.at(out, i0, w * (1.0 - frac[:, 0]))
-            np.add.at(out, i1, w * frac[:, 0])
-        else:
-            i0 = np.mod(base, m)
-            i1 = np.mod(base + 1, m)
-            fx, fy = frac[:, 0], frac[:, 1]
-            np.add.at(out, (i0[:, 0], i0[:, 1]), w * (1 - fx) * (1 - fy))
-            np.add.at(out, (i1[:, 0], i0[:, 1]), w * fx * (1 - fy))
-            np.add.at(out, (i0[:, 0], i1[:, 1]), w * (1 - fx) * fy)
-            np.add.at(out, (i1[:, 0], i1[:, 1]), w * fx * fy)
-    return GridField(grid, out / grid.cell_volume)
+    flat, factors = _stencil(measure.points, grid, scheme)
+    weights = _weighted(measure.scalar_weights(), factors)
+    # corner-major order: each node sums its corner-0 contributions first, in particle order
+    out = np.bincount(flat.ravel(), weights.ravel(), minlength=grid.points_per_dim**grid.dim)
+    return GridField(grid, out.reshape(grid.shape) / grid.cell_volume)
 
 
 def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
     """Read a lattice field back at arbitrary points (inverse of deposit)."""
-    grid = field.grid
-    m = grid.points_per_dim
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    u = pts / grid.spacing
-    vals = field.values
-    if scheme == "nearest":
-        idx = np.mod(np.rint(u).astype(int), m)
-        return vals[idx[:, 0]] if grid.dim == 1 else vals[idx[:, 0], idx[:, 1]]
-    if scheme == "linear":
-        base = np.floor(u).astype(int)
-        frac = u - base
-        if grid.dim == 1:
-            i0 = np.mod(base[:, 0], m)
-            i1 = np.mod(base[:, 0] + 1, m)
-            return vals[i0] * (1.0 - frac[:, 0]) + vals[i1] * frac[:, 0]
-        i0 = np.mod(base, m)
-        i1 = np.mod(base + 1, m)
-        fx, fy = frac[:, 0], frac[:, 1]
-        return (
-            vals[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
-            + vals[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
-            + vals[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
-            + vals[i1[:, 0], i1[:, 1]] * fx * fy
-        )
     if scheme == "spectral":
         return _trig_interpolate(field, pts)
-    raise ValueError(f"unknown interpolation scheme {scheme!r}")
+    if scheme not in ("nearest", "linear"):
+        raise ValueError(f"unknown interpolation scheme {scheme!r}")
+    flat, factors = _stencil(pts, field.grid, scheme)
+    terms = _weighted(field.values.ravel()[flat], factors)
+    return terms.reshape(-1, pts.shape[0]).sum(axis=0)  # corners added in order
+
+
+def _axis_phases(freqs: np.ndarray, points: np.ndarray, sign: complex):
+    """Per-axis factors exp(sign * lambda * x_a) of the mode phases, one (n_freqs, n_points) table per axis.
+
+    A mode's phase at a point is the product of its axes' factors, so a
+    d-dimensional mode sum needs d tables of exponentials, not one per
+    (mode, point) pair.
+    """
+    return [np.exp(sign * np.outer(freqs, x)) for x in points.T]
 
 
 def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
+    """Type-2 mode sum: the trigonometric interpolant of the field at ``pts``."""
     grid = field.grid
-    coeffs = to_spectral(field).coeffs
-    if grid.dim == 1:
-        phase = np.exp(1j * np.outer(pts[:, 0], grid.axis_freqs))
-        return (phase @ coeffs).real
-    ex = np.exp(1j * np.outer(pts[:, 0], grid.axis_freqs))
-    ey = np.exp(1j * np.outer(pts[:, 1], grid.axis_freqs))
-    return np.einsum("nk,kl,nl->n", ex, coeffs, ey).real
+    # contiguous (points, modes) tables: BLAS then sums each point's modes along a row
+    phases = [np.ascontiguousarray(t.T) for t in _axis_phases(grid.axis_freqs, pts, 1j)]
+    vals = np.tensordot(phases[-1], to_spectral(field).coeffs, axes=(1, -1))
+    for phase in reversed(phases[:-1]):
+        vals = np.einsum("n...k,nk->n...", vals, phase)
+    return vals.real
 
 
 @cache
@@ -321,9 +319,17 @@ def assignment_window(grid: PeriodicGrid, scheme: str) -> np.ndarray:
     """Fourier transform of the deposit assignment window (per-mode), built once per (grid, scheme)."""
     power = {"nearest": 1, "linear": 2}[scheme]
     axis = np.sinc(grid.axis_modes / grid.points_per_dim) ** power
-    window = axis if grid.dim == 1 else np.outer(axis, axis)
+    window = reduce(np.multiply.outer, (axis,) * grid.dim)
     window.flags.writeable = False
     return window
+
+
+def _mode_axis(grid: PeriodicGrid, cutoff: int) -> np.ndarray:
+    """Integer modes of one axis of the mode set."""
+    if cutoff > grid.points_per_dim // 2:
+        raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
+    top = cutoff + 1 if cutoff < grid.points_per_dim // 2 else cutoff
+    return np.arange(-cutoff, top)
 
 
 def mode_set(grid: PeriodicGrid, cutoff: int):
@@ -332,17 +338,8 @@ def mode_set(grid: PeriodicGrid, cutoff: int):
     At the Nyquist cutoff M/2 the lattice holds a single unmatched mode, so
     +M/2 is dropped rather than double-counting it.
     """
-    if cutoff > grid.points_per_dim // 2:
-        raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
-    top = cutoff + 1 if cutoff < grid.points_per_dim // 2 else cutoff
-    k = np.arange(-cutoff, top)
-    if grid.dim == 1:
-        modes = k[:, None]
-    else:
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        modes = np.stack([kx.ravel(), ky.ravel()], axis=-1)
-    freqs = 2.0 * np.pi * modes / grid.period
-    return modes, freqs
+    modes = _lattice(_mode_axis(grid, cutoff), grid.dim)
+    return modes, 2.0 * np.pi * modes / grid.period
 
 
 def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cutoff: int):
@@ -352,12 +349,11 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
     for vector weights, normalized like field coefficients (1/period**dim
     factor), computed by direct summation over particles.
     """
-    modes, freqs = mode_set(grid, cutoff)
-    pts = measure.points
-    if grid.dim == 1:
-        phase = np.exp(-1j * np.outer(freqs[:, 0], pts[:, 0]))
-    else:
-        phase = np.exp(-1j * freqs @ pts.T)
+    lam = 2.0 * np.pi * _mode_axis(grid, cutoff) / grid.period
+    phases = _axis_phases(lam, measure.points, -1j)
+    phase = phases[0]
+    for axis_phase in phases[1:]:
+        phase = (phase[:, None, :] * axis_phase[None, :, :]).reshape(-1, measure.n_points)
     if measure.weights is None:
         coeffs = phase.mean(axis=1)
     else:
@@ -368,12 +364,8 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
 def field_mode_coefficients(field: GridField, cutoff: int):
     """Field Fourier coefficients restricted to |k|_inf <= cutoff, in mode-set order."""
     grid = field.grid
-    coeffs = to_spectral(field).coeffs
     modes, _ = mode_set(grid, cutoff)
-    idx = np.mod(modes, grid.points_per_dim)
-    if grid.dim == 1:
-        return coeffs[idx[:, 0]]
-    return coeffs[idx[:, 0], idx[:, 1]]
+    return to_spectral(field).coeffs[tuple(np.mod(modes, grid.points_per_dim).T)]
 
 
 def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, check_alpha=True):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -113,11 +113,8 @@ def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: f
     """Per-grid arrays of the drift right-hand side: (i*lambda per axis, dealias mask, hyperviscous rate)."""
     ilam = tuple(1j * lam for lam in grid.freq_mesh)
     keep = int(dealias_fraction * (grid.points_per_dim // 2))
-    axis_ok = np.abs(grid.axis_modes) <= keep
-    if grid.dim == 1:
-        dealias = axis_ok.astype(float)
-    else:
-        dealias = (axis_ok[:, None] & axis_ok[None, :]).astype(float)
+    axis_ok = (np.abs(grid.axis_modes) <= keep).astype(float)
+    dealias = reduce(np.multiply.outer, (axis_ok,) * grid.dim)
     nyq = np.pi / grid.spacing
     ratio = grid.freq_norm_sq / nyq**2
     hyper = -hyperviscosity_nu * ratio**hyperviscosity_order

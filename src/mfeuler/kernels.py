@@ -348,11 +348,6 @@ class ScaledKernel:
         vals = self.amplitude * np.asarray(self.spec.density(pts * self.compression))
         return _squeeze(np.atleast_1d(vals), single)
 
-    def density_gradient(self, x):
-        pts, single = _as_points(x, self.spec.dim)
-        grad = self.amplitude * self.compression * np.asarray(self.spec.gradient(pts * self.compression))
-        return grad if not single else grad.reshape(self.spec.dim)
-
     def potential(self, x):
         pts, single = _as_points(x, self.spec.dim)
         vals = self.amplitude * np.asarray(self.spec.self_convolution(pts * self.compression))

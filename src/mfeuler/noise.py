@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -86,27 +87,20 @@ class SigmaField:
             return np.full_like(pts, self.base)
         return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * pts / self.period))
 
-    def component_on_axis(self, coords: np.ndarray, q: int) -> np.ndarray:
-        """Component q sampled on axis coordinates (enough for axis-aligned fields)."""
-        if self.family == "constant":
-            return np.full_like(np.asarray(coords, dtype=float), self.base)
-        return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * np.asarray(coords) / self.period))
-
+    @cache
     def component_on_grid(self, grid, q: int) -> np.ndarray:
-        axis_vals = self.component_on_axis(grid.axis_coords, q)
-        if grid.dim == 1:
-            return axis_vals
-        shape = [1, 1]
-        shape[q] = grid.points_per_dim
-        return np.broadcast_to(axis_vals.reshape(shape), grid.shape).copy()
+        """Component q at every lattice node, shape ``grid.shape``; built once per (sigma, grid, q), read-only."""
+        vals = np.ascontiguousarray(self.values(grid.points())[:, q]).reshape(grid.shape)
+        vals.flags.writeable = False
+        return vals
 
     def sup_bounds(self, grid) -> tuple[float, float]:
         """Lattice estimates of sup|sigma| and sup|grad sigma| (C_b^1 check)."""
         sup_val = 0.0
         sup_grad = 0.0
         for q in range(grid.dim):
-            vals = self.component_on_axis(grid.axis_coords, q)
+            vals = self.component_on_grid(grid, q)
             sup_val = max(sup_val, float(np.max(np.abs(vals))))
-            grad = np.gradient(vals, grid.spacing)
+            grad = np.gradient(vals, grid.spacing, axis=q)
             sup_grad = max(sup_grad, float(np.max(np.abs(grad))))
         return sup_val, sup_grad

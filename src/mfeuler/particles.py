@@ -256,11 +256,9 @@ def init_well_prepared(
     else:
         if scheme == "stratified":
             raise ValueError("stratified initialization is defined for dim=1 only; use iid")
-        res2 = 2**9
-        h2 = period / res2
-        axis = np.arange(res2) * h2
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        lattice = PeriodicGrid(2, 2**9, period)
+        h2 = lattice.spacing
+        pts = lattice.points()
         dens = np.asarray(density(pts))
         mass = float(np.sum(dens) * h2 * h2)
         if abs(mass - 1.0) > 1e-6:

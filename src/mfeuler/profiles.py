@@ -12,10 +12,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .fields import GridField, PeriodicGrid
+
 DENSITY_FAMILIES = ("uniform", "bump", "sine")
 VELOCITY_FAMILIES = ("zero", "constant", "sine")
 
-_NORM_RESOLUTION = 2**13
+_NORM_RESOLUTION = {1: 2**13, 2: 2**9}  # quadrature nodes per axis
 
 
 @dataclass(frozen=True)
@@ -56,28 +58,18 @@ class DensityProfile:
     @cached_property
     def mass(self):
         """Lattice quadrature of the raw shape over the torus."""
-        n = _NORM_RESOLUTION if self.dim == 1 else 2**9
-        h = self.period / n
-        axis = np.arange(n) * h
-        if self.dim == 1:
-            return float(np.sum(self.shape_values(axis[:, None])) * h)
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        return float(np.sum(self.shape_values(pts)) * h * h)
+        grid = PeriodicGrid(self.dim, _NORM_RESOLUTION[self.dim], self.period)
+        total = np.sum(self.shape_values(grid.points()))
+        for _ in range(self.dim):
+            total = total * grid.spacing
+        return float(total)
 
     def __call__(self, points):
         vals = self.shape_values(points)
         return vals / self.mass if self.normalize else vals
 
     def on_grid(self, grid):
-        from .fields import GridField
-
-        if grid.dim == 1:
-            vals = self(grid.axis_coords[:, None])
-        else:
-            xx, yy = np.meshgrid(grid.axis_coords, grid.axis_coords, indexing="ij")
-            vals = self(np.stack([xx.ravel(), yy.ravel()], axis=-1)).reshape(grid.shape)
-        return GridField(grid, np.reshape(vals, grid.shape))
+        return GridField(grid, self(grid.points()).reshape(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -105,11 +97,4 @@ class VelocityProfile:
         return np.stack([self.component(q, pts) for q in range(pts.shape[1])], axis=-1)
 
     def component_on_grid(self, grid, q):
-        from .fields import GridField
-
-        if grid.dim == 1:
-            vals = self.component(q, grid.axis_coords[:, None])
-        else:
-            xx, yy = np.meshgrid(grid.axis_coords, grid.axis_coords, indexing="ij")
-            vals = self.component(q, np.stack([xx.ravel(), yy.ravel()], axis=-1)).reshape(grid.shape)
-        return GridField(grid, np.reshape(vals, grid.shape))
+        return GridField(grid, self.component(q, grid.points()).reshape(grid.shape))

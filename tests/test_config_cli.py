@@ -40,6 +40,8 @@ def test_bad_values_name_the_key():
         RunConfig.from_text("[euler]\nguard_s = 2.0\n")
     with pytest.raises(ConfigError, match="bad value"):
         RunConfig.from_text("[particles]\nn = lots\n")
+    with pytest.raises(ConfigError, match="particles.init_scheme"):
+        RunConfig.from_text("[grid]\ndim = 2\n[study]\nalpha = 2.5\n")
 
 
 def test_infinite_guard_threshold_parses():

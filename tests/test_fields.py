@@ -11,6 +11,8 @@ from mfeuler.fields import (
     convolve,
     deposit,
     interpolate,
+    measure_mode_coefficients,
+    mode_set,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
     sobolev_norm,
@@ -110,7 +112,7 @@ def test_convolve_matches_direct_double_loop():
     rng = np.random.default_rng(7)
     fvals = rng.standard_normal(g.shape)
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 16, 0.5)
-    kvals = np.asarray(kern.density(g.axis_wrapped_coords))
+    kvals = np.asarray(kern.density(g.wrapped_points()[:, 0]))
     out = convolve(GridField(g, fvals), kern.density)
     direct = np.empty_like(fvals)
     for i in range(g.points_per_dim):
@@ -180,6 +182,94 @@ def test_interpolate_lattice_and_constant():
     pts = rng.random((10, 1)) * g.period
     np.testing.assert_allclose(interpolate(c, pts, "linear"), 4.2, atol=1e-14)
     np.testing.assert_allclose(interpolate(c, pts, "spectral"), 4.2, atol=1e-12)
+
+
+def _reference_deposit(pts, w, g, scheme):
+    # per-corner np.add.at accumulation, corner by corner
+    m = g.points_per_dim
+    u = pts / g.spacing
+    out = np.zeros(g.shape)
+    if scheme == "nearest":
+        idx = np.mod(np.rint(u).astype(int), m)
+        np.add.at(out, tuple(idx.T), w)
+    elif g.dim == 1:
+        base = np.floor(u).astype(int)
+        frac = u - base
+        np.add.at(out, np.mod(base[:, 0], m), w * (1.0 - frac[:, 0]))
+        np.add.at(out, np.mod(base[:, 0] + 1, m), w * frac[:, 0])
+    else:
+        base = np.floor(u).astype(int)
+        fx, fy = (u - base).T
+        i0, i1 = np.mod(base, m), np.mod(base + 1, m)
+        np.add.at(out, (i0[:, 0], i0[:, 1]), w * (1 - fx) * (1 - fy))
+        np.add.at(out, (i1[:, 0], i0[:, 1]), w * fx * (1 - fy))
+        np.add.at(out, (i0[:, 0], i1[:, 1]), w * (1 - fx) * fy)
+        np.add.at(out, (i1[:, 0], i1[:, 1]), w * fx * fy)
+    return out / g.cell_volume
+
+
+def _reference_interpolate(vals, pts, g, scheme):
+    m = g.points_per_dim
+    u = pts / g.spacing
+    if scheme == "nearest":
+        return vals[tuple(np.mod(np.rint(u).astype(int), m).T)]
+    base = np.floor(u).astype(int)
+    frac = u - base
+    i0, i1 = np.mod(base, m), np.mod(base + 1, m)
+    if g.dim == 1:
+        return vals[i0[:, 0]] * (1.0 - frac[:, 0]) + vals[i1[:, 0]] * frac[:, 0]
+    fx, fy = frac.T
+    return (
+        vals[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
+        + vals[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
+        + vals[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
+        + vals[i1[:, 0], i1[:, 1]] * fx * fy
+    )
+
+
+@pytest.mark.parametrize("scheme", ["nearest", "linear"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_matches_per_corner_reference_and_is_adjoint(dim, scheme):
+    g = PeriodicGrid(dim, 16, 5.0)
+    rng = np.random.default_rng(11 + dim)
+    pts = rng.random((200, dim)) * g.period
+    # a lattice node, the last node, and points that round or spill past the period
+    pts[:4] = np.array([3, 15, 15.7, 16 - 1e-9])[:, None] * g.spacing
+    w = rng.standard_normal(200)
+    field = GridField(g, rng.standard_normal(g.shape))
+
+    dep = deposit(EmpiricalMeasure(pts, w), g, scheme)
+    np.testing.assert_array_equal(dep.values, _reference_deposit(pts, w, g, scheme))
+    vals = interpolate(field, pts, scheme)
+    np.testing.assert_array_equal(vals, _reference_interpolate(field.values, pts, g, scheme))
+
+    lattice_side = g.cell_volume * np.sum(dep.values * field.values)
+    particle_side = np.sum(w * vals)
+    assert lattice_side == pytest.approx(particle_side, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
+def test_mode_coefficients_2d_match_dense_sum(weights):
+    g = PeriodicGrid(2, 16, 5.0)
+    rng = np.random.default_rng(12)
+    pts = rng.random((37, 2)) * g.period
+    w = {"uniform": None, "scalar": rng.standard_normal(37), "vector": rng.standard_normal((37, 2))}[weights]
+    for cutoff in (3, 8):  # 8 is the Nyquist cutoff, where the mode set is asymmetric
+        _, freqs = mode_set(g, cutoff)
+        dense = np.exp(-1j * freqs @ pts.T)
+        expected = (dense.mean(axis=1) if w is None else dense @ w) / g.period**2
+        got = measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_spectral_interpolation_2d_exact_for_band_limited_field():
+    g = PeriodicGrid(2, 16, TWO_PI)
+    xx, yy = np.meshgrid(g.axis_coords, g.axis_coords, indexing="ij")
+    f = GridField(g, np.sin(xx) * np.cos(2 * yy))
+    pts = np.random.default_rng(13).random((50, 2)) * g.period
+    got = interpolate(f, pts, "spectral")
+    np.testing.assert_allclose(got, np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1]), rtol=0, atol=1e-12)
 
 
 def test_dirac_distance_matches_direct_sum():

@@ -107,6 +107,8 @@ def test_noise_step_exactness_and_density_invariance():
     for dB in path.increments:
         state = noise_step(state, dB, sigma)
     sig_vals = sigma.component_on_grid(state.grid, 0)
+    # built once per (sigma, grid, component) and read-only
+    assert sigma.component_on_grid(state.grid, 0) is sig_vals and not sig_vals.flags.writeable
     exact = v0 * np.exp(sig_vals * path.terminal()[0])
     np.testing.assert_allclose(state.velocity[0].values, exact, rtol=1e-12)
     np.testing.assert_array_equal(state.rho.values, rho0)
