@@ -46,7 +46,12 @@ def read_field(path) -> GridField:
         raise ValueError(f"{path}: not a field file")
     meta = dict(line.split(" = ") for line in lines[1:])
     grid = PeriodicGrid(int(meta["dim"]), int(meta["points_per_dim"]), float(meta["period"]))
+    size = 8 * grid.points_per_dim**grid.dim
+    if len(payload) != size:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {size}")
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: field values must be finite")
     return GridField(grid, values.copy())
 
 

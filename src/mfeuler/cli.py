@@ -77,11 +77,12 @@ def cmd_run_coupled(args) -> int:
 
 
 def _write_snapshot(out, tag, run):
-    artifacts.write_field(os.path.join(out, f"rho_{tag}.field"), run.fluid.rho)
+    rho = run.fluid.rho
+    artifacts.write_field(os.path.join(out, f"rho_{tag}.field"), rho)
     for q, v in enumerate(run.fluid.velocity):
         artifacts.write_field(os.path.join(out, f"vel{q}_{tag}.field"), v)
     if run.grid.dim == 1:
-        artifacts.write_field_csv(os.path.join(out, f"rho_{tag}.csv"), run.fluid.rho)
+        artifacts.write_field_csv(os.path.join(out, f"rho_{tag}.csv"), rho)
     artifacts.write_particles(os.path.join(out, f"particles_{tag}.bin"), run.particles)
 
 

@@ -230,7 +230,7 @@ def q_functional(run: CoupledRun) -> QRecord:
     mismatch = run.particles.velocities - vel_at
     kinetic = float(np.mean(np.sum(mismatch * mismatch, axis=1)))
     mol = mollified_density(run.particles.positions, run.kernel, run.grid, run.deposit_scheme)
-    diff = mol.values - run.fluid.rho.values
+    diff = mol.values - run.fluid.u[0]
     density = float(np.sum(diff * diff) * run.grid.cell_volume)
     return QRecord(run.fluid.time, kinetic, density, kinetic + density, run.fluid.stopped)
 
@@ -248,9 +248,8 @@ def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
     dist_s = neg_sobolev_distance(s_measure, run.fluid.rho, alpha, freq_cutoff)
 
     v_measure = EmpiricalMeasure(pos, run.particles.velocities / n)
-    momentum_fields = [
-        GridField(run.grid, run.fluid.rho.values * v.values) for v in run.fluid.velocity
-    ]
+    u = run.fluid.u
+    momentum_fields = [GridField(run.grid, m) for m in u[0] * u[1:]]
     dist_v = neg_sobolev_distance(v_measure, momentum_fields, alpha, freq_cutoff)
     return dist_s**2, dist_v**2
 

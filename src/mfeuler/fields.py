@@ -108,14 +108,9 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
 
     def integral(self):
         return float(np.sum(self.values) * self.grid.cell_volume)
-
-    def copy(self):
-        return GridField(self.grid, self.values.copy())
 
 
 @dataclass

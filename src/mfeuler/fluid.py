@@ -6,24 +6,28 @@ On the torus the system reads
     d v_q  = -(grad_q rho + v . grad v_q) dt + sigma_q(x) v_q o dB_q
 
 where the pressure law p = rho^2 / 2 turns grad p / rho into grad rho exactly,
-so no division by the density ever happens.  Time stepping is a Strang
-composition: half an exact multiplicative-noise map, a classical four-stage
-Runge-Kutta drift step, half a noise map.  Quadratic products are dealiased by
-zeroing the top modes; an optional weak hyperviscosity damps the spectral tail
-on long runs.  A Sobolev-norm guard stops the state the first time
-||(rho, v)||_{H^s} reaches the configured threshold, and a stopped state is
-never advanced again.
+so no division by the density ever happens.  The state is one real array
+``u`` of shape (1 + dim,) + grid shape, u[0] = rho and u[1 + q] = v_q, and
+every operator acts on it whole: FFTs run over the trailing lattice axes, so
+one drift right-hand side takes five transforms in any dimension.  Time
+stepping is a Strang composition: half an exact multiplicative-noise map, a
+classical four-stage Runge-Kutta drift step, half a noise map.  Quadratic
+products are dealiased by zeroing the top modes; an optional weak
+hyperviscosity damps the spectral tail on long runs.  Each step ends with one
+check that the state is finite and the density strictly positive.  A
+Sobolev-norm guard stops the state the first time ||(rho, v)||_{H^s} reaches
+the configured threshold, and a stopped state is never advanced again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, reduce
 
 import numpy as np
 
-from .errors import NonPositiveDensity
+from .errors import NonFiniteState, NonPositiveDensity
 from .fields import GridField, PeriodicGrid, interpolate, sobolev_norm
 from .noise import SigmaField
 
@@ -67,129 +71,101 @@ class StoppingRecord:
 
 @dataclass
 class FluidState:
-    rho: GridField
-    velocity: tuple
+    """(rho, v) on one lattice as one array: u[0] = rho, u[1 + q] = v_q."""
+
+    grid: PeriodicGrid
+    u: np.ndarray
     time: float = 0.0
     step_index: int = 0
     stopped: bool = False
     stopping: StoppingRecord | None = None
 
     def __post_init__(self):
-        self.velocity = tuple(self.velocity)
-        if len(self.velocity) != self.rho.grid.dim:
-            raise ValueError("one velocity component per dimension required")
+        self.u = np.asarray(self.u, dtype=float)
+        shape = (1 + self.grid.dim,) + self.grid.shape
+        if self.u.shape != shape:
+            raise ValueError(f"state shape {self.u.shape} != (1 + dim,) + grid shape {shape}")
 
     @property
-    def grid(self):
-        return self.rho.grid
+    def rho(self) -> GridField:
+        return GridField(self.grid, self.u[0])
+
+    @property
+    def velocity(self) -> tuple:
+        return tuple(GridField(self.grid, v) for v in self.u[1:])
 
     def mass(self):
-        return self.rho.integral()
+        return float(np.sum(self.u[0]) * self.grid.cell_volume)
 
     def min_density(self):
-        return float(np.min(self.rho.values))
+        return float(np.min(self.u[0]))
 
-    def copy(self):
-        return FluidState(
-            self.rho.copy(),
-            tuple(v.copy() for v in self.velocity),
-            self.time,
-            self.step_index,
-            self.stopped,
-            self.stopping,
-        )
+
+def _checked(state: FluidState) -> FluidState:
+    """``state`` itself, once its values are finite and its lattice density strictly positive."""
+    if not np.isfinite(state.u).all():
+        raise NonFiniteState(f"fluid state became non-finite at t = {state.time:.6g}")
+    if state.min_density() <= 0.0:
+        raise NonPositiveDensity(f"min rho = {state.min_density():.6g} <= 0 at t = {state.time:.6g}")
+    return state
 
 
 def state_norm(state: FluidState, s: float) -> float:
     """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2)."""
-    total = sobolev_norm(state.rho, s) ** 2
-    for v in state.velocity:
-        total += sobolev_norm(v, s) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(sobolev_norm(GridField(state.grid, row), s) ** 2 for row in state.u))
 
 
 @cache
 def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: float, hyperviscosity_order: int):
-    """Per-grid arrays of the drift right-hand side: (i*lambda per axis, dealias mask, hyperviscous rate)."""
-    ilam = tuple(1j * lam for lam in grid.freq_mesh)
+    """Per-grid arrays of the drift right-hand side: (i*lambda stacked over axes, dealias mask, hyperviscous rate)."""
+    ilam = 1j * np.stack(grid.freq_mesh)
     keep = int(dealias_fraction * (grid.points_per_dim // 2))
     axis_ok = (np.abs(grid.axis_modes) <= keep).astype(float)
     dealias = reduce(np.multiply.outer, (axis_ok,) * grid.dim)
     nyq = np.pi / grid.spacing
     ratio = grid.freq_norm_sq / nyq**2
     hyper = -hyperviscosity_nu * ratio**hyperviscosity_order
-    for array in (*ilam, dealias, hyper):
+    for array in (ilam, dealias, hyper):
         array.flags.writeable = False
     return ilam, dealias, hyper
 
 
-def drift_rhs(state: FluidState, config: EulerConfig):
-    """Deterministic tendencies (d rho, d v_q) of the divergence-form system.
+def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
+    """Deterministic tendency d u = (d rho, d v_q) of the divergence-form system, stacked like ``u``.
 
     Derivatives are spectral; the quadratic fluxes rho*v_q and v.grad(v_q) are
-    dealiased before differentiation/assembly.  Raises NonPositiveDensity if
-    the lattice density is not strictly positive.
+    dealiased before differentiation/assembly.  Raises NonFiniteState or
+    NonPositiveDensity unless the state is finite with strictly positive density.
     """
-    if state.min_density() <= 0.0:
-        raise NonPositiveDensity(f"min rho = {state.min_density():.6g} <= 0 at t = {state.time:.6g}")
-    return _drift_rhs_values(state.rho.values, [v.values for v in state.velocity], state.grid, config)
+    return _rhs(_checked(state).u, state.grid, config)
 
 
-def _drift_rhs_values(rho, vels, grid, config):
+def _rhs(u, grid, config):
     ilam, dealias, hyper = _workspace(
         grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
     )
-    rho_hat = np.fft.fftn(rho)
-    vel_hats = [np.fft.fftn(v) for v in vels]
+    axes = tuple(range(-grid.dim, 0))  # the lattice axes, last in every stack
+    u_hat = np.fft.fftn(u, axes=axes)
+    rho, vel = u[0], u[1:]
+    flux_hat = np.fft.fftn(rho * vel, axes=axes) * dealias
+    grad = np.fft.ifftn(ilam[:, None] * u_hat[None, 1:], axes=axes).real  # grad[a, q] = d_a v_q
+    advect = (vel[:, None] * grad).sum(axis=0)  # v . grad v_q, summed over a in order
 
-    drho_hat = hyper * rho_hat
-    for q, v in enumerate(vels):
-        flux_hat = np.fft.fftn(rho * v) * dealias
-        drho_hat = drho_hat - ilam[q] * flux_hat
-
-    dvel_hats = []
-    for q, v_hat in enumerate(vel_hats):
-        advect = np.zeros_like(rho)
-        for qq in range(grid.dim):
-            dv = np.fft.ifftn(ilam[qq] * v_hat).real
-            advect += vels[qq] * dv
-        dv_hat = -np.fft.fftn(advect) * dealias - ilam[q] * rho_hat + hyper * v_hat
-        dvel_hats.append(dv_hat)
-
-    drho = np.fft.ifftn(drho_hat).real
-    dvels = [np.fft.ifftn(h).real for h in dvel_hats]
-    return drho, dvels
+    du_hat = np.empty_like(u_hat)
+    # hyper*rho - d_0(rho v_0) - d_1(rho v_1) ..., subtracted term by term
+    du_hat[0] = np.subtract.reduce(np.concatenate(([hyper * u_hat[0]], ilam * flux_hat)))
+    du_hat[1:] = -np.fft.fftn(advect, axes=axes) * dealias - ilam * u_hat[0] + hyper * u_hat[1:]
+    return np.fft.ifftn(du_hat, axes=axes).real
 
 
 def step_drift(state: FluidState, dt: float, config: EulerConfig) -> FluidState:
     """Classical four-stage Runge-Kutta step of the deterministic part."""
-    grid = state.grid
-    rho0 = state.rho.values
-    vel0 = [v.values for v in state.velocity]
-    if float(np.min(rho0)) <= 0.0:
-        raise NonPositiveDensity(f"min rho = {float(np.min(rho0)):.6g} <= 0 at t = {state.time:.6g}")
-
-    def rhs(rho, vels):
-        return _drift_rhs_values(rho, vels, grid, config)
-
-    k1r, k1v = rhs(rho0, vel0)
-    k2r, k2v = rhs(rho0 + 0.5 * dt * k1r, [v + 0.5 * dt * k for v, k in zip(vel0, k1v)])
-    k3r, k3v = rhs(rho0 + 0.5 * dt * k2r, [v + 0.5 * dt * k for v, k in zip(vel0, k2v)])
-    k4r, k4v = rhs(rho0 + dt * k3r, [v + dt * k for v, k in zip(vel0, k3v)])
-
-    rho1 = rho0 + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    vel1 = [
-        v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for v, a, b, c, d in zip(vel0, k1v, k2v, k3v, k4v)
-    ]
-    return FluidState(
-        GridField(grid, rho1),
-        tuple(GridField(grid, v) for v in vel1),
-        state.time + dt,
-        state.step_index,
-        state.stopped,
-        state.stopping,
-    )
+    u0 = state.u
+    k1 = _rhs(u0, state.grid, config)
+    k2 = _rhs(u0 + 0.5 * dt * k1, state.grid, config)
+    k3 = _rhs(u0 + 0.5 * dt * k2, state.grid, config)
+    k4 = _rhs(u0 + dt * k3, state.grid, config)
+    return replace(state, u=u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), time=state.time + dt)
 
 
 def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: float = 1.0) -> FluidState:
@@ -198,12 +174,10 @@ def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: floa
     The density carries no noise term and is untouched.
     """
     grid = state.grid
-    dB = np.asarray(dB, dtype=float)
-    new_vel = []
-    for q, v in enumerate(state.velocity):
-        sig = sigma.component_on_grid(grid, q)
-        new_vel.append(GridField(grid, v.values * np.exp(sig * (dB[q] * scale))))
-    return FluidState(state.rho, tuple(new_vel), state.time, state.step_index, state.stopped, state.stopping)
+    increment = (np.asarray(dB, dtype=float) * scale).reshape((grid.dim,) + (1,) * grid.dim)
+    u = state.u.copy()
+    u[1:] *= np.exp(sigma.on_grid(grid) * increment)
+    return replace(state, u=u)
 
 
 def stopping_guard(state: FluidState, config: EulerConfig) -> FluidState:
@@ -215,15 +189,16 @@ def stopping_guard(state: FluidState, config: EulerConfig) -> FluidState:
     norm = state_norm(state, config.guard_s)
     if norm >= config.guard_m:
         record = StoppingRecord(state.step_index, state.time, norm, config.guard_m)
-        return FluidState(state.rho, state.velocity, state.time, state.step_index, True, record)
+        return replace(state, stopped=True, stopping=record)
     return state
 
 
 def step(state: FluidState, dB: np.ndarray, sigma: SigmaField, config: EulerConfig) -> FluidState:
-    """One Strang-split step (noise half, RK4 drift, noise half), then the guard.
+    """One Strang-split step (noise half, RK4 drift, noise half), the state check, then the guard.
 
-    A stopped state is returned unchanged: diagnostics downstream read values
-    frozen at the stopping time.
+    Raises NonFiniteState or NonPositiveDensity if the stepped state is not
+    finite with strictly positive density.  A stopped state is returned
+    unchanged: diagnostics downstream read values frozen at the stopping time.
     """
     if state.stopped:
         return state
@@ -232,7 +207,7 @@ def step(state: FluidState, dB: np.ndarray, sigma: SigmaField, config: EulerConf
     out = step_drift(out, config.dt, config)
     out = noise_step(out, dB, sigma, scale=0.5)
     out.step_index = state.step_index + 1
-    return stopping_guard(out, config)
+    return stopping_guard(_checked(out), config)
 
 
 def sample_velocity(state: FluidState, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
@@ -243,6 +218,7 @@ def sample_velocity(state: FluidState, points: np.ndarray, scheme: str = "linear
 
 
 def make_fluid_state(grid: PeriodicGrid, density_profile, velocity_profile) -> FluidState:
-    rho = density_profile.on_grid(grid)
-    vel = tuple(velocity_profile.component_on_grid(grid, q) for q in range(grid.dim))
-    return FluidState(rho, vel)
+    """The profiles sampled on the lattice; raises unless finite with strictly positive density."""
+    pts = grid.points()
+    u = np.concatenate((density_profile(pts)[None], velocity_profile(pts).T))
+    return _checked(FluidState(grid, u.reshape((1 + grid.dim,) + grid.shape)))

@@ -88,19 +88,8 @@ class SigmaField:
         return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * pts / self.period))
 
     @cache
-    def component_on_grid(self, grid, q: int) -> np.ndarray:
-        """Component q at every lattice node, shape ``grid.shape``; built once per (sigma, grid, q), read-only."""
-        vals = np.ascontiguousarray(self.values(grid.points())[:, q]).reshape(grid.shape)
+    def on_grid(self, grid) -> np.ndarray:
+        """Every component at every lattice node, shape ``(dim,) + grid.shape``; built once per (sigma, grid), read-only."""
+        vals = self.values(grid.points()).T.reshape((grid.dim,) + grid.shape)
         vals.flags.writeable = False
         return vals
-
-    def sup_bounds(self, grid) -> tuple[float, float]:
-        """Lattice estimates of sup|sigma| and sup|grad sigma| (C_b^1 check)."""
-        sup_val = 0.0
-        sup_grad = 0.0
-        for q in range(grid.dim):
-            vals = self.component_on_grid(grid, q)
-            sup_val = max(sup_val, float(np.max(np.abs(vals))))
-            grad = np.gradient(vals, grid.spacing, axis=q)
-            sup_grad = max(sup_grad, float(np.max(np.abs(grad))))
-        return sup_val, sup_grad

@@ -95,6 +95,3 @@ class VelocityProfile:
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.stack([self.component(q, pts) for q in range(pts.shape[1])], axis=-1)
-
-    def component_on_grid(self, grid, q):
-        return GridField(grid, self.component(q, grid.points()).reshape(grid.shape))

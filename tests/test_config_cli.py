@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_bad_values_name_the_key():
         RunConfig.from_text("[particles]\nn = lots\n")
     with pytest.raises(ConfigError, match="particles.init_scheme"):
         RunConfig.from_text("[grid]\ndim = 2\n[study]\nalpha = 2.5\n")
+    for key, raw in (
+        ("sigma.base", "nan"),
+        ("sigma.modulation", "inf"),
+        ("init.velocity_amplitude", "nan"),
+        ("init.density_amplitude", "inf"),
+    ):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RunConfig.from_text(f"[{section}]\n{name} = {raw}\n")
 
 
 def test_infinite_guard_threshold_parses():
@@ -218,6 +228,22 @@ def test_field_binary_round_trip_2d(tmp_path):
     artifacts.write_field(path, f)
     g = artifacts.read_field(path)
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_read_field_rejects_non_finite_and_truncated_payloads(tmp_path):
+    grid = PeriodicGrid(1, 16, 4.0)
+    values = np.linspace(0.0, 1.0, 16)
+    values[5] = np.nan
+    path = tmp_path / "nan.field"
+    artifacts.write_field(path, GridField(grid, values))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: field values must be finite"):
+        artifacts.read_field(path)
+
+    path = tmp_path / "short.field"
+    artifacts.write_field(path, GridField(grid, np.ones(16)))
+    path.write_bytes(path.read_bytes()[:-12])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload holds"):
+        artifacts.read_field(path)
 
 
 def test_particles_binary_round_trip(tmp_path):

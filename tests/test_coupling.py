@@ -17,7 +17,7 @@ from mfeuler.coupling import (
     _run_sample,
 )
 from mfeuler.errors import DegenerateFit
-from mfeuler.fields import GridField, PeriodicGrid
+from mfeuler.fields import PeriodicGrid
 from mfeuler.fluid import EulerConfig, FluidState, state_norm
 from mfeuler.kernels import MollifierSpec, ScaledKernel
 from mfeuler.noise import NoisePath, SigmaField
@@ -66,7 +66,7 @@ def test_single_particle_q_oracle():
     x0, w = float(grid.axis_coords[640]), 0.7
     rho_vals = (1.0 + 0.2 * np.cos(grid.axis_coords)) / TWO_PI
     vel_vals = 0.1 * np.sin(grid.axis_coords)
-    fluid_state = FluidState(GridField(grid, rho_vals), (GridField(grid, vel_vals),))
+    fluid_state = FluidState(grid, np.stack([rho_vals, vel_vals]))
     from mfeuler.coupling import CoupledRun
 
     run = CoupledRun(

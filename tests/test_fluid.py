@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfeuler.errors import NonPositiveDensity
+from mfeuler.errors import NonFiniteState, NonPositiveDensity
 from mfeuler.fields import GridField, PeriodicGrid, spectral_derivative
 from mfeuler.fluid import (
     EulerConfig,
@@ -44,24 +44,65 @@ def test_pressure_gradient_identity():
 
 def test_drift_rhs_constants_are_steady():
     grid = PeriodicGrid(1, 64, TWO_PI)
-    state = FluidState(GridField(grid, np.full(grid.shape, 1.3)), (GridField(grid, np.full(grid.shape, 0.4)),))
-    drho, dvel = drift_rhs(state, EulerConfig(dt=1e-3))
-    assert np.max(np.abs(drho)) < 1e-14
-    assert np.max(np.abs(dvel[0])) < 1e-14
+    state = FluidState(grid, np.stack([np.full(grid.shape, 1.3), np.full(grid.shape, 0.4)]))
+    du = drift_rhs(state, EulerConfig(dt=1e-3))
+    assert du.shape == (2,) + grid.shape
+    assert np.max(np.abs(du[0])) < 1e-14
+    assert np.max(np.abs(du[1])) < 1e-14
 
 
 def test_drift_rhs_pure_density_wave():
     grid = PeriodicGrid(1, 128, TWO_PI)
-    rho = GridField(grid, 1.0 + 0.1 * np.sin(grid.axis_coords))
-    state = FluidState(rho, (GridField(grid, np.zeros(grid.shape)),))
-    drho, dvel = drift_rhs(state, EulerConfig(dt=1e-3, hyperviscosity_nu=0.0))
-    assert np.max(np.abs(drho)) < 1e-13
-    np.testing.assert_allclose(dvel[0], -0.1 * np.cos(grid.axis_coords), atol=1e-12)
+    state = FluidState(grid, np.stack([1.0 + 0.1 * np.sin(grid.axis_coords), np.zeros(grid.shape)]))
+    du = drift_rhs(state, EulerConfig(dt=1e-3, hyperviscosity_nu=0.0))
+    assert np.max(np.abs(du[0])) < 1e-13
+    np.testing.assert_allclose(du[1], -0.1 * np.cos(grid.axis_coords), atol=1e-12)
+
+
+def _per_component_drift_rhs(rho, vels, grid, config):
+    """The drift right-hand side written one component at a time: the reference for the stacked one."""
+    ilam = [1j * lam for lam in grid.freq_mesh]
+    keep = int(config.dealias_fraction * (grid.points_per_dim // 2))
+    axis_ok = (np.abs(grid.axis_modes) <= keep).astype(float)
+    dealias = axis_ok if grid.dim == 1 else np.multiply.outer(axis_ok, axis_ok)
+    ratio = grid.freq_norm_sq / (np.pi / grid.spacing) ** 2
+    hyper = -config.hyperviscosity_nu * ratio**config.hyperviscosity_order
+
+    rho_hat = np.fft.fftn(rho)
+    vel_hats = [np.fft.fftn(v) for v in vels]
+    drho_hat = hyper * rho_hat
+    for q, v in enumerate(vels):
+        flux_hat = np.fft.fftn(rho * v) * dealias
+        drho_hat = drho_hat - ilam[q] * flux_hat
+    dvel_hats = []
+    for q, v_hat in enumerate(vel_hats):
+        advect = np.zeros_like(rho)
+        for qq in range(grid.dim):
+            dv = np.fft.ifftn(ilam[qq] * v_hat).real
+            advect += vels[qq] * dv
+        dvel_hats.append(-np.fft.fftn(advect) * dealias - ilam[q] * rho_hat + hyper * v_hat)
+    return np.fft.ifftn(drho_hat).real, [np.fft.ifftn(h).real for h in dvel_hats]
+
+
+@pytest.mark.parametrize("dim, m", [(1, 512), (2, 64)], ids=["1d", "2d"])
+def test_drift_rhs_bitwise_matches_per_component_reference(dim, m):
+    # random positive density and nonzero velocities, so every advection term
+    # d_a v_q (a != q included in 2-d) enters the tendency
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    rng = np.random.default_rng(10 + dim)
+    u = np.concatenate([0.5 + rng.random((1,) + grid.shape), 0.3 * rng.standard_normal((dim,) + grid.shape)])
+    cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=1e-3)
+    du = drift_rhs(FluidState(grid, u), cfg)
+    drho, dvels = _per_component_drift_rhs(u[0], list(u[1:]), grid, cfg)
+    assert du.shape == u.shape
+    np.testing.assert_array_equal(du[0], drho)
+    for q in range(dim):
+        np.testing.assert_array_equal(du[1 + q], dvels[q])
 
 
 def test_drift_rhs_rejects_nonpositive_density():
     grid = PeriodicGrid(1, 64, TWO_PI)
-    state = FluidState(GridField(grid, np.full(grid.shape, 0.0)), (GridField(grid, np.zeros(grid.shape)),))
+    state = FluidState(grid, np.zeros((2,) + grid.shape))
     with pytest.raises(NonPositiveDensity):
         drift_rhs(state, EulerConfig(dt=1e-3))
 
@@ -69,10 +110,7 @@ def test_drift_rhs_rejects_nonpositive_density():
 def test_acoustic_dispersion():
     grid = PeriodicGrid(1, 128, TWO_PI)
     eps = 1e-4
-    state = FluidState(
-        GridField(grid, 1.0 + eps * np.cos(grid.axis_coords)),
-        (GridField(grid, np.zeros(grid.shape)),),
-    )
+    state = FluidState(grid, np.stack([1.0 + eps * np.cos(grid.axis_coords), np.zeros(grid.shape)]))
     cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=0.0)
     sigma = SigmaField("constant", 0.0)
     for _ in range(10):
@@ -106,16 +144,33 @@ def test_noise_step_exactness_and_density_invariance():
     v0 = state.velocity[0].values.copy()
     for dB in path.increments:
         state = noise_step(state, dB, sigma)
-    sig_vals = sigma.component_on_grid(state.grid, 0)
-    # built once per (sigma, grid, component) and read-only
-    assert sigma.component_on_grid(state.grid, 0) is sig_vals and not sig_vals.flags.writeable
-    exact = v0 * np.exp(sig_vals * path.terminal()[0])
+    sig_vals = sigma.on_grid(state.grid)
+    # built once per (sigma, grid) and read-only
+    assert sigma.on_grid(state.grid) is sig_vals and not sig_vals.flags.writeable
+    assert sig_vals.shape == (1,) + state.grid.shape
+    exact = v0 * np.exp(sig_vals[0] * path.terminal()[0])
     np.testing.assert_allclose(state.velocity[0].values, exact, rtol=1e-12)
     np.testing.assert_array_equal(state.rho.values, rho0)
     # zero increment leaves the state untouched
     before = state.velocity[0].values.copy()
     state = noise_step(state, np.zeros(1), sigma)
     np.testing.assert_array_equal(state.velocity[0].values, before)
+
+
+def test_step_raises_when_the_state_turns_non_finite():
+    state = make_state(m=64)
+    sigma = SigmaField("constant", 1e300)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match="non-finite"):
+        step(state, np.array([1e-3]), sigma, EulerConfig(dt=1e-3))
+
+
+def test_make_fluid_state_checks_the_initial_values():
+    grid = PeriodicGrid(1, 64, TWO_PI)
+    vel = VelocityProfile("sine", 0.1, TWO_PI)
+    with pytest.raises(NonFiniteState):
+        make_fluid_state(grid, DensityProfile("bump", math.inf, 8.0, TWO_PI, 1, False), vel)
+    with pytest.raises(NonPositiveDensity):
+        make_fluid_state(grid, lambda pts: np.zeros(len(pts)), vel)
 
 
 def test_zero_sigma_reduces_to_deterministic_bitwise():
@@ -168,7 +223,7 @@ def test_guard_infinite_threshold_never_stops():
 
 def test_guard_fires_immediately_above_threshold():
     grid = PeriodicGrid(1, 64, TWO_PI)
-    state = FluidState(GridField(grid, np.full(grid.shape, 10.0 / math.sqrt(TWO_PI))), (GridField(grid, np.zeros(grid.shape)),))
+    state = FluidState(grid, np.stack([np.full(grid.shape, 10.0 / math.sqrt(TWO_PI)), np.zeros(grid.shape)]))
     norm = state_norm(state, 3.5)
     assert norm == pytest.approx(10.0, rel=1e-12)
     cfg = EulerConfig(dt=1e-3, guard_m=5.0)
@@ -205,9 +260,7 @@ def test_steepening_guard_fires_and_freezes():
 
 def test_sample_velocity_schemes():
     grid = PeriodicGrid(1, 64, TWO_PI)
-    state = FluidState(
-        GridField(grid, np.ones(grid.shape)), (GridField(grid, np.sin(grid.axis_coords)),)
-    )
+    state = FluidState(grid, np.stack([np.ones(grid.shape), np.sin(grid.axis_coords)]))
     # lattice points are read back exactly
     got = sample_velocity(state, grid.axis_coords[:, None], "linear")
     np.testing.assert_allclose(got[:, 0], np.sin(grid.axis_coords), atol=1e-14)
@@ -234,10 +287,7 @@ def test_2d_acoustic_dispersion_diagonal_mode():
     grid = PeriodicGrid(2, 64, TWO_PI)
     xx, yy = np.meshgrid(grid.axis_coords, grid.axis_coords, indexing="ij")
     eps = 1e-4
-    state = FluidState(
-        GridField(grid, 1.0 + eps * np.cos(xx + yy)),
-        (GridField(grid, np.zeros(grid.shape)), GridField(grid, np.zeros(grid.shape))),
-    )
+    state = FluidState(grid, np.stack([1.0 + eps * np.cos(xx + yy), np.zeros(grid.shape), np.zeros(grid.shape)]))
     cfg = EulerConfig(dt=1e-3, guard_s=4.5, hyperviscosity_nu=0.0)
     sigma = SigmaField("constant", 0.0)
     for _ in range(10):
@@ -250,12 +300,7 @@ def test_2d_acoustic_dispersion_diagonal_mode():
 def test_2d_constants_steady_and_mass_conserved():
     grid = PeriodicGrid(2, 32, TWO_PI)
     xx, yy = np.meshgrid(grid.axis_coords, grid.axis_coords, indexing="ij")
-    rho = GridField(grid, 1.0 + 0.05 * np.sin(xx) * np.cos(yy))
-    vel = (
-        GridField(grid, 0.05 * np.sin(xx)),
-        GridField(grid, 0.05 * np.cos(yy)),
-    )
-    state = FluidState(rho, vel)
+    state = FluidState(grid, np.stack([1.0 + 0.05 * np.sin(xx) * np.cos(yy), 0.05 * np.sin(xx), 0.05 * np.cos(yy)]))
     cfg = EulerConfig(dt=1e-3, guard_s=4.5)
     sigma = SigmaField("sinusoidal", 0.2, 0.5, TWO_PI)
     path = NoisePath.generate(6, 0, 50, 2, 1e-3)
@@ -265,19 +310,16 @@ def test_2d_constants_steady_and_mass_conserved():
     assert abs(state.mass() - mass0) < 1e-10 * abs(mass0)
     assert np.all(np.isfinite(state.rho.values))
 
-    const = FluidState(
-        GridField(grid, np.full(grid.shape, 1.2)),
-        (GridField(grid, np.full(grid.shape, 0.3)), GridField(grid, np.full(grid.shape, -0.2))),
-    )
-    drho, dvel = drift_rhs(const, cfg)
-    assert np.max(np.abs(drho)) < 1e-13
-    assert max(np.max(np.abs(d)) for d in dvel) < 1e-13
+    const = FluidState(grid, np.stack([np.full(grid.shape, c) for c in (1.2, 0.3, -0.2)]))
+    du = drift_rhs(const, cfg)
+    assert du.shape == (3,) + grid.shape
+    assert np.max(np.abs(du)) < 1e-13
 
 
 def test_hyperviscosity_damps_tail():
     grid = PeriodicGrid(1, 128, TWO_PI)
     noise_vals = 1.0 + 1e-6 * np.cos(60 * grid.axis_coords)
-    state = FluidState(GridField(grid, noise_vals), (GridField(grid, np.zeros(grid.shape)),))
+    state = FluidState(grid, np.stack([noise_vals, np.zeros(grid.shape)]))
     cfg = EulerConfig(dt=1e-2, hyperviscosity_nu=10.0, hyperviscosity_order=4)
     sigma = SigmaField("constant", 0.0)
     for _ in range(50):

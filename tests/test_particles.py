@@ -281,18 +281,6 @@ def test_noise_path_coarsen_preserves_terminal():
     assert coarse.dt == pytest.approx(path.dt * 8)
 
 
-def test_sigma_field_lattice_bounds():
-    grid = PeriodicGrid(1, 256, TWO_PI)
-    const = SigmaField("constant", 0.3)
-    sup, sup_grad = const.sup_bounds(grid)
-    assert sup == pytest.approx(0.3) and sup_grad == pytest.approx(0.0, abs=1e-14)
-    wav = SigmaField("sinusoidal", 0.25, 0.5, TWO_PI)
-    sup, sup_grad = wav.sup_bounds(grid)
-    assert sup == pytest.approx(0.25 * 1.5, rel=1e-3)
-    assert sup_grad == pytest.approx(0.25 * 0.5, rel=1e-2)
-    assert np.isfinite(sup) and np.isfinite(sup_grad)
-
-
 def test_ito_oracles_converge_to_exact_factor():
     sigma = SigmaField("constant", 0.3)
     path = NoisePath.generate(6, 0, 2**10, 1, 1.0 / 2**10)
