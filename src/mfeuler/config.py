@@ -201,6 +201,13 @@ def validate(cfg: RunConfig) -> RunConfig:
     from .particles import FORCE_METHODS
     from .profiles import DENSITY_FAMILIES, VELOCITY_FAMILIES
 
+    for section_name in _SECTION_ORDER:
+        section = getattr(cfg, section_name)
+        for f in dc_fields(section):
+            key, value = f"{section_name}.{f.name}", getattr(section, f.name)
+            if isinstance(value, float) and key != "euler.guard_m":  # guard_m = inf means no guard
+                _require(math.isfinite(value), f"{key} must be finite")
+
     r = cfg.run
     _require(0 <= r.master_seed < 2**64, "run.master_seed must fit in 64 bits")
     _require(r.threads >= 1, "run.threads must be >= 1")
@@ -221,15 +228,11 @@ def validate(cfg: RunConfig) -> RunConfig:
 
     s = cfg.sigma
     _require(s.family in SIGMA_FAMILIES, f"sigma.family must be one of {SIGMA_FAMILIES}")
-    _require(math.isfinite(s.base), "sigma.base must be finite")
-    _require(math.isfinite(s.modulation), "sigma.modulation must be finite")
 
     i = cfg.init
     _require(i.density_family in DENSITY_FAMILIES, f"init.density_family must be one of {DENSITY_FAMILIES}")
     _require(i.velocity_family in VELOCITY_FAMILIES, f"init.velocity_family must be one of {VELOCITY_FAMILIES}")
     _require(i.density_concentration > 0, "init.density_concentration must be positive")
-    _require(math.isfinite(i.density_amplitude), "init.density_amplitude must be finite")
-    _require(math.isfinite(i.velocity_amplitude), "init.velocity_amplitude must be finite")
 
     p = cfg.particles
     _require(p.n >= 1, "particles.n must be >= 1")

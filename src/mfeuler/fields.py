@@ -13,6 +13,7 @@ inside the box, and circular convolutions are exact in that regime.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -288,27 +289,6 @@ def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") ->
     return terms.reshape(-1, pts.shape[0]).sum(axis=0)  # corners added in order
 
 
-def _axis_phases(freqs: np.ndarray, points: np.ndarray, sign: complex):
-    """Per-axis factors exp(sign * lambda * x_a) of the mode phases, one (n_freqs, n_points) table per axis.
-
-    A mode's phase at a point is the product of its axes' factors, so a
-    d-dimensional mode sum needs d tables of exponentials, not one per
-    (mode, point) pair.
-    """
-    return [np.exp(sign * np.outer(freqs, x)) for x in points.T]
-
-
-def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
-    """Type-2 mode sum: the trigonometric interpolant of the field at ``pts``."""
-    grid = field.grid
-    # contiguous (points, modes) tables: BLAS then sums each point's modes along a row
-    phases = [np.ascontiguousarray(t.T) for t in _axis_phases(grid.axis_freqs, pts, 1j)]
-    vals = np.tensordot(phases[-1], to_spectral(field).coeffs, axes=(1, -1))
-    for phase in reversed(phases[:-1]):
-        vals = np.einsum("n...k,nk->n...", vals, phase)
-    return vals.real
-
-
 @cache
 def assignment_window(grid: PeriodicGrid, scheme: str) -> np.ndarray:
     """Fourier transform of the deposit assignment window (per-mode), built once per (grid, scheme)."""
@@ -337,22 +317,68 @@ def mode_set(grid: PeriodicGrid, cutoff: int):
     return modes, 2.0 * np.pi * modes / grid.period
 
 
+def _phase_tables(grid: PeriodicGrid, cutoff: int, points: np.ndarray, sign: complex):
+    """Two small phase tables that factor every phase of ``mode_set(grid, cutoff)``.
+
+    Returns ``(left, right)`` of shapes (A, n_points) and (F, n_points): the
+    phase exp(sign * lambda_k . x_n) of the j-th mode of the set is
+    left[j // F, n] * right[j % F, n].  In 2-d the rows are the modes of axis
+    0 and of axis 1.  In 1-d the mode k_min + j is split into digits as
+    (k_min + F a) + b with F = ceil(sqrt(K)), so A*F >= K and the entries
+    j >= K are padding.  A mode sum then never holds a modes x points table.
+    Each table's rows are a geometric sequence in the mode number, built by
+    repeated multiplication from two exponentials per point.
+    """
+    axis = _mode_axis(grid, cutoff)
+    if grid.dim == 2:
+        outer = inner = (axis[0], 1, axis.size)  # (first mode, mode step, rows)
+    else:
+        digit = math.isqrt(axis.size - 1) + 1
+        outer, inner = (axis[0], digit, -(-axis.size // digit)), (0, 1, digit)
+    unit = sign * 2.0 * np.pi / grid.period
+
+    def rows(x, first, step, count):
+        table = np.empty((count, x.size), dtype=complex)
+        table[0] = np.exp(unit * first * x)
+        ratio = np.exp(unit * step * x)
+        for r in range(1, count):
+            np.multiply(table[r - 1], ratio, out=table[r])
+        return table
+
+    return rows(points[:, 0], *outer), rows(points[:, -1], *inner)
+
+
+def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
+    """Type-2 mode sum: the trigonometric interpolant of the field at ``pts``.
+
+    The lattice modes are the mode set at the Nyquist cutoff, so with the
+    coefficients in mode-set order as a (rows of ``left``, rows of ``right``)
+    matrix C, the value at x_n is sum_a left[a, n] * (C @ right)[a, n].
+    """
+    grid = field.grid
+    left, right = _phase_tables(grid, grid.points_per_dim // 2, pts, 1j)
+    coeffs = np.zeros(left.shape[0] * right.shape[0], dtype=complex)
+    shifted = np.fft.fftshift(to_spectral(field).coeffs).ravel()  # FFT order -> mode-set order
+    coeffs[: shifted.size] = shifted
+    return np.sum(left * (coeffs.reshape(left.shape[0], -1) @ right), axis=0).real
+
+
 def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cutoff: int):
     """Characteristic-function coefficients of an empirical measure.
 
     Returns an array of shape (n_modes,) for scalar weights or (n_modes, m)
-    for vector weights, normalized like field coefficients (1/period**dim
-    factor), computed by direct summation over particles.
+    for vector weights, in ``mode_set`` order, normalized like field
+    coefficients (1/period**dim factor).  The sum over particles is exact:
+    each weight column is folded into the left phase table as extra rows, so
+    the whole sum is one matrix product (left * w) @ right.T.
     """
-    lam = 2.0 * np.pi * _mode_axis(grid, cutoff) / grid.period
-    phases = _axis_phases(lam, measure.points, -1j)
-    phase = phases[0]
-    for axis_phase in phases[1:]:
-        phase = (phase[:, None, :] * axis_phase[None, :, :]).reshape(-1, measure.n_points)
-    if measure.weights is None:
-        coeffs = phase.mean(axis=1)
-    else:
-        coeffs = phase @ measure.weights
+    n_modes = _mode_axis(grid, cutoff).size ** grid.dim
+    left, right = _phase_tables(grid, cutoff, measure.points, -1j)
+    weights = measure.scalar_weights() if measure.weights is None else measure.weights
+    columns = weights.reshape(measure.n_points, -1).T
+    weighted = (columns[:, None, :] * left).reshape(-1, measure.n_points)
+    sums = (weighted @ right.T).reshape(len(columns), -1)[:, :n_modes]
+    coeffs = sums.T if weights.ndim == 2 else sums[0]
     return coeffs / grid.period**grid.dim
 
 

@@ -48,6 +48,12 @@ def test_bad_values_name_the_key():
         ("sigma.modulation", "inf"),
         ("init.velocity_amplitude", "nan"),
         ("init.density_amplitude", "inf"),
+        ("grid.period", "inf"),
+        ("kernel.width", "inf"),
+        ("init.density_concentration", "inf"),
+        ("euler.hyperviscosity_nu", "inf"),
+        ("study.t_final", "inf"),
+        ("integrator.dt", "-inf"),
     ):
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=f"{key} must be finite"):

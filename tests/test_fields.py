@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfeuler
 from mfeuler.errors import AlphaTooSmall, KernelAliasingWarning
 from mfeuler.fields import (
     EmpiricalMeasure,
@@ -248,19 +253,86 @@ def test_stencil_matches_per_corner_reference_and_is_adjoint(dim, scheme):
     assert lattice_side == pytest.approx(particle_side, rel=1e-12)
 
 
-@pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
-def test_mode_coefficients_2d_match_dense_sum(weights):
-    g = PeriodicGrid(2, 16, 5.0)
-    rng = np.random.default_rng(12)
-    pts = rng.random((37, 2)) * g.period
+def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((37, g.dim)) * g.period
     w = {"uniform": None, "scalar": rng.standard_normal(37), "vector": rng.standard_normal((37, 2))}[weights]
-    for cutoff in (3, 8):  # 8 is the Nyquist cutoff, where the mode set is asymmetric
+    for cutoff in cutoffs:
         _, freqs = mode_set(g, cutoff)
         dense = np.exp(-1j * freqs @ pts.T)
-        expected = (dense.mean(axis=1) if w is None else dense @ w) / g.period**2
+        expected = (dense.mean(axis=1) if w is None else dense @ w) / g.period**g.dim
         got = measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
+def test_mode_coefficients_2d_match_dense_sum(weights):
+    # 8 is the Nyquist cutoff, where the mode set is asymmetric
+    _assert_mode_coefficients_match_dense_sum(PeriodicGrid(2, 16, 5.0), (3, 8), weights, 12)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
+def test_mode_coefficients_1d_match_dense_sum(weights):
+    # 7 and 17 modes (17 is prime, so its digit table is padded) and the asymmetric Nyquist set of 32
+    _assert_mode_coefficients_match_dense_sum(PeriodicGrid(1, 32, 5.0), (3, 8, 16), weights, 14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_interpolation_matches_dense_trigonometric_sum(dim):
+    g = PeriodicGrid(dim, 32 if dim == 1 else 16, 5.0)
+    rng = np.random.default_rng(15 + dim)
+    field = GridField(g, rng.standard_normal(g.shape))
+    pts = rng.random((41, dim)) * g.period
+    modes = np.stack(np.meshgrid(*(g.axis_modes,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ to_spectral(field).coeffs.ravel()
+    got = interpolate(field, pts, "spectral")
+    assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
+
+
+def test_mode_coefficients_peak_memory_stays_small():
+    # a modes x particles table would take 512 * 8192 * 16 B = 64 MiB here
+    g = PeriodicGrid(1, 512, TWO_PI)
+    rng = np.random.default_rng(16)
+    measure = EmpiricalMeasure(rng.random((8192, 1)) * g.period, rng.standard_normal((8192, 1)) / 8192)
+    tracemalloc.start()
+    try:
+        measure_mode_coefficients(measure, g, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+_MODE_SUM_DIGEST = """
+import hashlib
+import numpy as np
+from mfeuler.fields import EmpiricalMeasure, GridField, PeriodicGrid, interpolate, measure_mode_coefficients
+
+rng = np.random.default_rng(17)
+digest = hashlib.sha256()
+for dim, m, cutoff in ((1, 512, 256), (2, 64, 32)):
+    g = PeriodicGrid(dim, m, 2.0 * np.pi)
+    pts = rng.random((8192, dim)) * g.period
+    for w in (None, rng.standard_normal(8192), rng.standard_normal((8192, dim))):
+        digest.update(measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff).tobytes())
+    digest.update(interpolate(GridField(g, rng.standard_normal(g.shape)), pts, "spectral").tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_mode_sums_identical_across_blas_thread_counts():
+    # the sums over particles and modes run inside BLAS matrix products
+    src = os.path.dirname(os.path.dirname(mfeuler.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODE_SUM_DIGEST], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_spectral_interpolation_2d_exact_for_band_limited_field():
