@@ -63,6 +63,5 @@ from .particles import (
     force_direct,
     force_particle_mesh,
     init_well_prepared,
-    ito_reference,
 )
 from .profiles import DensityProfile, VelocityProfile

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="path to an INI config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", type=str, default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for sample sweeps")
+        p.add_argument("--threads", type=int, default=None, help="reserved; no output depends on it (>= 1)")
         p.set_defaults(handler=handler)
     return parser
 

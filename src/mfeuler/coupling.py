@@ -17,7 +17,6 @@ the whole N sweep.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,9 +29,9 @@ from .fields import (
     EmpiricalMeasure,
     GridField,
     PeriodicGrid,
-    convolve,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
+    warn_if_aliased,
 )
 from .kernels import MollifierSpec, ScaledKernel
 from .noise import NoisePath, SigmaField
@@ -208,18 +207,17 @@ def coupled_step(run: CoupledRun) -> CoupledRun:
 def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, scheme="linear") -> GridField:
     """Lattice samples of the mollified empirical density (deposit then convolve).
 
-    The alias-suppressed deposit spectrum (window deconvolution plus
-    interlacing) keeps the result on the direct particle sum
+    The interlaced deposit spectrum goes through one cached operator that
+    divides out the assignment window and convolves with the sampled
+    mollifier, which keeps the result on the direct particle sum
     (1/N) sum_j density(x - X_j) up to residual deposit aliasing.
     """
     positions = np.atleast_2d(positions)
-    dens_hat = particles_mod.deposit_spectrum(positions, grid, scheme)
-    field = GridField(grid, np.fft.ifftn(dens_hat).real)
-    return convolve(
-        field,
-        particles_mod.sampled_mollifier(kernel, grid),
-        mass_outside=kernel.mass_outside(grid.period / 2.0),
-    )
+    warn_if_aliased(kernel.mass_outside(grid.period / 2.0))
+    spectrum = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
+    transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)
+    values = np.fft.irfftn(transfer * spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    return GridField(grid, values / len(positions))
 
 
 def q_functional(run: CoupledRun) -> QRecord:
@@ -333,17 +331,14 @@ def _run_sample(cfg: RunConfig, sample_index: int) -> _SampleResult:
 def monte_carlo_rate(cfg: RunConfig, threads: int | None = None) -> RateResult:
     """Average the convergence gauge over noise samples and fit log-log slopes.
 
-    Sample m draws its noise path from (master_seed, m) only; results are
-    independent of execution order and thread count.  Rows containing
-    guard-stopped samples are marked censored and excluded from the fits.
+    Samples run in order; sample m draws its noise path from (master_seed, m)
+    only.  ``threads`` must be >= 1 and changes no output (it is reserved for
+    a sample-batch size).  Rows containing guard-stopped samples are marked
+    censored and excluded from the fits.
     """
-    threads = cfg.run.threads if threads is None else int(threads)
-    sample_ids = list(range(cfg.study.samples))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda m: _run_sample(cfg, m), sample_ids))
-    else:
-        results = [_run_sample(cfg, m) for m in sample_ids]
+    if threads is not None and int(threads) < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    results = [_run_sample(cfg, m) for m in range(cfg.study.samples)]
 
     n_values = cfg.study.n_values
     n_arr = np.asarray(n_values, dtype=float)

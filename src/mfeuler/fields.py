@@ -94,9 +94,6 @@ class PeriodicGrid:
         half = 0.5 * self.period
         return (self.points() + half) % self.period - half
 
-    def wrap(self, points):
-        return np.mod(points, self.period)
-
 
 @dataclass
 class GridField:
@@ -152,6 +149,16 @@ def sample_kernel(grid: PeriodicGrid, kernel) -> np.ndarray:
     return vals.reshape(grid.shape)
 
 
+def warn_if_aliased(mass_outside: float):
+    """Emit a ``KernelAliasingWarning`` when more than 1e-6 of a kernel's mass lies outside the half-period box."""
+    if mass_outside > 1e-6:
+        warnings.warn(
+            f"kernel mass {mass_outside:.3e} outside the half-period box wraps around",
+            KernelAliasingWarning,
+            stacklevel=3,
+        )
+
+
 def convolve(field: GridField, kernel, mass_outside=None) -> GridField:
     """Circular convolution of a field with a kernel via spectral multiplication.
 
@@ -169,12 +176,8 @@ def convolve(field: GridField, kernel, mass_outside=None) -> GridField:
         kvals = sample_kernel(grid, kernel)
     else:
         kvals = np.asarray(kernel, dtype=float).reshape(grid.shape)
-    if mass_outside is not None and mass_outside > 1e-6:
-        warnings.warn(
-            f"kernel mass {mass_outside:.3e} outside the half-period box wraps around",
-            KernelAliasingWarning,
-            stacklevel=2,
-        )
+    if mass_outside is not None:
+        warn_if_aliased(mass_outside)
     out = np.fft.ifftn(np.fft.fftn(field.values) * np.fft.fftn(kvals)).real * grid.cell_volume
     return GridField(grid, out)
 
@@ -223,35 +226,38 @@ class EmpiricalMeasure:
             raise ValueError("expected scalar per-point weights")
         return self.weights
 
-    def total_weight(self):
-        return 1.0 if self.weights is None else float(np.sum(self.weights))
 
+def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
+    """Assignment stencil of points given in node units (position / spacing).
 
-def _stencil(points: np.ndarray, grid: PeriodicGrid, scheme: str):
-    """Assignment stencil shared by ``deposit`` and ``interpolate``.
-
+    Shared by ``deposit``, ``interpolate`` and the particle-mesh force.
     Returns ``(flat, factors)``.  ``flat`` holds the flat node index of every
     (corner, point) pair: shape (1, n_points) for ``nearest``, and for
     ``linear`` shape (2,) * dim + (n_points,) with the last axis's corner
     offset first, so that in C order axis 0 varies fastest.  ``factors`` holds
     the barycentric weight factors of the axes in axis order (none for
     ``nearest``), each broadcastable to ``flat.shape``; a corner's weight is
-    their product, multiplied in that order.
+    their product, multiplied in that order.  Node indices wrap with an
+    integer mask, so a shifted coordinate needs no float wrap.
     """
     m = grid.points_per_dim
     wrap = m - 1  # index & wrap == index mod m, as m is a power of two
     flat = 0
     factors = []
-    for a, u in enumerate((points / grid.spacing).T):  # node units, one axis at a time
+    for a, u in enumerate(nodes.T):  # one axis at a time
         if scheme == "nearest":
             node = np.rint(u).astype(int)[None] & wrap
         else:
-            base = np.floor(u).astype(int)
+            base = np.floor(u)
+            node = np.empty((2, u.size), dtype=int)  # filled in place: temporaries of 128 KB+ cost page faults
+            node[0] = base
+            np.add(node[0], 1, out=node[1])
+            node &= wrap
             frac = u - base
             corner_shape = (2,) + (1,) * a + (u.size,)
-            node = (np.array([base, base + 1]) & wrap).reshape(corner_shape)
+            node = node.reshape(corner_shape)
             factors.append(np.array([1.0 - frac, frac]).reshape(corner_shape))
-        flat = flat * m + node
+        flat = node if a == 0 else flat * m + node
     return flat, factors
 
 
@@ -270,7 +276,7 @@ def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
-    flat, factors = _stencil(measure.points, grid, scheme)
+    flat, factors = _stencil(measure.points / grid.spacing, grid, scheme)
     weights = _weighted(measure.scalar_weights(), factors)
     # corner-major order: each node sums its corner-0 contributions first, in particle order
     out = np.bincount(flat.ravel(), weights.ravel(), minlength=grid.points_per_dim**grid.dim)
@@ -284,7 +290,7 @@ def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") ->
         return _trig_interpolate(field, pts)
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
-    flat, factors = _stencil(pts, field.grid, scheme)
+    flat, factors = _stencil(pts / field.grid.spacing, field.grid, scheme)
     terms = _weighted(field.values.ravel()[flat], factors)
     return terms.reshape(-1, pts.shape[0]).sum(axis=0)  # corners added in order
 

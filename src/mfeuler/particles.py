@@ -9,9 +9,12 @@ with Stratonovich noise shared by all particles.  One step splits into a
 symplectic-Euler drift and an exact noise map: freezing X, the noise-only
 equation dV_q = sigma_q V_q o dB_q has pathwise solution
 V_q * exp(sigma_q(X) dB_q), so the noise substep carries no time-discretization
-error.  Forces come either from the exact O(N^2) pair sum or from a
-particle-mesh pipeline (deposit, spectral convolution with the sampled force
-kernel, interpolation back).
+error.  Forces come either from the exact O(N^2) pair sum or from one fused
+particle-mesh step: the particles are placed on two interlaced lattices, the
+nodes and the nodes shifted by half a cell, and each of the two assignment
+stencils serves as the deposit and, by its adjoint, as the gather.  Between
+the two, one real FFT pair and one operator cached per (kernel, grid, scheme)
+convolve with the sampled force kernel and divide out the assignment window.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
-from .fields import EmpiricalMeasure, GridField, PeriodicGrid, assignment_window, deposit, interpolate, sample_kernel
+from .fields import PeriodicGrid, _stencil, _weighted, assignment_window, sample_kernel
 from .kernels import ScaledKernel
 from .noise import SigmaField, stream
 
@@ -48,9 +51,6 @@ class ParticleState:
     @property
     def dim(self):
         return self.positions.shape[1]
-
-    def copy(self):
-        return ParticleState(self.positions.copy(), self.velocities.copy(), self.time)
 
 
 def validate_kernel_box(kernel: ScaledKernel, period: float):
@@ -91,63 +91,89 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @cache
 def _half_cell_phase(grid: PeriodicGrid) -> np.ndarray:
+    """Half-cell shift P = exp(i lambda . h/2) on the modes ``np.fft.rfftn`` keeps, as a real field sees it:
+    (P(k) + conj P(-k)) / 2, which differs from P only on modes with a Nyquist component."""
     phase = np.ones(grid.shape, dtype=complex)
     for lam in grid.freq_mesh:
         phase = phase * np.exp(1j * lam * grid.spacing / 2.0)
-    return _read_only(phase)
+    phase = 0.5 * (phase + np.conj(np.roll(np.flip(phase), 1, axis=tuple(range(grid.dim)))))
+    return _read_only(phase[..., : grid.points_per_dim // 2 + 1].copy())
 
 
 @cache
-def force_kernel_spectrum(kernel: ScaledKernel, grid: PeriodicGrid) -> tuple:
-    """Per-component FFT of the force kernel sampled on the lattice, built once per (kernel, grid)."""
-    return tuple(
-        _read_only(np.fft.fftn(sample_kernel(grid, lambda pts: np.asarray(kernel.potential_gradient(pts))[:, q])))
-        for q in range(grid.dim)
-    )
+def force_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) -> np.ndarray:
+    """Interlaced deposit spectrum to the force on both lattices, built once per (kernel, grid, scheme).
+
+    Entry [q, 0] is -1/4 g_q / W^2 and [q, 1] that times the conjugate half-cell phase: g_q the transform
+    of the sampled force-kernel component q, W the assignment window (divided out once for deposit and
+    gather), 1/4 the two interlacing halves; a density's 1/cell_volume and a convolution's cell_volume cancel.
+    """
+    window = assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1]
+    sampled = [sample_kernel(grid, lambda x: np.asarray(kernel.potential_gradient(x))[:, q]) for q in range(grid.dim)]
+    direct = -0.25 * np.fft.rfftn(sampled, axes=tuple(range(-grid.dim, 0))) / window**2
+    return _read_only(np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1))
 
 
 @cache
-def sampled_mollifier(kernel: ScaledKernel, grid: PeriodicGrid) -> np.ndarray:
-    """The mollifier ``kernel.density`` sampled on the lattice, built once per (kernel, grid)."""
-    return _read_only(sample_kernel(grid, kernel.density))
+def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) -> np.ndarray:
+    """Interlaced deposit spectrum to the mollified density, built once per (kernel, grid, scheme).
 
-
-def deposit_spectrum(positions, grid: PeriodicGrid, scheme: str):
-    """FFT of the deposited unit-mass empirical density, alias-suppressed.
-
-    The assignment-window transform is divided out and a second
-    half-cell-shifted deposit is averaged in (interlacing), which cancels the
-    odd-order alias images of the point masses.
+    1/2 m / W: m the transform of ``kernel.density`` on the lattice, W the assignment window.
     """
-    measure = EmpiricalMeasure(positions)
-    dens_hat = np.fft.fftn(deposit(measure, grid, scheme).values)
-    shifted = deposit(EmpiricalMeasure(np.mod(positions + grid.spacing / 2.0, grid.period)), grid, scheme)
-    dens_hat = 0.5 * (dens_hat + _half_cell_phase(grid) * np.fft.fftn(shifted.values))
-    return dens_hat / assignment_window(grid, scheme)
+    m_hat = np.fft.rfftn(sample_kernel(grid, kernel.density), axes=tuple(range(-grid.dim, 0)))
+    return _read_only(0.5 * m_hat / assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1])
 
 
-def gather(field_hat, grid: PeriodicGrid, positions, scheme: str):
-    """Read a spectral field back at particle positions with the deposit's adjoint.
+def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str) -> tuple:
+    """``(flat, weights)`` stencils of the particles at node coordinate u = x/h and at u + 1/2.
 
-    Mirrors ``deposit_spectrum``: window deconvolution plus an interlaced
-    second gather from the half-cell-shifted lattice.
+    The second places the particles on the lattice shifted by half a cell;
+    the stencil's integer wrap folds u + 1/2 back into the torus.
     """
-    corrected = field_hat / assignment_window(grid, scheme)
-    direct = interpolate(GridField(grid, np.fft.ifftn(corrected).real), positions, scheme)
-    shifted_vals = np.fft.ifftn(corrected * _half_cell_phase(grid)).real
-    shifted = interpolate(
-        GridField(grid, shifted_vals), np.mod(positions - grid.spacing / 2.0, grid.period), scheme
-    )
-    return 0.5 * (direct + shifted)
+    if scheme not in ("nearest", "linear"):
+        raise ValueError(f"unknown deposit scheme {scheme!r}")
+    u = np.asarray(positions) / grid.spacing
+    pairs = (_stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme))
+    return tuple((flat, _weighted(f[0], f[1:]) if f else np.ones(flat.shape)) for flat, f in pairs)
+
+
+def deposit_spectrum(stencils, grid: PeriodicGrid) -> np.ndarray:
+    """Interlaced spectrum of unit-weight particles, F[lattice] + half-cell phase * F[shifted lattice].
+
+    One ``np.bincount`` per stencil deposits each lattice and one real FFT transforms both.  The phase
+    moves the shifted lattice back onto the particles, so that their average (interlacing) cancels the
+    odd-order alias images of the point masses; the 1/2 and the window are left to the transfer operators.
+    """
+    size = grid.points_per_dim**grid.dim
+    counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=size) for flat, weights in stencils]
+    halves = np.fft.rfftn(np.reshape(counts, (2,) + grid.shape), axes=tuple(range(-grid.dim, 0)))
+    return halves[0] + _half_cell_phase(grid) * halves[1]
+
+
+def gather(fields, stencils) -> np.ndarray:
+    """The deposit's adjoint: sums of the weighted stencil corners of field pairs, shape (N, components).
+
+    ``fields`` has shape (components, 2) + grid.shape: per component, one
+    field on the lattice and one on the shifted lattice.
+    """
+    n = stencils[0][0].shape[-1]
+    terms = np.empty(stencils[0][0].shape)
+    out = np.zeros((n, len(fields)))
+    for q, pair in enumerate(fields):
+        for field, (flat, weights) in zip(pair, stencils):
+            np.take(field.ravel(), flat, out=terms, mode="clip")  # indices are in range; "clip" skips a copy
+            terms *= weights
+            out[:, q] += terms.reshape(-1, n).sum(axis=0)
+    return out
 
 
 def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: PeriodicGrid, deposit_scheme: str = "linear"):
-    """Particle-mesh force: deposit, spectral convolution, gather.
+    """Particle-mesh force as one fused step: deposit, one cached transfer operator, gather.
 
-    The deposited density spectrum is multiplied by the transform of the
-    sampled force kernel.  Standard particle-mesh alias control is applied on
-    both ends: the assignment window is divided out and deposits/gathers are
-    interlaced with a half-cell shift.
+    The two interlaced stencils (``interlaced_stencils``) serve as the
+    deposit (``deposit_spectrum``) and, by their adjoint, as the gather
+    (``gather``); ``force_transfer`` convolves with the sampled force kernel
+    in between, in one real FFT pair.
 
     Raises
     ------
@@ -161,12 +187,9 @@ def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: Period
             f"grid spacing {grid.spacing:.4g} > effective kernel width / 4 = "
             f"{kernel.effective_width() / 4.0:.4g}"
         )
-    dens_hat = deposit_spectrum(state.positions, grid, deposit_scheme)
-    forces = np.empty_like(state.positions)
-    for q, g_hat in enumerate(force_kernel_spectrum(kernel, grid)):
-        conv_hat = dens_hat * g_hat * grid.cell_volume
-        forces[:, q] = -gather(conv_hat, grid, state.positions, deposit_scheme)
-    return forces
+    stencils = interlaced_stencils(state.positions, grid, deposit_scheme)
+    spectrum = force_transfer(kernel, grid, deposit_scheme) * deposit_spectrum(stencils, grid) / state.n_particles
+    return gather(np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0))), stencils)
 
 
 def compute_force(state, kernel, period, method="direct", grid=None, deposit_scheme="linear"):
@@ -177,6 +200,16 @@ def compute_force(state, kernel, period, method="direct", grid=None, deposit_sch
             raise ValueError("particle_mesh force needs a grid")
         return force_particle_mesh(state, kernel, grid, deposit_scheme)
     raise ValueError(f"unknown force method {method!r}")
+
+
+def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
+    """``np.mod(pos, period)`` bit for bit, which for pos in [-period, 2 * period) is the cheaper
+    pos + (period, 0.0 or -period); a value that sum leaves outside [0, period) takes ``np.mod``.
+    """
+    wrapped = pos + np.where(pos < 0.0, period, np.where(pos >= period, -period, 0.0))
+    if not (wrapped.min(initial=0.0) >= 0.0 and wrapped.max(initial=0.0) < period):
+        return np.mod(pos, period)
+    return wrapped
 
 
 def step(
@@ -199,7 +232,7 @@ def step(
     """
     forces = compute_force(state, kernel, period, method, grid, deposit_scheme)
     vel = state.velocities + forces * dt
-    pos = np.mod(state.positions + vel * dt, period)
+    pos = wrap_positions(state.positions + vel * dt, period)
     factors = np.exp(sigma.values(pos) * np.asarray(dB)[None, :])
     vel = vel * factors
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
@@ -270,38 +303,3 @@ def init_well_prepared(
         positions = pts[cells] + jitter * h2
     velocities = np.asarray(velocity(positions))
     return ParticleState(positions, velocities, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Independent SDE reference schemes (noise verification oracles)
-# ---------------------------------------------------------------------------
-
-
-def ito_reference(
-    v0: np.ndarray,
-    x0: np.ndarray,
-    sigma: SigmaField,
-    path_increments: np.ndarray,
-    dt: float,
-    period: float,
-    scheme: str = "corrected",
-) -> np.ndarray:
-    """Integrate the force-free Ito form dV_q = 1/2 sigma_q(X)^2 V_q dt + sigma_q(X) V_q dB_q.
-
-    ``euler`` is the plain Euler-Maruyama discretization (strong order 1/2 for
-    this multiplicative noise); ``corrected`` adds the next Ito-Taylor term
-    1/2 sigma^2 V (dB^2 - dt), lifting the pathwise order to 1.  Positions
-    advance with dX = V dt; coefficients are evaluated non-anticipatively.
-    """
-    if scheme not in ("euler", "corrected"):
-        raise ValueError(f"unknown oracle scheme {scheme!r}")
-    v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    for dB in path_increments:
-        sig = sigma.values(x)
-        incr = 0.5 * sig**2 * v * dt + sig * v * dB[None, :]
-        if scheme == "corrected":
-            incr = incr + 0.5 * sig**2 * v * (dB[None, :] ** 2 - dt)
-        x = np.mod(x + v * dt, period)
-        v = v + incr
-    return v

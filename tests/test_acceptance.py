@@ -25,8 +25,9 @@ from mfeuler.fluid import (
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel, mollification_error_ratio
 from mfeuler.noise import NoisePath, SigmaField
-from mfeuler.particles import ParticleState, force_direct, force_particle_mesh, init_well_prepared, ito_reference, step as particle_step
+from mfeuler.particles import ParticleState, force_direct, force_particle_mesh, init_well_prepared, step as particle_step
 from mfeuler.profiles import DensityProfile, VelocityProfile
+from sde_oracles import ito_reference
 
 TWO_PI = 2.0 * math.pi
 

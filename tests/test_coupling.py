@@ -280,6 +280,8 @@ def test_rate_study_thread_count_invariance():
     np.testing.assert_array_equal(res1.mean_q, res4.mean_q)
     np.testing.assert_array_equal(res1.mean_dist_s, res4.mean_dist_s)
     np.testing.assert_array_equal(res1.mean_dist_v, res4.mean_dist_v)
+    with pytest.raises(ValueError, match="threads"):
+        monte_carlo_rate(cfg, threads=0)
 
 
 def test_rate_study_single_n_degenerate_fit():

@@ -5,21 +5,33 @@ import pytest
 
 from mfeuler.errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
 import mfeuler.particles as particles_mod
-from mfeuler.fields import PeriodicGrid, assignment_window
+from mfeuler.fields import (
+    EmpiricalMeasure,
+    GridField,
+    PeriodicGrid,
+    assignment_window,
+    convolve,
+    deposit,
+    interpolate,
+    sample_kernel,
+)
 from mfeuler.kernels import MollifierSpec, ScaledKernel
 from mfeuler.noise import NoisePath, SigmaField
 from mfeuler.particles import (
     ParticleState,
     _half_cell_phase,
+    deposit_spectrum,
     force_direct,
-    force_kernel_spectrum,
     force_particle_mesh,
+    force_transfer,
+    gather,
     init_well_prepared,
-    ito_reference,
-    sampled_mollifier,
+    interlaced_stencils,
+    mollifier_transfer,
     step,
 )
 from mfeuler.profiles import DensityProfile, VelocityProfile
+from sde_oracles import ito_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,12 +140,164 @@ def test_particle_mesh_bump_matches_direct_with_operators_built_once(monkeypatch
     np.testing.assert_array_equal(force_particle_mesh(st, kern, grid), fp)
     monkeypatch.undo()
     operators = [
-        *force_kernel_spectrum(kern, grid),
-        sampled_mollifier(kern, grid),
+        force_transfer(kern, grid, "linear"),
+        mollifier_transfer(kern, grid, "linear"),
         _half_cell_phase(grid),
         assignment_window(grid, "linear"),
     ]
     assert not any(op.flags.writeable for op in operators)
+
+
+def _parent_force(pos, kernel, grid, scheme):
+    """The particle-mesh force as composed before the fused step: two deposits,
+    an FFT pair per component and interpolation at float-wrapped half-cell shifts."""
+    phase = np.ones(grid.shape, dtype=complex)
+    for lam in grid.freq_mesh:
+        phase = phase * np.exp(1j * lam * grid.spacing / 2.0)
+    window = assignment_window(grid, scheme)
+    h, period = grid.spacing, grid.period
+    direct_hat = np.fft.fftn(deposit(EmpiricalMeasure(pos), grid, scheme).values)
+    shifted_hat = np.fft.fftn(deposit(EmpiricalMeasure(np.mod(pos + h / 2.0, period)), grid, scheme).values)
+    dens_hat = 0.5 * (direct_hat + phase * shifted_hat) / window
+    forces = np.empty_like(pos)
+    for q in range(grid.dim):
+        g_hat = np.fft.fftn(sample_kernel(grid, lambda pts: np.asarray(kernel.potential_gradient(pts))[:, q]))
+        corrected = dens_hat * g_hat * grid.cell_volume / window
+        direct = interpolate(GridField(grid, np.fft.ifftn(corrected).real), pos, scheme)
+        shifted_field = GridField(grid, np.fft.ifftn(corrected * phase).real)
+        shifted = interpolate(shifted_field, np.mod(pos - h / 2.0, period), scheme)
+        forces[:, q] = -0.5 * (direct + shifted)
+    return forces
+
+
+def _pm_case(dim):
+    """A lattice and a force kernel that it resolves, with the peak of |grad potential|."""
+    if dim == 1:
+        grid, kern = PeriodicGrid(1, 512, TWO_PI), gaussian_kernel(1024, width=2.0)
+    else:
+        grid, kern = PeriodicGrid(2, 64, TWO_PI), ScaledKernel(MollifierSpec("gaussian", 1.0, 2), 256, 0.5)
+    radial = np.zeros((401, dim))
+    radial[:, 0] = np.linspace(-2.0, 2.0, 401)
+    return grid, kern, float(np.max(np.abs(kern.potential_gradient(radial))))
+
+
+def _particle_sets(n, dim, grid, on_nodes):
+    """Random particles, one just below the period and, if ``on_nodes``, some exactly on nodes and one at 0."""
+    rng = np.random.default_rng(100 * n + dim)
+    below = np.full((1, dim), np.nextafter(grid.period, 0.0))
+    nodes = rng.integers(0, grid.points_per_dim, (8, dim)) * grid.spacing
+    if n == 1:
+        sets = [rng.random((1, dim)) * grid.period, below]
+        return sets + [np.zeros((1, dim)), nodes[:1]] if on_nodes else sets
+    pos = rng.random((n, dim)) * grid.period
+    pos[0] = below
+    if on_nodes:
+        pos[1] = 0.0
+        pos[2:10] = nodes
+    return [pos]
+
+
+@pytest.mark.parametrize("n", [1, 8192])
+@pytest.mark.parametrize("scheme", ["linear", "nearest"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fused_force_matches_parent_pipeline(dim, scheme, n):
+    # The lattice and the lattice shifted by half a cell differ by exactly one
+    # node, so the fused step agrees with the parent's composition up to
+    # rounding.  The scale is max |F|, or the force one particle at the peak
+    # of |grad potential| exerts when that is larger: for N = 1 the exact
+    # particle-mesh self-force vanishes and max |F| is rounding noise.
+    # Nearest-node particles exactly on a node are covered by the next test.
+    grid, kern, peak = _pm_case(dim)
+    for pos in _particle_sets(n, dim, grid, on_nodes=scheme == "linear"):
+        st = ParticleState(pos, np.zeros_like(pos))
+        fused = force_particle_mesh(st, kern, grid, scheme)
+        parent = _parent_force(pos, kern, grid, scheme)
+        scale = max(float(np.max(np.abs(parent))), peak / n)
+        assert np.max(np.abs(fused - parent)) <= 1e-12 * scale
+        assert np.max(np.abs(fused.sum(axis=0))) <= 1e-12 * n * scale
+
+
+@pytest.mark.parametrize("scheme", ["linear", "nearest"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mollified_density_matches_parent_composition(dim, scheme):
+    # the parent deposited twice, took the real part of the interlaced
+    # density and convolved it with the sampled mollifier; in 2-d a mollifier
+    # this narrow keeps weight on the modes with a Nyquist component, which
+    # shows whether the half-cell phase acts on the real fields, as there
+    from mfeuler.coupling import mollified_density
+
+    grid, _, _ = _pm_case(dim)
+    kern = ScaledKernel(MollifierSpec("gaussian", 2.0 / dim, dim), 2048, 0.5)
+    (pos,) = _particle_sets(8192, dim, grid, on_nodes=False)
+    h, period = grid.spacing, grid.period
+    phase = np.ones(grid.shape, dtype=complex)
+    for lam in grid.freq_mesh:
+        phase = phase * np.exp(1j * lam * h / 2.0)
+    direct_hat = np.fft.fftn(deposit(EmpiricalMeasure(pos), grid, scheme).values)
+    shifted_hat = np.fft.fftn(deposit(EmpiricalMeasure(np.mod(pos + h / 2.0, period)), grid, scheme).values)
+    dens = np.fft.ifftn(0.5 * (direct_hat + phase * shifted_hat) / assignment_window(grid, scheme)).real
+    parent = convolve(GridField(grid, dens), sample_kernel(grid, kern.density)).values
+    fused = mollified_density(pos, kern, grid, scheme).values
+    assert np.max(np.abs(fused - parent)) <= 1e-12 * np.max(np.abs(parent))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nearest_particles_on_nodes_feel_no_self_force_and_conserve_momentum(dim):
+    # A particle on a node sits exactly halfway between two nodes of the
+    # shifted lattice.  The fused step deposits and gathers it at the same
+    # node there, so a lone particle feels no force and the forces of a crowd
+    # sum to zero; the parent's shifted deposit and gather rounded it to
+    # different nodes (a self-force of 0.11 and 0.22 of the peak in 1-d and 2-d).
+    grid, kern, peak = _pm_case(dim)
+    for pos in (np.zeros((1, dim)), np.full((1, dim), 5 * grid.spacing)):
+        f = force_particle_mesh(ParticleState(pos, np.zeros_like(pos)), kern, grid, "nearest")
+        assert np.max(np.abs(f)) <= 1e-12 * peak
+    (crowd,) = _particle_sets(8192, dim, grid, on_nodes=True)
+    f = force_particle_mesh(ParticleState(crowd, np.zeros_like(crowd)), kern, grid, "nearest")
+    assert np.max(np.abs(f.sum(axis=0))) <= 1e-12 * len(crowd) * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("scheme", ["linear", "nearest"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interlaced_stencils_deposit_and_gather_are_adjoint(dim, scheme):
+    # per stencil: sum_n w_n gather(f)(x_n) == <deposit of w, f> on the lattice
+    grid, _, _ = _pm_case(dim)
+    rng = np.random.default_rng(dim)
+    (pos,) = _particle_sets(512, dim, grid, on_nodes=True)
+    w = rng.standard_normal(len(pos))
+    f = rng.standard_normal(grid.shape)
+    stencils = interlaced_stencils(pos, grid, scheme)
+    axes = tuple(range(-dim, 0))
+    for s in range(2):
+        # stencil s first, weighted by w, and the other one weighted by 0: the spectrum of stencil s alone
+        (flat, weights), (other, other_weights) = stencils[s], stencils[1 - s]
+        spectrum = deposit_spectrum(((flat, weights * w), (other, 0.0 * other_weights)), grid)
+        counts = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+        fields = np.zeros((1, 2) + grid.shape)
+        fields[0, s] = f
+        read = gather(fields, stencils)[:, 0]
+        assert abs(np.dot(w, read) - np.sum(counts * f)) <= 1e-12 * np.sum(np.abs(w)) * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize(
+    "start,move",
+    [
+        # moves shorter than one period: just under one period either way, to exactly 0.0
+        ([1.0, 3.0, 2.0, 5.0, 0.5], [np.nextafter(TWO_PI, 0.0), -np.nextafter(TWO_PI, 0.0), 0.25, -5.0, 0.0]),
+        ([2.0**-52, 3.0], [-1.5 * 2.0**-52, 0.1]),  # to -2**-53, where adding the period rounds to exactly it
+        ([4.0, 0.5], [2.5 * TWO_PI, -1.7 * TWO_PI]),  # longer than one period
+    ],
+    ids=["within_one_period", "rounds_to_period", "longer_than_period"],
+)
+def test_position_wrap_matches_np_mod_bit_for_bit(start, move):
+    start = np.array(start)[:, None]
+    move = np.array(move)[:, None]
+    kern = gaussian_kernel(len(start), width=0.05)
+    st = ParticleState(start, move)
+    out = step(st, np.zeros(1), 1.0, kern, SigmaField("constant", 0.0), TWO_PI, method="direct")
+    vel = st.velocities + force_direct(st, kern, TWO_PI) * 1.0
+    expected = np.mod(st.positions + vel * 1.0, TWO_PI)
+    assert out.positions.tobytes() == expected.tobytes()
 
 
 def test_grid_too_coarse_raises():
