@@ -39,7 +39,6 @@ from .fields import (
     GridField,
     PeriodicGrid,
     SpectralField,
-    convolve,
     deposit,
     interpolate,
     neg_sobolev_distance,

@@ -159,36 +159,27 @@ def warn_if_aliased(mass_outside: float):
         )
 
 
-def convolve(field: GridField, kernel, mass_outside=None) -> GridField:
-    """Circular convolution of a field with a kernel via spectral multiplication.
+@cache
+def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
+    """Weights w with ||f||_s^2 = sum w * |rfftn(f)|^2, on the ``rfftn`` half spectrum; read-only.
 
-    Parameters
-    ----------
-    kernel : callable or ndarray
-        Either an evaluable kernel (called on minimum-image lattice points)
-        or pre-sampled lattice values of shape ``grid.shape``.
-    mass_outside : float, optional
-        Known kernel mass outside the half-period box; a
-        ``KernelAliasingWarning`` is emitted when it exceeds 1e-6.
+    (1 + |lambda|^2)**s times the normalisation period**dim / M**(2 dim),
+    doubled on the interior columns of the last axis, which stand for
+    themselves and their conjugate partners; column 0 and column M/2 have none.
     """
-    grid = field.grid
-    if callable(kernel):
-        kvals = sample_kernel(grid, kernel)
-    else:
-        kvals = np.asarray(kernel, dtype=float).reshape(grid.shape)
-    if mass_outside is not None:
-        warn_if_aliased(mass_outside)
-    out = np.fft.ifftn(np.fft.fftn(field.values) * np.fft.fftn(kvals)).real * grid.cell_volume
-    return GridField(grid, out)
+    m = grid.points_per_dim
+    norm_sq = grid.freq_norm_sq[..., : m // 2 + 1]  # |lambda|^2 is even in every mode number
+    columns = np.full(m // 2 + 1, 2.0)
+    columns[[0, -1]] = 1.0
+    weight = (1.0 + norm_sq) ** s * columns * (grid.period**grid.dim / float(m**grid.dim) ** 2)
+    weight.flags.writeable = False
+    return weight
 
 
 def sobolev_norm(field: GridField, s: float) -> float:
     """Bessel-type Sobolev norm on the torus; s = 0 is the lattice L2 norm."""
-    grid = field.grid
-    coeffs = to_spectral(field).coeffs
-    weight = (1.0 + grid.freq_norm_sq) ** s
-    total = grid.period**grid.dim * np.sum(weight * np.abs(coeffs) ** 2)
-    return float(np.sqrt(total))
+    coeffs = np.fft.rfftn(field.values)
+    return float(np.sqrt(np.sum(sobolev_weight(field.grid, s) * np.abs(coeffs) ** 2)))
 
 
 # ---------------------------------------------------------------------------

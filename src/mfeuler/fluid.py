@@ -8,15 +8,19 @@ On the torus the system reads
 where the pressure law p = rho^2 / 2 turns grad p / rho into grad rho exactly,
 so no division by the density ever happens.  The state is one real array
 ``u`` of shape (1 + dim,) + grid shape, u[0] = rho and u[1 + q] = v_q, and
-every operator acts on it whole: FFTs run over the trailing lattice axes, so
-one drift right-hand side takes five transforms in any dimension.  Time
-stepping is a Strang composition: half an exact multiplicative-noise map, a
-classical four-stage Runge-Kutta drift step, half a noise map.  Quadratic
-products are dealiased by zeroing the top modes; an optional weak
-hyperviscosity damps the spectral tail on long runs.  Each step ends with one
-check that the state is finite and the density strictly positive.  A
-Sobolev-norm guard stops the state the first time ||(rho, v)||_{H^s} reaches
-the configured threshold, and a stopped state is never advanced again.
+every operator acts on it whole, with real FFTs over the trailing lattice
+axes.  Time stepping is a Strang composition: half an exact
+multiplicative-noise map, a classical four-stage Runge-Kutta drift step, half
+a noise map.  The drift step runs on the ``rfftn`` half spectrum of ``u``:
+one forward transform, four stages combined in spectral space, one inverse
+transform; each right-hand side takes two transforms in any dimension, one
+``irfftn`` for rho, v and every d_a v_q and one ``rfftn`` for the quadratic
+products.  Those products are dealiased by zeroing the top modes; an optional
+weak hyperviscosity damps the spectral tail on long runs.  Each step ends with
+one check that the state is finite and the density strictly positive.  A
+Sobolev-norm guard, one ``rfftn`` of the whole state, stops the state the
+first time ||(rho, v)||_{H^s} reaches the configured threshold, and a stopped
+state is never advanced again.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import NonFiniteState, NonPositiveDensity
-from .fields import GridField, PeriodicGrid, interpolate, sobolev_norm
+from .fields import GridField, PeriodicGrid, interpolate, sobolev_weight
 from .noise import SigmaField
 
 
@@ -110,24 +114,42 @@ def _checked(state: FluidState) -> FluidState:
     return state
 
 
+def _lattice_axes(grid: PeriodicGrid):
+    return tuple(range(-grid.dim, 0))  # the lattice axes, last in every stack
+
+
 def state_norm(state: FluidState, s: float) -> float:
-    """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2)."""
-    return math.sqrt(sum(sobolev_norm(GridField(state.grid, row), s) ** 2 for row in state.u))
+    """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2), from one ``rfftn`` of ``u``."""
+    u_hat = np.fft.rfftn(state.u, axes=_lattice_axes(state.grid))
+    return math.sqrt(np.sum(sobolev_weight(state.grid, s) * np.abs(u_hat) ** 2))
 
 
 @cache
 def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: float, hyperviscosity_order: int):
-    """Per-grid arrays of the drift right-hand side: (i*lambda stacked over axes, dealias mask, hyperviscous rate)."""
+    """Per-(grid, config) arrays of the drift right-hand side on the ``rfftn`` half spectrum.
+
+    Returns (i*lambda stacked over axes, dealias mask, hyperviscous rate).
+    i*lambda_a is zero on the modes where axis a is at Nyquist: that is the
+    part of the derivative a real field keeps.
+    """
+    m = grid.points_per_dim
+    # columns 0..M/2 of the last axis; column M/2 holds mode -M/2, which has the
+    # |lambda| of the half spectrum's +M/2 and, like it, no derivative
+    half = (Ellipsis, slice(m // 2 + 1))
     ilam = 1j * np.stack(grid.freq_mesh)
-    keep = int(dealias_fraction * (grid.points_per_dim // 2))
+    nyquist = grid.axis_modes == -(m // 2)
+    for a in range(grid.dim):
+        ilam[(a,) + (slice(None),) * a + (nyquist,)] = 0.0
+    keep = int(dealias_fraction * (m // 2))
     axis_ok = (np.abs(grid.axis_modes) <= keep).astype(float)
     dealias = reduce(np.multiply.outer, (axis_ok,) * grid.dim)
     nyq = np.pi / grid.spacing
     ratio = grid.freq_norm_sq / nyq**2
     hyper = -hyperviscosity_nu * ratio**hyperviscosity_order
-    for array in (ilam, dealias, hyper):
+    arrays = tuple(np.ascontiguousarray(array[half]) for array in (ilam, dealias, hyper))
+    for array in arrays:
         array.flags.writeable = False
-    return ilam, dealias, hyper
+    return arrays
 
 
 def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
@@ -137,35 +159,44 @@ def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
     dealiased before differentiation/assembly.  Raises NonFiniteState or
     NonPositiveDensity unless the state is finite with strictly positive density.
     """
-    return _rhs(_checked(state).u, state.grid, config)
+    grid = state.grid
+    axes = _lattice_axes(grid)
+    du_hat = _rhs(np.fft.rfftn(_checked(state).u, axes=axes), grid, config)
+    return np.fft.irfftn(du_hat, s=grid.shape, axes=axes)
 
 
-def _rhs(u, grid, config):
+def _rhs(u_hat, grid, config):
+    """Spectral tendency of the half spectrum ``u_hat``: one ``irfftn`` and one ``rfftn``."""
     ilam, dealias, hyper = _workspace(
         grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
     )
-    axes = tuple(range(-grid.dim, 0))  # the lattice axes, last in every stack
-    u_hat = np.fft.fftn(u, axes=axes)
-    rho, vel = u[0], u[1:]
-    flux_hat = np.fft.fftn(rho * vel, axes=axes) * dealias
-    grad = np.fft.ifftn(ilam[:, None] * u_hat[None, 1:], axes=axes).real  # grad[a, q] = d_a v_q
+    dim, axes = grid.dim, _lattice_axes(grid)
+    grad_hat = (ilam[:, None] * u_hat[None, 1:]).reshape((dim * dim,) + u_hat.shape[1:])
+    values = np.fft.irfftn(np.concatenate((u_hat, grad_hat)), s=grid.shape, axes=axes)
+    rho, vel = values[0], values[1 : 1 + dim]
+    grad = values[1 + dim :].reshape((dim, dim) + grid.shape)  # grad[a, q] = d_a v_q
     advect = (vel[:, None] * grad).sum(axis=0)  # v . grad v_q, summed over a in order
+    products_hat = np.fft.rfftn(np.concatenate((rho * vel, advect)), axes=axes) * dealias
+    flux_hat, advect_hat = products_hat[:dim], products_hat[dim:]
 
     du_hat = np.empty_like(u_hat)
     # hyper*rho - d_0(rho v_0) - d_1(rho v_1) ..., subtracted term by term
     du_hat[0] = np.subtract.reduce(np.concatenate(([hyper * u_hat[0]], ilam * flux_hat)))
-    du_hat[1:] = -np.fft.fftn(advect, axes=axes) * dealias - ilam * u_hat[0] + hyper * u_hat[1:]
-    return np.fft.ifftn(du_hat, axes=axes).real
+    du_hat[1:] = -advect_hat - ilam * u_hat[0] + hyper * u_hat[1:]
+    return du_hat
 
 
 def step_drift(state: FluidState, dt: float, config: EulerConfig) -> FluidState:
-    """Classical four-stage Runge-Kutta step of the deterministic part."""
-    u0 = state.u
-    k1 = _rhs(u0, state.grid, config)
-    k2 = _rhs(u0 + 0.5 * dt * k1, state.grid, config)
-    k3 = _rhs(u0 + 0.5 * dt * k2, state.grid, config)
-    k4 = _rhs(u0 + dt * k3, state.grid, config)
-    return replace(state, u=u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), time=state.time + dt)
+    """Classical four-stage Runge-Kutta step of the deterministic part, staged on the half spectrum of ``u``."""
+    grid = state.grid
+    axes = _lattice_axes(grid)
+    u0 = np.fft.rfftn(state.u, axes=axes)
+    k1 = _rhs(u0, grid, config)
+    k2 = _rhs(u0 + 0.5 * dt * k1, grid, config)
+    k3 = _rhs(u0 + 0.5 * dt * k2, grid, config)
+    k4 = _rhs(u0 + dt * k3, grid, config)
+    u_hat = u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return replace(state, u=np.fft.irfftn(u_hat, s=grid.shape, axes=axes), time=state.time + dt)
 
 
 def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: float = 1.0) -> FluidState:

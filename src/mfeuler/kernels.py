@@ -166,31 +166,6 @@ class MollifierSpec:
                 grad[inside] = -2.0 * pts[inside] / (w * w) * coef[:, None]
         return grad[0] if single else grad
 
-    def hessian(self, x):
-        """Closed-form Hessian of the base mollifier, shape (..., dim, dim)."""
-        pts, single = _as_points(x, self.dim)
-        w2 = self.width**2
-        eye = np.eye(self.dim)
-        if self.family == "gaussian":
-            dens = np.atleast_1d(np.asarray(self.density(pts)))
-            outer = np.einsum("ni,nj->nij", pts, pts)
-            hess = (outer / w2**2 - eye[None, :, :] / w2) * dens[:, None, None]
-        else:
-            s = np.einsum("ij,ij->i", pts, pts) / w2
-            hess = np.zeros((pts.shape[0], self.dim, self.dim))
-            inside = s < 1.0
-            if np.any(inside):
-                si = s[inside]
-                base = self._bump_norm / self.width**self.dim * np.exp(-1.0 / (1.0 - si))
-                outer = np.einsum("ni,nj->nij", pts[inside], pts[inside])
-                one = (1.0 - si)[:, None, None]
-                hess[inside] = base[:, None, None] * (
-                    4.0 * outer / w2**2 / one**4
-                    - 2.0 * eye[None, :, :] / w2 / one**2
-                    - 8.0 * outer / w2**2 / one**3
-                )
-        return hess[0] if single else hess
-
     # -- self-convolution (the interaction potential at scale 1) ----------
 
     def self_convolution(self, x):
@@ -361,15 +336,6 @@ class ScaledKernel:
             * np.asarray(self.spec.self_convolution_gradient(pts * self.compression))
         )
         return grad if not single else grad.reshape(self.spec.dim)
-
-    def fourier_density(self, lam):
-        pts, single = _as_points(lam, self.spec.dim)
-        vals = np.asarray(self.spec.fourier(pts / self.compression))
-        return _squeeze(np.atleast_1d(vals), single)
-
-    def fourier_potential(self, lam):
-        vals = np.asarray(self.fourier_density(lam))
-        return vals * vals
 
     def effective_width(self):
         """Resolvable width of the potential: FWHM for gaussian, support diameter for bump."""

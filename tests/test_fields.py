@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import mfeuler
+from mfeuler.coupling import mollified_density
 from mfeuler.errors import AlphaTooSmall, KernelAliasingWarning
 from mfeuler.fields import (
     EmpiricalMeasure,
     GridField,
     PeriodicGrid,
-    convolve,
     deposit,
     interpolate,
     measure_mode_coefficients,
@@ -104,47 +104,12 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(zero, 2.0) == 0.0
 
 
-def test_convolve_constant_with_unit_mass_kernel():
-    g = grid1(256)
-    kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 64, 0.5)
-    f = GridField(g, np.full(g.shape, 2.5))
-    out = convolve(f, kern.density)
-    np.testing.assert_allclose(out.values, 2.5, rtol=0, atol=1e-9)
-
-
-def test_convolve_matches_direct_double_loop():
-    g = grid1(128)
-    rng = np.random.default_rng(7)
-    fvals = rng.standard_normal(g.shape)
-    kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 16, 0.5)
-    kvals = np.asarray(kern.density(g.wrapped_points()[:, 0]))
-    out = convolve(GridField(g, fvals), kern.density)
-    direct = np.empty_like(fvals)
-    for i in range(g.points_per_dim):
-        acc = 0.0
-        for j in range(g.points_per_dim):
-            acc += fvals[j] * kvals[(i - j) % g.points_per_dim]
-        direct[i] = acc * g.spacing
-    np.testing.assert_allclose(out.values, direct, rtol=0, atol=1e-6)
-
-
-def test_convolve_dirac_deposit_reproduces_kernel():
-    g = grid1(256)
-    kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 256, 0.5)
-    # particle exactly on a lattice node: deposit is an exact lattice Dirac
-    x0 = g.axis_coords[64]
-    dep = deposit(EmpiricalMeasure(np.array([[x0]])), g, "nearest")
-    out = convolve(dep, kern.density)
-    expected = np.asarray(kern.density((g.axis_coords - x0 + g.period / 2) % g.period - g.period / 2))
-    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-8)
-
-
 def test_convolve_warns_on_aliasing_mass():
+    # the mollified density convolves with a kernel whose mass wraps around
     g = grid1(64, period=2.0)
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 1, 0.5)
-    f = GridField(g, np.ones(g.shape))
     with pytest.warns(KernelAliasingWarning):
-        convolve(f, kern.density, mass_outside=kern.mass_outside(g.period / 2))
+        mollified_density(np.array([[0.3]]), kern, g)
 
 
 def test_deposit_single_particle_nearest():

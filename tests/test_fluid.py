@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfeuler.errors import NonFiniteState, NonPositiveDensity
-from mfeuler.fields import GridField, PeriodicGrid, spectral_derivative
+from mfeuler.fields import GridField, PeriodicGrid, sobolev_norm, sobolev_weight, spectral_derivative
 from mfeuler.fluid import (
     EulerConfig,
     FluidState,
@@ -84,20 +84,93 @@ def _per_component_drift_rhs(rho, vels, grid, config):
     return np.fft.ifftn(drho_hat).real, [np.fft.ifftn(h).real for h in dvel_hats]
 
 
+def _random_state(grid, seed):
+    # random positive density and nonzero velocities, with content up to the
+    # Nyquist modes, so every advection term d_a v_q (a != q included in 2-d)
+    # and every Nyquist rule enters the tendency
+    rng = np.random.default_rng(seed)
+    dim = grid.dim
+    return np.concatenate([0.5 + rng.random((1,) + grid.shape), 0.3 * rng.standard_normal((dim,) + grid.shape)])
+
+
 @pytest.mark.parametrize("dim, m", [(1, 512), (2, 64)], ids=["1d", "2d"])
-def test_drift_rhs_bitwise_matches_per_component_reference(dim, m):
-    # random positive density and nonzero velocities, so every advection term
-    # d_a v_q (a != q included in 2-d) enters the tendency
+def test_drift_rhs_matches_per_component_reference(dim, m):
+    # the spectral right-hand side runs on real transforms, the reference on
+    # full complex ones, so they agree to rounding, not bit for bit
     grid = PeriodicGrid(dim, m, TWO_PI)
-    rng = np.random.default_rng(10 + dim)
-    u = np.concatenate([0.5 + rng.random((1,) + grid.shape), 0.3 * rng.standard_normal((dim,) + grid.shape)])
+    u = _random_state(grid, 10 + dim)
     cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=1e-3)
     du = drift_rhs(FluidState(grid, u), cfg)
     drho, dvels = _per_component_drift_rhs(u[0], list(u[1:]), grid, cfg)
+    ref = np.stack([drho] + dvels)
     assert du.shape == u.shape
-    np.testing.assert_array_equal(du[0], drho)
-    for q in range(dim):
-        np.testing.assert_array_equal(du[1 + q], dvels[q])
+    assert np.max(np.abs(du - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)], ids=["1d", "2d"])
+def test_step_drift_matches_physical_space_rk4(dim, m):
+    # 50 spectral RK4 steps against RK4 on the lattice values with the
+    # per-component reference as right-hand side; in 2-d a derivative left
+    # nonzero on a Nyquist row of the half spectrum moves the tendency by 18 %
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    u = _random_state(grid, 20 + dim)
+    cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=1e-3)
+
+    def rhs(w):
+        drho, dvels = _per_component_drift_rhs(w[0], list(w[1:]), grid, cfg)
+        return np.stack([drho] + dvels)
+
+    state, ref = FluidState(grid, u), u
+    for _ in range(50):
+        state = step_drift(state, cfg.dt, cfg)
+        k1 = rhs(ref)
+        k2 = rhs(ref + 0.5 * cfg.dt * k1)
+        k3 = rhs(ref + 0.5 * cfg.dt * k2)
+        k4 = rhs(ref + cfg.dt * k3)
+        ref = ref + cfg.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert state.time == pytest.approx(50 * cfg.dt)
+    assert np.max(np.abs(state.u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 512), (2, 64)], ids=["1d", "2d"])
+def test_fluid_step_makes_eleven_transforms(dim, m, monkeypatch):
+    # one rfftn into the half spectrum, two transforms per right-hand side in
+    # each of the four stages, one irfftn back, one rfftn for the guard
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    state = FluidState(grid, _random_state(grid, 30 + dim))
+    cfg = EulerConfig(dt=1e-4, guard_s=dim / 2.0 + 3.0, guard_m=1e300)
+    out = step(state, np.full(dim, 1e-2), SigmaField("sinusoidal", 0.2, 0.5, TWO_PI), cfg)
+    assert out.step_index == 1 and not out.stopped
+    assert calls == ["rfftn"] + ["irfftn", "rfftn"] * 4 + ["irfftn", "rfftn"]
+
+
+def _full_spectrum_sobolev_norm(values, grid, s):
+    """The Sobolev norm from the full complex spectrum: the reference for the half-spectrum weight."""
+    coeffs = np.fft.fftn(values) / grid.points_per_dim**grid.dim
+    return math.sqrt(grid.period**grid.dim * np.sum((1.0 + grid.freq_norm_sq) ** s * np.abs(coeffs) ** 2))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_state_norm_matches_per_row_full_spectrum_norms(dim, m):
+    # white noise carries weight on every column of the half spectrum,
+    # the unpaired column 0 and Nyquist column included
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    state = FluidState(grid, _random_state(grid, 40 + dim))
+    rows = [_full_spectrum_sobolev_norm(row, grid, 3.5) for row in state.u]
+    for row, ref in zip(state.u, rows):
+        assert sobolev_norm(GridField(grid, row), 3.5) == pytest.approx(ref, rel=1e-13)
+    assert state_norm(state, 3.5) == pytest.approx(math.sqrt(sum(r * r for r in rows)), rel=1e-13)
+    weight = sobolev_weight(grid, 3.5)
+    assert sobolev_weight(grid, 3.5) is weight and not weight.flags.writeable
 
 
 def test_drift_rhs_rejects_nonpositive_density():
