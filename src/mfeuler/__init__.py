@@ -38,7 +38,6 @@ from .fields import (
     EmpiricalMeasure,
     GridField,
     PeriodicGrid,
-    SpectralField,
     deposit,
     interpolate,
     neg_sobolev_distance,

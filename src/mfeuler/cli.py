@@ -180,7 +180,7 @@ def _self_test_checks(cfg):
         grid = fields.PeriodicGrid(1, 128, 2 * math.pi)
         rng = np.random.default_rng(0)
         f = fields.GridField(grid, rng.standard_normal(grid.shape))
-        g = fields.to_physical(fields.to_spectral(f))
+        g = fields.to_physical(grid, fields.to_spectral(f))
         assert np.max(np.abs(g.values - f.values)) < 1e-12, "round trip"
         s = fields.GridField(grid, np.sin(grid.axis_coords))
         ds = fields.spectral_derivative(s, 0)

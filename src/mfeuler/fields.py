@@ -111,22 +111,16 @@ class GridField:
         return float(np.sum(self.values) * self.grid.cell_volume)
 
 
-@dataclass
-class SpectralField:
-    """Fourier coefficients of a GridField in FFT ordering."""
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray
-
-
-def to_spectral(field: GridField) -> SpectralField:
+def to_spectral(field: GridField) -> np.ndarray:
+    """Fourier coefficients of the field in FFT order."""
     m_total = field.grid.points_per_dim**field.grid.dim
-    return SpectralField(field.grid, np.fft.fftn(field.values) / m_total)
+    return np.fft.fftn(field.values) / m_total
 
 
-def to_physical(spec: SpectralField) -> GridField:
-    m_total = spec.grid.points_per_dim**spec.grid.dim
-    return GridField(spec.grid, np.fft.ifftn(spec.coeffs * m_total).real)
+def to_physical(grid: PeriodicGrid, coeffs: np.ndarray) -> GridField:
+    """The real field on ``grid`` with Fourier coefficients ``coeffs`` (FFT order)."""
+    m_total = grid.points_per_dim**grid.dim
+    return GridField(grid, np.fft.ifftn(coeffs * m_total).real)
 
 
 def spectral_derivative(field: GridField, axis: int = 0) -> GridField:
@@ -135,12 +129,10 @@ def spectral_derivative(field: GridField, axis: int = 0) -> GridField:
     The unmatched Nyquist mode is zeroed to keep the result real-symmetric.
     """
     grid = field.grid
-    spec = to_spectral(field)
-    lam = grid.freq_mesh[axis]
-    coeffs = spec.coeffs * (1j * lam)
+    coeffs = to_spectral(field) * (1j * grid.freq_mesh[axis])
     nyquist = grid.axis_modes == -(grid.points_per_dim // 2)
     coeffs[(slice(None),) * axis + (nyquist,)] = 0.0
-    return to_physical(SpectralField(grid, coeffs))
+    return to_physical(grid, coeffs)
 
 
 def sample_kernel(grid: PeriodicGrid, kernel) -> np.ndarray:
@@ -355,7 +347,7 @@ def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
     grid = field.grid
     left, right = _phase_tables(grid, grid.points_per_dim // 2, pts, 1j)
     coeffs = np.zeros(left.shape[0] * right.shape[0], dtype=complex)
-    shifted = np.fft.fftshift(to_spectral(field).coeffs).ravel()  # FFT order -> mode-set order
+    shifted = np.fft.fftshift(to_spectral(field)).ravel()  # FFT order -> mode-set order
     coeffs[: shifted.size] = shifted
     return np.sum(left * (coeffs.reshape(left.shape[0], -1) @ right), axis=0).real
 
@@ -383,7 +375,7 @@ def field_mode_coefficients(field: GridField, cutoff: int):
     """Field Fourier coefficients restricted to |k|_inf <= cutoff, in mode-set order."""
     grid = field.grid
     modes, _ = mode_set(grid, cutoff)
-    return to_spectral(field).coeffs[tuple(np.mod(modes, grid.points_per_dim).T)]
+    return to_spectral(field)[tuple(np.mod(modes, grid.points_per_dim).T)]
 
 
 def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, check_alpha=True):
@@ -448,14 +440,9 @@ def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, ou
     coeff = grid.period**grid.dim * (mass_bound / grid.period**grid.dim) ** 2
 
     def lattice_sum(k_lo, k_hi):
-        k = np.arange(-k_hi, k_hi + 1)
-        if grid.dim == 1:
-            sel = np.abs(k) > k_lo
-            lam2 = (lam_unit * k[sel]) ** 2
-        else:
-            kx, ky = np.meshgrid(k, k, indexing="ij")
-            sel = np.maximum(np.abs(kx), np.abs(ky)) > k_lo
-            lam2 = lam_unit**2 * (kx[sel] ** 2 + ky[sel] ** 2)
+        k = _lattice(np.arange(-k_hi, k_hi + 1), grid.dim)
+        k = k[np.max(np.abs(k), axis=1) > k_lo]
+        lam2 = np.sum((lam_unit * k) ** 2, axis=1)
         return float(np.sum((1.0 + lam2) ** (-alpha)))
 
     if outer is not None:

@@ -11,6 +11,10 @@ count N grows.  Two families are shipped: ``gaussian`` (closed forms for
 values, gradients, self-convolution and Fourier transforms) and ``bump``
 (compactly supported; exercises the quadrature fallbacks).
 
+Every quadrature fallback (bump self-convolution and gradient, Fourier
+transforms, tail mass, mollification error) is a sum on one product trapezoid
+lattice, ``_quad_lattice``, taken a block of points at a time, in any dimension.
+
 All evaluation helpers accept a single point of shape ``(dim,)`` (returning a
 float) or a batch ``(n, dim)`` (returning ``(n,)``); in one dimension plain
 scalars and flat arrays are also fine.
@@ -25,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivisionDegenerate, QuadratureNotConverged
+from .fields import _lattice
 
 FAMILIES = ("gaussian", "bump")
 
@@ -36,6 +41,10 @@ QUAD_POINTS_2D = 2**9
 # Kernel values below TRUNCATION_EPS (relative to the peak) are treated as
 # zero when choosing quadrature/truncation domains.
 TRUNCATION_EPS = 1e-14
+
+# Entries of one block of (point, quadrature node) pairs: 16 points on the
+# default 1-d lattice, so that a block's temporaries (512 KiB each) stay in cache.
+QUAD_BLOCK = 16 * (QUAD_POINTS + 1)
 
 
 def _as_points(x, dim):
@@ -61,13 +70,34 @@ def _squeeze(values, single):
     return float(values[0]) if single else values
 
 
-def _trapezoid_nodes(radius, n):
-    """Uniform nodes on [-radius, radius] plus the trapezoid weight array."""
-    nodes = np.linspace(-radius, radius, n + 1)
-    weights = np.full(n + 1, nodes[1] - nodes[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return nodes, weights
+def _quad_lattice(radius, n, dim):
+    """Product trapezoid lattice on [-radius, radius]**dim: nodes (Q, dim) and weights (Q,), Q = (n + 1)**dim."""
+    axis = np.linspace(-radius, radius, n + 1)
+    weights = np.full(n + 1, axis[1] - axis[0])
+    weights[[0, -1]] *= 0.5
+    return _lattice(axis, dim), np.prod(_lattice(weights, dim), axis=1)
+
+
+def _blocked(points, fn, entries):
+    """``fn`` over blocks of rows of ``points`` of about QUAD_BLOCK / ``entries`` rows, joined on the last axis."""
+    rows = max(1, QUAD_BLOCK // entries)
+    # no points still make one (empty) block, which keeps the component axis
+    return np.concatenate([fn(points[start : start + rows]) for start in range(0, max(len(points), 1), rows)], axis=-1)
+
+
+def _convolve(points, g, density, radius, n, dim):
+    """sum_j g(p - y_j) density(y_j) w_j on the (radius, n, dim) lattice, for every row p of ``points``.
+
+    ``g`` maps displacements (m, dim) to values (..., m), component axis first.
+    """
+    nodes, weights = _quad_lattice(radius, n, dim)
+    dens = np.asarray(density(nodes))
+
+    def weighted_sum(block):
+        vals = np.asarray(g((block[:, None, :] - nodes).reshape(-1, dim)))
+        return (vals.reshape(vals.shape[:-1] + (len(block), len(nodes))) * dens) @ weights
+
+    return _blocked(points, weighted_sum, len(nodes))
 
 
 @dataclass(frozen=True)
@@ -108,17 +138,17 @@ class MollifierSpec:
     def _bump_norm(self):
         """Normalization constant of the bump profile exp(-1/(1-|x/w|^2))."""
         w = self.width
+
+        def profile(r):
+            s = np.clip((r / w) ** 2, 0.0, 1.0)
+            return np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
+
         if self.dim == 1:
-            nodes, wts = _trapezoid_nodes(w, self.quad_points)
-            s = np.clip((nodes / w) ** 2, 0.0, 1.0)
-            prof = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-            return 1.0 / float(prof @ wts)
+            nodes, wts = _quad_lattice(w, self.quad_points, 1)
+            return 1.0 / float(profile(nodes[:, 0]) @ wts)
         # radial reduction: integral over the disc = 2*pi * int_0^w g(r^2/w^2) r dr
         nodes = np.linspace(0.0, w, self.quad_points + 1)
-        s = np.clip((nodes / w) ** 2, 0.0, 1.0)
-        prof = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
-        integral = 2.0 * math.pi * np.trapezoid(prof * nodes, nodes)
-        return 1.0 / float(integral)
+        return 1.0 / float(2.0 * math.pi * np.trapezoid(profile(nodes) * nodes, nodes))
 
     def truncation_radius(self):
         """Radius beyond which the base density is below TRUNCATION_EPS * peak."""
@@ -187,11 +217,7 @@ class MollifierSpec:
             vals = np.atleast_1d(np.asarray(self.self_convolution(pts)))
             grad = -pts / (2.0 * self.width**2) * vals[:, None]
             return grad[0] if single else grad
-        cols = [
-            self._convolve_quadrature(pts, lambda y, q=q: np.asarray(self.gradient(y))[:, q])
-            for q in range(self.dim)
-        ]
-        grad = np.stack(cols, axis=-1)
+        grad = self._convolve_quadrature(pts, lambda y: self.gradient(y).T).T
         return grad[0] if single else grad
 
     def _quad_resolution(self):
@@ -199,37 +225,17 @@ class MollifierSpec:
         return self.quad_points if self.dim == 1 else min(self.quad_points, QUAD_POINTS_2D)
 
     def _convolve_quadrature(self, pts, other):
-        """Trapezoid evaluation of (density * other)(pts) with a refinement check."""
+        """Trapezoid evaluation of (density * other)(pts) with a refinement check on every component."""
         n = self._quad_resolution()
-        full = self._convolve_at(pts, other, n)
-        half = self._convolve_at(pts, other, n // 2)
+        full, half = (
+            _convolve(pts, other, self.density, self.truncation_radius(), m, self.dim) for m in (n, n // 2)
+        )
         residual = np.max(np.abs(full - half))
         if residual > 1e-8:
             raise QuadratureNotConverged(
                 f"self-convolution quadrature residual {residual:.3e} > 1e-8 at {n} points"
             )
         return full
-
-    def _convolve_at(self, pts, other, n):
-        w = self.truncation_radius()
-        if self.dim == 1:
-            nodes, wts = _trapezoid_nodes(w, n)
-            dens = np.asarray(self.density(nodes))
-            out = np.empty(pts.shape[0])
-            for start in range(0, pts.shape[0], 256):
-                block = pts[start : start + 256, 0]
-                shift = block[:, None] - nodes[None, :]
-                out[start : start + 256] = (np.asarray(other(shift.ravel())).reshape(shift.shape) * dens[None, :]) @ wts
-            return out
-        nodes, wts = _trapezoid_nodes(w, n)
-        yy, zz = np.meshgrid(nodes, nodes, indexing="ij")
-        quad_pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-        dens = np.asarray(self.density(quad_pts))
-        wts2 = np.outer(wts, wts).ravel()
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
-            out[i] = np.sum(np.asarray(other(p[None, :] - quad_pts)) * dens * wts2)
-        return out
 
     # -- Fourier transform -------------------------------------------------
 
@@ -249,21 +255,23 @@ class MollifierSpec:
         return _squeeze(vals.real, single)
 
     def _fourier_quadrature(self, lams, func):
-        n = self._quad_resolution()
-        w = self.truncation_radius()
-        if self.dim == 1:
-            nodes, wts = _trapezoid_nodes(w, n)
-            fvals = np.asarray(func(nodes)) * wts
-            phase = np.exp(-1j * lams[:, 0, None] * nodes[None, :])
-            return phase @ fvals
-        nodes, wts = _trapezoid_nodes(w, n)
-        yy, zz = np.meshgrid(nodes, nodes, indexing="ij")
-        quad_pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-        fvals = np.asarray(func(quad_pts)) * np.outer(wts, wts).ravel()
-        out = np.empty(lams.shape[0], dtype=complex)
-        for i, lam in enumerate(lams):
-            out[i] = np.sum(fvals * np.exp(-1j * quad_pts @ lam))
-        return out
+        """sum_j func(y_j) w_j exp(-i lam.y_j) on the quadrature lattice, for every row lam of ``lams``.
+
+        The lattice is a product, so the phase factors by axis: the sum contracts the last axis first.
+        """
+        n, dim = self._quad_resolution(), self.dim
+        nodes, weights = _quad_lattice(self.truncation_radius(), n, dim)
+        axis = nodes[: n + 1, -1]
+        table = (np.asarray(func(nodes)) * weights).reshape(-1, n + 1).T
+
+        def transform(block):
+            out = np.exp(-1j * block[:, -1:] * axis) @ table
+            for a in range(dim - 2, -1, -1):
+                phase = np.exp(-1j * block[:, a : a + 1] * axis)
+                out = np.einsum("bkj,bj->bk", out.reshape(len(block), (n + 1) ** a, n + 1), phase)
+            return out[:, 0]
+
+        return _blocked(lams, transform, n + 1)
 
     def mass_outside(self, radius):
         """Upper bound for base-density mass outside the centered box of half-width ``radius``."""
@@ -274,15 +282,9 @@ class MollifierSpec:
         return min(1.0, self.dim * tail)
 
     def _mass_outside_quadrature(self, radius):
-        nodes, wts = _trapezoid_nodes(self.truncation_radius(), self.quad_points)
-        if self.dim == 1:
-            dens = np.asarray(self.density(nodes))
-            return float(np.sum(dens * wts * (np.abs(nodes) > radius)))
-        yy, zz = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-        dens = np.asarray(self.density(pts)) * np.outer(wts, wts).ravel()
-        outside = np.max(np.abs(pts), axis=1) > radius
-        return float(np.sum(dens[outside]))
+        nodes, weights = _quad_lattice(self.truncation_radius(), self._quad_resolution(), self.dim)
+        outside = np.max(np.abs(nodes), axis=1) > radius
+        return float(np.sum(np.asarray(self.density(nodes)) * weights * outside))
 
 
 @dataclass(frozen=True)
@@ -611,19 +613,12 @@ def mollification_error_ratio(kernel: ScaledKernel, f, grad_sup, probes):
         raise ValueError("grad_sup must be positive")
     spec = kernel.spec
     probes_arr, _ = _as_points(probes, spec.dim)
+
+    def f_batch(y):
+        # points in the layout of the probes: flat in one dimension
+        return np.asarray(f(y[:, 0] if spec.dim == 1 else y))
+
     radius = kernel.density_support_radius()
-    n = spec._quad_resolution()
-    if spec.dim == 1:
-        nodes, wts = _trapezoid_nodes(radius, n)
-        dens = np.asarray(kernel.density(nodes)) * wts
-        shift = probes_arr[:, 0:1] - nodes[None, :]
-        conv = np.asarray(f(shift.ravel())).reshape(shift.shape) @ dens
-        err = np.abs(np.asarray(f(probes_arr[:, 0])) - conv)
-    else:
-        nodes, wts = _trapezoid_nodes(radius, n)
-        yy, zz = np.meshgrid(nodes, nodes, indexing="ij")
-        quad_pts = np.stack([yy.ravel(), zz.ravel()], axis=-1)
-        dens = np.asarray(kernel.density(quad_pts)) * np.outer(wts, wts).ravel()
-        conv = np.array([np.sum(np.asarray(f(p[None, :] - quad_pts)) * dens) for p in probes_arr])
-        err = np.abs(np.asarray(f(probes_arr)) - conv)
+    conv = _convolve(probes_arr, f_batch, kernel.density, radius, spec._quad_resolution(), spec.dim)
+    err = np.abs(f_batch(probes_arr) - conv)
     return float(np.max(err) / (kernel.smoothing_length * grad_sup))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mfeuler.errors import DivisionDegenerate, QuadratureNotConverged
 from mfeuler.kernels import (
+    QUAD_POINTS,
     MollifierSpec,
     ScaledKernel,
     TaylorWeightFamily,
@@ -46,10 +48,62 @@ def test_self_convolution_gaussian():
     assert spec.self_convolution(0.4) == spec.self_convolution(-0.4)
 
 
-def test_quadrature_fallback_matches_gaussian_closed_form():
-    spec = MollifierSpec("gaussian", 1.0, 1)
-    quad = spec._convolve_quadrature(np.array([[0.7]]), spec.density)[0]
-    assert quad == pytest.approx(spec.self_convolution(0.7), abs=1e-7)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_fallback_matches_gaussian_closed_form(dim):
+    # the 2-d lattice at a reduced resolution keeps this fast
+    spec = MollifierSpec("gaussian", 1.0, dim, quad_points=QUAD_POINTS if dim == 1 else 128)
+    pts = np.array([[0.7], [-1.3]]) if dim == 1 else np.array([[0.7, -0.3], [-1.1, 0.4]])
+    quad = spec._convolve_quadrature(pts, spec.density)
+    np.testing.assert_allclose(quad, spec.self_convolution(pts), rtol=0, atol=1e-12)
+    # one vector-valued pass, component axis first
+    grad = spec._convolve_quadrature(pts, lambda y: spec.gradient(y).T)
+    assert grad.shape == (dim, len(pts))
+    np.testing.assert_allclose(grad.T, spec.self_convolution_gradient(pts), rtol=0, atol=1e-12)
+    lams = np.array([[0.0], [0.9], [2.5]]) if dim == 1 else np.array([[0.0, 0.0], [0.9, -0.4], [1.5, 2.0]])
+    np.testing.assert_allclose(spec._fourier_quadrature(lams, spec.density), spec.fourier(lams), rtol=0, atol=1e-12)
+    # a shifted density has a phase that tells the axes apart
+    shift = np.array([0.3, -0.2])[:dim]
+    shifted = spec._fourier_quadrature(lams, lambda y: spec.density(y - shift))
+    np.testing.assert_allclose(shifted, np.exp(-1j * lams @ shift) * spec.fourier(lams), rtol=0, atol=1e-12)
+    # the gaussian checks cannot see the end weights (the density there is 1e-14 of its peak); the
+    # trapezoid lattice integrates a constant over its box exactly
+    box = spec._fourier_quadrature(np.zeros((1, dim)), lambda y: np.ones(len(y)))[0]
+    assert box.real == pytest.approx((2.0 * spec.truncation_radius()) ** dim, rel=1e-12)
+    with pytest.raises(QuadratureNotConverged):
+        MollifierSpec("bump", 1.0, dim, quad_points=32).self_convolution_gradient(0.5 * pts)
+
+
+def test_convolve_quadrature_makes_one_integrand_call_per_resolution_2d():
+    # 6 points at quad_points = 64 fit one block of QUAD_BLOCK entries at either resolution;
+    # a loop over points and components would make 6 * 2 * 2 = 24 calls
+    spec = MollifierSpec("gaussian", 1.0, 2, quad_points=64)
+    calls = []
+
+    def grad(y):
+        calls.append(len(y))
+        return spec.gradient(y).T
+
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+    spec._convolve_quadrature(pts, grad)
+    assert calls == [6 * 65**2, 6 * 33**2]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mass_outside_quadrature_matches_gaussian_tail(dim):
+    spec = MollifierSpec("gaussian", 1.0, dim)
+    big = spec.truncation_radius()
+    h = 2.0 * big / spec._quad_resolution()
+    # a radius halfway between lattice nodes makes the cut a midpoint rule
+    radius = big - (math.floor((big - 5.0) / h) + 0.5) * h
+    tracemalloc.start()
+    try:
+        mass = spec._mass_outside_quadrature(radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2-d lattice is capped at QUAD_POINTS_2D per axis: 4097**2 nodes would take 134 MB per array
+    assert peak < 100e6
+    assert mass == pytest.approx(1.0 - math.erf(radius / math.sqrt(2.0)) ** dim, abs=1e-8)
 
 
 def test_quadrature_not_converged_raises():
@@ -222,3 +276,33 @@ def test_mollification_sweep_bounded_by_first_value():
         kern = ScaledKernel(spec, 2**j, 0.5)
         ratios.append(mollification_error_ratio(kern, np.sin, 1.0, probes))
     assert all(r <= 2.0 * ratios[0] for r in ratios)
+
+
+def _mollification_ratio_reference(kernel, f, grad_sup, probes):
+    """The one-dimensional formula before the shared quadrature lattice."""
+    radius = kernel.density_support_radius()
+    n = kernel.spec.quad_points
+    nodes = np.linspace(-radius, radius, n + 1)
+    wts = np.full(n + 1, nodes[1] - nodes[0])
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    dens = np.asarray(kernel.density(nodes)) * wts
+    shift = probes[:, None] - nodes[None, :]
+    conv = np.asarray(f(shift.ravel())).reshape(shift.shape) @ dens
+    err = np.abs(np.asarray(f(probes)) - conv)
+    return float(np.max(err) / (kernel.smoothing_length * grad_sup))
+
+
+@pytest.mark.parametrize(
+    ("f", "noise"), [(np.sin, 0.0), (lambda x: x, 1e-13)], ids=["sin", "identity"]
+)
+def test_mollification_ratio_matches_one_dimensional_reference(f, noise):
+    # f receives flat points in 1-d, like the probes criterion 6 passes to np.sin.  For the identity
+    # the exact error is zero, so both ratios are rounding noise: compare them to max|f| / smoothing length.
+    probes = np.linspace(0.0, 2.0 * math.pi, 65)
+    for n in (2**4, 2**9, 2**14):
+        kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), n, 0.5)
+        ref = _mollification_ratio_reference(kern, f, 1.0, probes)
+        scale = np.max(np.abs(f(probes))) / kern.smoothing_length
+        got = mollification_error_ratio(kern, f, 1.0, probes)
+        assert got == pytest.approx(ref, rel=1e-13, abs=noise * scale), n
