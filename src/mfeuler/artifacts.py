@@ -37,22 +37,32 @@ def write_field(path, field: GridField):
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def read_field(path) -> GridField:
+def _read_binary(path, magic: str, kind: str, count):
+    """Header fields and float64 payload of a binary artifact; ``count(meta)`` is the payload's length in floats.
+
+    Raises ValueError naming ``path`` unless the header starts with ``magic``
+    and the payload holds exactly that many finite values.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     head, _, payload = data.partition(b"\n\n")
     lines = head.decode("ascii").splitlines()
-    if lines[0] != FIELD_MAGIC:
-        raise ValueError(f"{path}: not a field file")
+    if lines[:1] != [magic]:
+        raise ValueError(f"{path}: not a {kind} file")
     meta = dict(line.split(" = ") for line in lines[1:])
-    grid = PeriodicGrid(int(meta["dim"]), int(meta["points_per_dim"]), float(meta["period"]))
-    size = 8 * grid.points_per_dim**grid.dim
+    size = 8 * count(meta)
     if len(payload) != size:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {size}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
+    values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
-        raise ValueError(f"{path}: field values must be finite")
-    return GridField(grid, values.copy())
+        raise ValueError(f"{path}: {kind} values must be finite")
+    return meta, values.copy()
+
+
+def read_field(path) -> GridField:
+    meta, values = _read_binary(path, FIELD_MAGIC, "field", lambda m: int(m["points_per_dim"]) ** int(m["dim"]))
+    grid = PeriodicGrid(int(meta["dim"]), int(meta["points_per_dim"]), float(meta["period"]))
+    return GridField(grid, values.reshape(grid.shape))
 
 
 def write_field_csv(path, field: GridField):
@@ -79,17 +89,8 @@ def write_particles(path, state: ParticleState):
 
 
 def read_particles(path) -> ParticleState:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head, _, payload = data.partition(b"\n\n")
-    lines = head.decode("ascii").splitlines()
-    if lines[0] != TRAJ_MAGIC:
-        raise ValueError(f"{path}: not a particle snapshot")
-    meta = dict(line.split(" = ") for line in lines[1:])
-    n, dim = int(meta["n"]), int(meta["dim"])
-    flat = np.frombuffer(payload, dtype="<f8")
-    pos = flat[: n * dim].reshape(n, dim).copy()
-    vel = flat[n * dim :].reshape(n, dim).copy()
+    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", lambda m: 2 * int(m["n"]) * int(m["dim"]))
+    pos, vel = values.reshape(2, int(meta["n"]), int(meta["dim"]))
     return ParticleState(pos, vel, float(meta["time"]))
 
 

@@ -147,18 +147,7 @@ class RunConfig:
             return cls.from_text(fh.read())
 
 
-_SECTION_ORDER = (
-    "run",
-    "grid",
-    "kernel",
-    "sigma",
-    "init",
-    "particles",
-    "integrator",
-    "euler",
-    "study",
-    "output",
-)
+_SECTION_ORDER = tuple(f.name for f in dc_fields(RunConfig))
 
 
 def _format_value(value):

@@ -136,9 +136,10 @@ def spectral_derivative(field: GridField, axis: int = 0) -> GridField:
 
 
 def sample_kernel(grid: PeriodicGrid, kernel) -> np.ndarray:
-    """Sample a callable kernel at minimum-image lattice displacements."""
+    """Sample a callable kernel at minimum-image lattice displacements: shape grid.shape, or
+    (components,) + grid.shape for a kernel whose values have shape (n_points, components)."""
     vals = np.asarray(kernel(grid.wrapped_points()), dtype=float)
-    return vals.reshape(grid.shape)
+    return vals.reshape(grid.shape) if vals.ndim == 1 else vals.T.reshape((-1,) + grid.shape)
 
 
 def warn_if_aliased(mass_outside: float):
@@ -213,23 +214,23 @@ class EmpiricalMeasure:
 def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
     """Assignment stencil of points given in node units (position / spacing).
 
-    Shared by ``deposit``, ``interpolate`` and the particle-mesh force.
-    Returns ``(flat, factors)``.  ``flat`` holds the flat node index of every
-    (corner, point) pair: shape (1, n_points) for ``nearest``, and for
-    ``linear`` shape (2,) * dim + (n_points,) with the last axis's corner
-    offset first, so that in C order axis 0 varies fastest.  ``factors`` holds
-    the barycentric weight factors of the axes in axis order (none for
-    ``nearest``), each broadcastable to ``flat.shape``; a corner's weight is
-    their product, multiplied in that order.  Node indices wrap with an
-    integer mask, so a shifted coordinate needs no float wrap.
+    The one stencil behind every particle-lattice transfer: ``deposit``,
+    ``interpolate``, the fluid velocity read-back and the particle-mesh force.
+    Returns ``(flat, weights)`` of one shape: (1, n_points) for ``nearest``,
+    and for ``linear`` (2,) * dim + (n_points,) with the last axis's corner
+    offset first, so that in C order axis 0 varies fastest.  ``flat`` holds
+    the flat node index of every (corner, point) pair and ``weights`` its
+    barycentric weight, the product of the axes' factors in axis order (ones
+    for ``nearest``).  Node indices wrap with an integer mask, so a shifted
+    coordinate needs no float wrap.
     """
     m = grid.points_per_dim
     wrap = m - 1  # index & wrap == index mod m, as m is a power of two
     flat = 0
-    factors = []
     for a, u in enumerate(nodes.T):  # one axis at a time
         if scheme == "nearest":
             node = np.rint(u).astype(int)[None] & wrap
+            weights = np.ones(node.shape)
         else:
             base = np.floor(u)
             node = np.empty((2, u.size), dtype=int)  # filled in place: temporaries of 128 KB+ cost page faults
@@ -239,15 +240,24 @@ def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
             frac = u - base
             corner_shape = (2,) + (1,) * a + (u.size,)
             node = node.reshape(corner_shape)
-            factors.append(np.array([1.0 - frac, frac]).reshape(corner_shape))
+            factor = np.array([1.0 - frac, frac]).reshape(corner_shape)
+            weights = factor if a == 0 else weights * factor
         flat = node if a == 0 else flat * m + node
-    return flat, factors
+    return flat, weights
 
 
-def _weighted(values, factors):
-    for f in factors:
-        values = values * f
-    return values
+def gather(values: np.ndarray, stencil) -> np.ndarray:
+    """Read lattice fields at the stencil's points, shape (n_points, components): the deposit's adjoint.
+
+    ``values`` has shape (components,) + grid.shape.  Each point's value is
+    its corners' weighted node values added in corner order.
+    """
+    flat, weights = stencil
+    n = flat.shape[-1]
+    terms = np.empty((len(values),) + flat.shape)
+    np.take(values.reshape(len(values), -1), flat, axis=1, out=terms, mode="clip")  # in range; "clip" skips a copy
+    terms *= weights
+    return terms.reshape(len(values), -1, n).sum(axis=1).T
 
 
 def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear") -> GridField:
@@ -259,23 +269,29 @@ def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
-    flat, factors = _stencil(measure.points / grid.spacing, grid, scheme)
-    weights = _weighted(measure.scalar_weights(), factors)
+    flat, weights = _stencil(measure.points / grid.spacing, grid, scheme)
+    weights = weights * measure.scalar_weights()
     # corner-major order: each node sums its corner-0 contributions first, in particle order
     out = np.bincount(flat.ravel(), weights.ravel(), minlength=grid.points_per_dim**grid.dim)
     return GridField(grid, out.reshape(grid.shape) / grid.cell_volume)
 
 
-def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """Read a lattice field back at arbitrary points (inverse of deposit)."""
+def interpolate_stack(grid: PeriodicGrid, values: np.ndarray, points, scheme: str = "linear") -> np.ndarray:
+    """Read lattice fields ``values``, shape (components,) + grid.shape, at arbitrary points: shape (n, components).
+
+    One stencil, or one pair of phase tables for ``spectral``, serves every component.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if scheme == "spectral":
-        return _trig_interpolate(field, pts)
+        return _trig_interpolate(grid, values, pts)
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
-    flat, factors = _stencil(pts / field.grid.spacing, field.grid, scheme)
-    terms = _weighted(field.values.ravel()[flat], factors)
-    return terms.reshape(-1, pts.shape[0]).sum(axis=0)  # corners added in order
+    return gather(values, _stencil(pts / grid.spacing, grid, scheme))
+
+
+def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
+    """Read a lattice field back at arbitrary points (inverse of deposit)."""
+    return interpolate_stack(field.grid, field.values[None], points, scheme)[:, 0]
 
 
 @cache
@@ -337,19 +353,19 @@ def _phase_tables(grid: PeriodicGrid, cutoff: int, points: np.ndarray, sign: com
     return rows(points[:, 0], *outer), rows(points[:, -1], *inner)
 
 
-def _trig_interpolate(field: GridField, pts: np.ndarray) -> np.ndarray:
-    """Type-2 mode sum: the trigonometric interpolant of the field at ``pts``.
+def _trig_interpolate(grid: PeriodicGrid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Type-2 mode sum: the trigonometric interpolants of the fields ``values`` at ``pts``, shape (n, components).
 
-    The lattice modes are the mode set at the Nyquist cutoff, so with the
-    coefficients in mode-set order as a (rows of ``left``, rows of ``right``)
-    matrix C, the value at x_n is sum_a left[a, n] * (C @ right)[a, n].
+    The lattice modes are the mode set at the Nyquist cutoff, so with a
+    field's coefficients in mode-set order as a (rows of ``left``, rows of
+    ``right``) matrix C, its value at x_n is sum_a left[a, n] * (C @ right)[a, n].
     """
-    grid = field.grid
     left, right = _phase_tables(grid, grid.points_per_dim // 2, pts, 1j)
-    coeffs = np.zeros(left.shape[0] * right.shape[0], dtype=complex)
-    shifted = np.fft.fftshift(to_spectral(field)).ravel()  # FFT order -> mode-set order
-    coeffs[: shifted.size] = shifted
-    return np.sum(left * (coeffs.reshape(left.shape[0], -1) @ right), axis=0).real
+    axes = tuple(range(-grid.dim, 0))
+    shifted = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes) / grid.points_per_dim**grid.dim
+    coeffs = np.zeros((len(values), left.shape[0] * right.shape[0]), dtype=complex)
+    coeffs[:, : shifted[0].size] = shifted.reshape(len(values), -1)  # FFT order -> mode-set order
+    return np.sum(left * (coeffs.reshape(len(values), left.shape[0], -1) @ right), axis=1).real.T
 
 
 def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cutoff: int):

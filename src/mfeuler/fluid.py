@@ -32,7 +32,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import NonFiniteState, NonPositiveDensity
-from .fields import GridField, PeriodicGrid, interpolate, sobolev_weight
+from .fields import GridField, PeriodicGrid, interpolate_stack, sobolev_weight
 from .noise import SigmaField
 
 
@@ -242,10 +242,8 @@ def step(state: FluidState, dB: np.ndarray, sigma: SigmaField, config: EulerConf
 
 
 def sample_velocity(state: FluidState, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """Read the bulk velocity at off-lattice points, shape (n, dim)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cols = [interpolate(v, pts, scheme) for v in state.velocity]
-    return np.stack(cols, axis=-1)
+    """Read the bulk velocity at off-lattice points, shape (n, dim), through one stencil for all components."""
+    return interpolate_stack(state.grid, state.u[1:], points, scheme)
 
 
 def make_fluid_state(grid: PeriodicGrid, density_profile, velocity_profile) -> FluidState:

@@ -388,10 +388,6 @@ class TaylorWeightFamily:
     def __post_init__(self):
         object.__setattr__(self, "order", (self.spec.dim + 2) // 2)
 
-    def orders(self):
-        """Multi-index total orders covered: 0..order, remainder at order+1."""
-        return list(range(self.order + 2))
-
     def weight(self, alpha, q, x):
         alpha = tuple(alpha)
         if len(alpha) != self.spec.dim:

@@ -25,7 +25,8 @@ from functools import cache
 import numpy as np
 
 from .errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
-from .fields import PeriodicGrid, _stencil, _weighted, assignment_window, sample_kernel
+from . import fields
+from .fields import PeriodicGrid, _stencil, assignment_window, sample_kernel
 from .kernels import ScaledKernel
 from .noise import SigmaField, stream
 
@@ -109,7 +110,7 @@ def force_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) -> np.
     gather), 1/4 the two interlacing halves; a density's 1/cell_volume and a convolution's cell_volume cancel.
     """
     window = assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1]
-    sampled = [sample_kernel(grid, lambda x: np.asarray(kernel.potential_gradient(x))[:, q]) for q in range(grid.dim)]
+    sampled = sample_kernel(grid, kernel.potential_gradient)
     direct = -0.25 * np.fft.rfftn(sampled, axes=tuple(range(-grid.dim, 0))) / window**2
     return _read_only(np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1))
 
@@ -133,8 +134,7 @@ def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str) -> tuple:
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
     u = np.asarray(positions) / grid.spacing
-    pairs = (_stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme))
-    return tuple((flat, _weighted(f[0], f[1:]) if f else np.ones(flat.shape)) for flat, f in pairs)
+    return _stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme)
 
 
 def deposit_spectrum(stencils, grid: PeriodicGrid) -> np.ndarray:
@@ -150,21 +150,13 @@ def deposit_spectrum(stencils, grid: PeriodicGrid) -> np.ndarray:
     return halves[0] + _half_cell_phase(grid) * halves[1]
 
 
-def gather(fields, stencils) -> np.ndarray:
-    """The deposit's adjoint: sums of the weighted stencil corners of field pairs, shape (N, components).
+def gather(values, stencils) -> np.ndarray:
+    """The interlaced deposit's adjoint, shape (N, components): the sum of one ``fields.gather`` per lattice.
 
-    ``fields`` has shape (components, 2) + grid.shape: per component, one
+    ``values`` has shape (components, 2) + grid.shape: per component, one
     field on the lattice and one on the shifted lattice.
     """
-    n = stencils[0][0].shape[-1]
-    terms = np.empty(stencils[0][0].shape)
-    out = np.zeros((n, len(fields)))
-    for q, pair in enumerate(fields):
-        for field, (flat, weights) in zip(pair, stencils):
-            np.take(field.ravel(), flat, out=terms, mode="clip")  # indices are in range; "clip" skips a copy
-            terms *= weights
-            out[:, q] += terms.reshape(-1, n).sum(axis=0)
-    return out
+    return fields.gather(values[:, 0], stencils[0]) + fields.gather(values[:, 1], stencils[1])
 
 
 def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: PeriodicGrid, deposit_scheme: str = "linear"):

@@ -263,6 +263,26 @@ def test_particles_binary_round_trip(tmp_path):
     assert back.time == st.time
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda p: p[:-8], "payload holds 152 bytes, expected 160"),  # truncated by one value
+        (lambda p: p + p[:8], "payload holds 168 bytes, expected 160"),  # one value too many
+        (lambda p: p[:-3], "payload holds 157 bytes, expected 160"),  # ragged: not whole float64 values
+        (lambda p: np.float64(np.nan).tobytes() + p[8:], "particle values must be finite"),  # first position
+        (lambda p: p[:-8] + np.float64(-np.inf).tobytes(), "particle values must be finite"),  # last velocity
+    ],
+    ids=["truncated", "oversized", "ragged", "nan_position", "inf_velocity"],
+)
+def test_read_particles_rejects_bad_payloads_naming_the_file(tmp_path, edit, message):
+    path = tmp_path / "p.bin"
+    artifacts.write_particles(path, ParticleState(np.ones((5, 2)), np.zeros((5, 2)), 0.5))
+    head, sep, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes(head + sep + edit(payload))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+        artifacts.read_particles(path)
+
+
 def test_field_csv_export(tmp_path):
     grid = PeriodicGrid(1, 8, 2.0)
     f = GridField(grid, np.arange(8.0))

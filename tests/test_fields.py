@@ -155,7 +155,7 @@ def test_interpolate_lattice_and_constant():
 
 
 def _reference_deposit(pts, w, g, scheme):
-    # per-corner np.add.at accumulation, corner by corner
+    # per-corner np.add.at accumulation, corner by corner; a corner's weight is formed before it meets w
     m = g.points_per_dim
     u = pts / g.spacing
     out = np.zeros(g.shape)
@@ -171,10 +171,10 @@ def _reference_deposit(pts, w, g, scheme):
         base = np.floor(u).astype(int)
         fx, fy = (u - base).T
         i0, i1 = np.mod(base, m), np.mod(base + 1, m)
-        np.add.at(out, (i0[:, 0], i0[:, 1]), w * (1 - fx) * (1 - fy))
-        np.add.at(out, (i1[:, 0], i0[:, 1]), w * fx * (1 - fy))
-        np.add.at(out, (i0[:, 0], i1[:, 1]), w * (1 - fx) * fy)
-        np.add.at(out, (i1[:, 0], i1[:, 1]), w * fx * fy)
+        np.add.at(out, (i0[:, 0], i0[:, 1]), (1 - fx) * (1 - fy) * w)
+        np.add.at(out, (i1[:, 0], i0[:, 1]), fx * (1 - fy) * w)
+        np.add.at(out, (i0[:, 0], i1[:, 1]), (1 - fx) * fy * w)
+        np.add.at(out, (i1[:, 0], i1[:, 1]), fx * fy * w)
     return out / g.cell_volume
 
 
@@ -190,10 +190,10 @@ def _reference_interpolate(vals, pts, g, scheme):
         return vals[i0[:, 0]] * (1.0 - frac[:, 0]) + vals[i1[:, 0]] * frac[:, 0]
     fx, fy = frac.T
     return (
-        vals[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
-        + vals[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
-        + vals[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
-        + vals[i1[:, 0], i1[:, 1]] * fx * fy
+        vals[i0[:, 0], i0[:, 1]] * ((1 - fx) * (1 - fy))
+        + vals[i1[:, 0], i0[:, 1]] * (fx * (1 - fy))
+        + vals[i0[:, 0], i1[:, 1]] * ((1 - fx) * fy)
+        + vals[i1[:, 0], i1[:, 1]] * (fx * fy)
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mfeuler.fields as fields_mod
 from mfeuler.errors import NonFiniteState, NonPositiveDensity
 from mfeuler.fields import GridField, PeriodicGrid, sobolev_norm, sobolev_weight, spectral_derivative
 from mfeuler.fluid import (
@@ -345,6 +346,29 @@ def test_sample_velocity_schemes():
     # spectral interpolation is exact for a band-limited field
     spec = sample_velocity(state, mids, "spectral")[:, 0]
     np.testing.assert_allclose(spec, np.sin(mids[:, 0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["nearest", "linear", "spectral"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_velocity_reads_every_component_through_one_stencil(monkeypatch, dim, scheme):
+    # equal bit for bit to one interpolate per component, from one stencil
+    # (or one pair of phase tables) for all components
+    grid = PeriodicGrid(dim, 32, TWO_PI)
+    rng = np.random.default_rng(30 + dim)
+    u = np.concatenate([np.ones((1,) + grid.shape), rng.standard_normal((dim,) + grid.shape)])
+    state = FluidState(grid, u)
+    pts = rng.random((300, dim)) * grid.period
+    pts[:2] = np.array([grid.spacing * 3, np.nextafter(grid.period, 0.0)])[:, None]  # a node, just below the period
+    expected = np.stack([fields_mod.interpolate(GridField(grid, v), pts, scheme) for v in u[1:]], axis=-1)
+
+    built = []
+    for name in ("_stencil", "_phase_tables"):
+        original = getattr(fields_mod, name)
+        monkeypatch.setattr(fields_mod, name, lambda *a, _f=original, _n=name: built.append(_n) or _f(*a))
+    got = sample_velocity(state, pts, scheme)
+    assert got.shape == (300, dim)
+    assert got.tobytes() == expected.tobytes()
+    assert built == ["_phase_tables" if scheme == "spectral" else "_stencil"]
 
 
 def test_guard_order_validation():

@@ -147,6 +147,23 @@ def test_particle_mesh_bump_matches_direct_with_operators_built_once(monkeypatch
     assert not any(op.flags.writeable for op in operators)
 
 
+@pytest.mark.parametrize("scheme", ["linear", "nearest"])
+def test_force_transfer_samples_the_2d_force_kernel_once(monkeypatch, scheme):
+    grid, kern, _ = _pm_case(2)
+    calls = []
+    gradient = ScaledKernel.potential_gradient
+    monkeypatch.setattr(ScaledKernel, "potential_gradient", lambda self, x: calls.append(len(x)) or gradient(self, x))
+    transfer = force_transfer.__wrapped__(kern, grid, scheme)  # uncached
+    assert calls == [grid.points_per_dim**2]
+    monkeypatch.undo()
+    # reference: one sampled kernel per component, as composed before
+    window = assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1]
+    sampled = [sample_kernel(grid, lambda x: np.asarray(kern.potential_gradient(x))[:, q]) for q in range(2)]
+    direct = -0.25 * np.fft.rfftn(sampled, axes=(-2, -1)) / window**2
+    reference = np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1)
+    assert transfer.tobytes() == reference.tobytes()
+
+
 def _parent_force(pos, kernel, grid, scheme):
     """The particle-mesh force as composed before the fused step: two deposits,
     an FFT pair per component and interpolation at float-wrapped half-cell shifts."""

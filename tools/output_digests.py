@@ -1,0 +1,49 @@
+"""Print one sha256 per benchmark workload over the output files its check compares.
+
+    python3 tools/output_digests.py --seed N
+
+Run from the root of a checkout; the program is imported from ``src`` and the
+workloads from ``mfbench``.  Each workload's program runs once, in this
+process, with the configuration and master seeds ``mfbench/run.py`` would use
+for workload seed N, in a temporary directory that is removed afterwards.  The
+program's own output goes to stderr, so stdout holds one line per workload.  The
+digest covers the files ``mfbench.check.output_files`` names, hashed as
+``mfbench.check.outputs_digest`` hashes them: equal lines from two checkouts
+mean those files are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "mfbench")]
+
+from check import output_files, outputs_digest  # noqa: E402
+from worker import run_workload  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True, help="workload seed, as for mfbench/run.py")
+    args = parser.parse_args(argv)
+    for name, workload in WORKLOADS.items():
+        seeds = workload.master_seeds(args.seed)
+        cfg = workload.config(args.seed)
+        with tempfile.TemporaryDirectory() as out:
+            config_path = os.path.join(out, "config.ini")
+            with open(config_path, "w", encoding="ascii") as fh:
+                fh.write(cfg.to_text())
+            with contextlib.redirect_stdout(sys.stderr):  # the program's progress lines
+                run_workload(workload, cfg, config_path, [str(s) for s in seeds], out)
+            print(f"{name} {outputs_digest(out, output_files(workload, seeds))}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
