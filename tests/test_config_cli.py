@@ -102,6 +102,31 @@ def test_cli_run_coupled_minimal(tmp_path, capsys):
     RunConfig.from_text(echoed)
 
 
+def test_cli_run_coupled_2d_bump(tmp_path, capsys):
+    # the bump's force kernel is a quadrature; only the lattice points within its support are summed
+    cfg_path = _tiny_run_config(
+        tmp_path,
+        **{
+            "grid.dim": 2,
+            "grid.points_per_dim": 32,
+            "kernel.family": "bump",
+            "kernel.width": 1.0,
+            "particles.n": 256,
+            "particles.init_scheme": "iid",
+            "study.alpha": 2.5,
+            "study.t_final": 0.005,
+        },
+    )
+    assert main(["run-coupled", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    q = np.loadtxt(out / "q_series.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert q.shape == (6, 5) and np.all(np.isfinite(q))
+    mass = np.loadtxt(out / "mass_trace.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
+    assert len(mass) == 6
+    assert np.max(np.abs(mass - mass[0])) <= 1e-11 * mass[0]
+    assert artifacts.read_field(out / "vel1_final.field").grid.dim == 2
+
+
 def test_cli_guard_stopped_run_exits_zero(tmp_path, capsys):
     # a run the guard stops still completes with exit 0 and a stopping record
     cfg_path = _tiny_run_config(

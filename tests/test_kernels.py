@@ -4,8 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mfeuler import kernels
+from mfeuler.config import RunConfig
+from mfeuler.coupling import make_kernel
 from mfeuler.errors import DivisionDegenerate, QuadratureNotConverged
+from mfeuler.fields import PeriodicGrid, sample_kernel
 from mfeuler.kernels import (
+    FAMILIES,
+    QUAD_BLOCK,
     QUAD_POINTS,
     MollifierSpec,
     ScaledKernel,
@@ -110,6 +116,123 @@ def test_quadrature_not_converged_raises():
     spec = MollifierSpec("bump", 1.0, 1, quad_points=32)
     with pytest.raises(QuadratureNotConverged):
         spec.self_convolution(np.linspace(-0.5, 0.5, 5))
+
+
+def _without_skip(monkeypatch):
+    """Make every convolution quadrature take its full sum at every point (an infinite reach)."""
+    convolve = kernels._convolve
+    monkeypatch.setattr(kernels, "_convolve", lambda *args, reach=math.inf: convolve(*args))
+
+
+def assert_same_bits(actual, expected):
+    """Equal shapes and equal float64 bit patterns, so -0.0 differs from +0.0."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_empty_point_batches_give_empty_results(family, dim):
+    spec = MollifierSpec(family, 1.0, dim)
+    empty = np.empty((0, dim))
+    assert spec.self_convolution(empty).shape == (0,)
+    assert spec.self_convolution_gradient(empty).shape == (0, dim)
+
+
+def test_skipped_blocks_match_the_unskipped_sum_at_the_support_edge(monkeypatch):
+    # full-resolution blocks hold 16 rows and half-resolution blocks 31; the convolution vanishes beyond 2 w
+    spec = MollifierSpec("bump", 1.0, 1)
+    edge = 2.0 * spec.width
+    pts = np.full(64, 5.0)
+    pts[[15, 16]] = edge * (1.0 + 1e-6), -edge * (1.0 - 1e-6)  # far | near across the first full boundary
+    pts[[30, 31]] = -edge * (1.0 - 1e-6), edge * (1.0 + 1e-6)  # near | far across the first half boundary
+    pts[47] = 0.5
+    pts = pts[:, None]
+    skipped = [spec.self_convolution(pts), spec.self_convolution_gradient(pts)]
+    far = np.abs(pts[:, 0]) > edge
+    for vals in skipped:
+        assert_same_bits(vals[far], np.zeros_like(vals[far]))
+    _without_skip(monkeypatch)
+    assert_same_bits(skipped[0], spec.self_convolution(pts))
+    assert_same_bits(skipped[1], spec.self_convolution_gradient(pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_far_batch_is_positive_zero_after_one_empty_call_per_resolution(dim):
+    spec = MollifierSpec("bump", 1.0, dim)
+    calls = []
+
+    def grad(y):
+        calls.append(len(y))
+        return spec.gradient(y).T
+
+    rng = np.random.default_rng(8)
+    dirs = rng.normal(size=(40, dim))
+    pts = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(2.001, 10.0, (40, 1))
+    grad_vals = spec._convolve_quadrature(pts, grad)
+    assert calls == [0, 0]
+    assert_same_bits(grad_vals, np.zeros((dim, 40)))
+    assert_same_bits(spec.self_convolution(pts), np.zeros(40))
+
+
+def test_quadrature_not_converged_raises_for_one_near_point_among_far_ones():
+    spec = MollifierSpec("bump", 1.0, 1, quad_points=32)
+    pts = np.full(40, 5.0)
+    pts[37] = 0.5
+    with pytest.raises(QuadratureNotConverged):
+        spec.self_convolution(pts)
+
+
+def test_coupled_bump_force_kernel_integrand_sees_only_blocks_near_the_support(monkeypatch):
+    # the coupled-bump kernel: M = 512, N = 1024, width 2; 21 of the 512 lattice points lie within 2 w
+    cfg = RunConfig()
+    cfg.kernel.family = "bump"
+    kern = make_kernel(cfg, cfg.particles.n)
+    grid = PeriodicGrid(cfg.grid.dim, cfg.grid.points_per_dim, cfg.grid.period)
+    n = kern.spec._quad_resolution()
+    rows = {n + 1: [], n // 2 + 1: []}  # integrand rows seen, by lattice size
+    gradient = MollifierSpec.gradient
+
+    def counting(spec, y):
+        nodes = next(q for q in rows if len(y) % q == 0)
+        rows[nodes].append(len(y) // nodes)
+        return gradient(spec, y)
+
+    monkeypatch.setattr(MollifierSpec, "gradient", counting)
+    sample_kernel(grid, kern.potential_gradient)
+    for seen in rows.values():
+        assert 1 <= len(seen) <= 2 and sum(seen) < 64
+
+
+@pytest.mark.parametrize("n", [256, 1024, 8192])
+def test_bump_kernel_samples_match_the_unskipped_quadrature_bit_for_bit_1d(n, monkeypatch):
+    grid = PeriodicGrid(1, 512, 2.0 * math.pi)
+    kern = ScaledKernel(MollifierSpec("bump", 2.0, 1), n, 0.5)
+    skipped = [sample_kernel(grid, kern.potential_gradient), sample_kernel(grid, kern.potential)]
+    _without_skip(monkeypatch)
+    assert_same_bits(skipped[0], sample_kernel(grid, kern.potential_gradient))
+    assert_same_bits(skipped[1], sample_kernel(grid, kern.potential))
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_bump_kernel_samples_match_the_unskipped_quadrature_bit_for_bit_2d(m, monkeypatch):
+    # at either 2-d resolution a block holds one row, so a row's sum does not depend on its batch and the
+    # unskipped reference is taken on the rows within 3 w only (on the whole M = 32 lattice it takes 20 s)
+    spec = MollifierSpec("bump", 1.0, 2)
+    assert QUAD_BLOCK // (spec._quad_resolution() // 2 + 1) ** 2 == 0
+    kern = ScaledKernel(spec, 256, 0.5)
+    grid = PeriodicGrid(2, m, 2.0 * math.pi)
+    skipped = [sample_kernel(grid, kern.potential_gradient), sample_kernel(grid, kern.potential)]
+    pts = grid.wrapped_points()
+    ring = np.linalg.norm(pts, axis=1) * kern.compression < 3.0 * spec.width
+    assert np.any(ring & (np.linalg.norm(pts, axis=1) * kern.compression > 2.0 * spec.width))
+    for vals in skipped:
+        flat = vals.reshape(-1, len(pts))
+        assert_same_bits(flat[:, ~ring], np.zeros_like(flat[:, ~ring]))
+    _without_skip(monkeypatch)
+    assert_same_bits(skipped[0].reshape(2, -1)[:, ring], kern.potential_gradient(pts[ring]).T)
+    assert_same_bits(skipped[1].reshape(-1)[ring], kern.potential(pts[ring]))
 
 
 def test_scaled_normalization_quadrature():

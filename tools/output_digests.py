@@ -7,7 +7,9 @@ workloads from ``mfbench``.  Each workload's program runs once, in this
 process, with the configuration and master seeds ``mfbench/run.py`` would use
 for workload seed N, in a temporary directory that is removed afterwards.  The
 program's own output goes to stderr, so stdout holds one line per workload.  The
-digest covers the files ``mfbench.check.output_files`` names, hashed as
+digest covers the files ``mfbench.check.output_files`` names and, for a coupled
+workload, each seed's final snapshots (``rho_final.field``, ``vel{q}_final.field``,
+``rho_final.csv`` in 1-d and ``particles_final.bin``), hashed as
 ``mfbench.check.outputs_digest`` hashes them: equal lines from two checkouts
 mean those files are byte-identical.
 """
@@ -28,6 +30,17 @@ from worker import run_workload  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def digest_files(workload, cfg, seeds) -> list[str]:
+    """The checked output files plus, for a coupled workload, every seed's final snapshots."""
+    files = output_files(workload, seeds)
+    if workload.kind == "coupled":
+        snapshots = ["rho_final.field", *(f"vel{q}_final.field" for q in range(cfg.grid.dim)), "particles_final.bin"]
+        if cfg.grid.dim == 1:
+            snapshots.append("rho_final.csv")
+        files += [os.path.join(f"seed{s}", name) for s in seeds for name in snapshots]
+    return files
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="workload seed, as for mfbench/run.py")
@@ -41,7 +54,7 @@ def main(argv=None) -> int:
                 fh.write(cfg.to_text())
             with contextlib.redirect_stdout(sys.stderr):  # the program's progress lines
                 run_workload(workload, cfg, config_path, [str(s) for s in seeds], out)
-            print(f"{name} {outputs_digest(out, output_files(workload, seeds))}", flush=True)
+            print(f"{name} {outputs_digest(out, digest_files(workload, cfg, seeds))}", flush=True)
     return 0
 
 
