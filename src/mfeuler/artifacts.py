@@ -37,19 +37,33 @@ def write_field(path, field: GridField):
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def _read_binary(path, magic: str, kind: str, count):
-    """Header fields and float64 payload of a binary artifact; ``count(meta)`` is the payload's length in floats.
+def _read_binary(path, magic: str, kind: str, keys: dict, count):
+    """Header fields, typed as ``keys`` maps them, and float64 payload of a binary artifact.
 
-    Raises ValueError naming ``path`` unless the header starts with ``magic``
-    and the payload holds exactly that many finite values.
+    ``count(meta)`` is the payload's length in floats.  Raises ValueError
+    naming ``path`` unless the header is ASCII, starts with ``magic``, holds a
+    ``key = value`` line for every key and ends in a blank line, and the
+    payload holds exactly that many finite values.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    head, _, payload = data.partition(b"\n\n")
+        head, blank, payload = fh.read().partition(b"\n\n")
+    if not (blank and head.isascii()):
+        raise ValueError(f"{path}: {kind} header is not ASCII text ending in a blank line")
     lines = head.decode("ascii").splitlines()
     if lines[:1] != [magic]:
         raise ValueError(f"{path}: not a {kind} file")
-    meta = dict(line.split(" = ") for line in lines[1:])
+    raw = {}
+    for line in lines[1:]:
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"{path}: {kind} header line {line!r} is not 'key = value'")
+        raw[key] = value
+    try:
+        meta = {key: cast(raw[key]) for key, cast in keys.items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}: {kind} header has no key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {kind} header value: {exc}") from None
     size = 8 * count(meta)
     if len(payload) != size:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {size}")
@@ -60,8 +74,12 @@ def _read_binary(path, magic: str, kind: str, count):
 
 
 def read_field(path) -> GridField:
-    meta, values = _read_binary(path, FIELD_MAGIC, "field", lambda m: int(m["points_per_dim"]) ** int(m["dim"]))
-    grid = PeriodicGrid(int(meta["dim"]), int(meta["points_per_dim"]), float(meta["period"]))
+    keys = {"dim": int, "points_per_dim": int, "period": float}
+    meta, values = _read_binary(path, FIELD_MAGIC, "field", keys, lambda m: m["points_per_dim"] ** m["dim"])
+    try:
+        grid = PeriodicGrid(meta["dim"], meta["points_per_dim"], meta["period"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return GridField(grid, values.reshape(grid.shape))
 
 
@@ -89,9 +107,10 @@ def write_particles(path, state: ParticleState):
 
 
 def read_particles(path) -> ParticleState:
-    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", lambda m: 2 * int(m["n"]) * int(m["dim"]))
-    pos, vel = values.reshape(2, int(meta["n"]), int(meta["dim"]))
-    return ParticleState(pos, vel, float(meta["time"]))
+    keys = {"n": int, "dim": int, "time": float}
+    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, lambda m: 2 * m["n"] * m["dim"])
+    pos, vel = values.reshape(2, meta["n"], meta["dim"])
+    return ParticleState(pos, vel, meta["time"])
 
 
 def write_q_series(path, records):

@@ -188,7 +188,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     from .kernels import FAMILIES
     from .noise import SIGMA_FAMILIES
     from .particles import FORCE_METHODS
-    from .profiles import DENSITY_FAMILIES, VELOCITY_FAMILIES
+    from .profiles import DENSITY_FAMILIES, VELOCITY_FAMILIES, DensityProfile
 
     for section_name in _SECTION_ORDER:
         section = getattr(cfg, section_name)
@@ -222,6 +222,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require(i.density_family in DENSITY_FAMILIES, f"init.density_family must be one of {DENSITY_FAMILIES}")
     _require(i.velocity_family in VELOCITY_FAMILIES, f"init.velocity_family must be one of {VELOCITY_FAMILIES}")
     _require(i.density_concentration > 0, "init.density_concentration must be positive")
+    try:  # the profile holds its family's positivity range for the amplitude
+        DensityProfile(i.density_family, i.density_amplitude)
+    except ValueError as exc:
+        raise ConfigError(f"init.density_amplitude: {exc}") from None
 
     p = cfg.particles
     _require(p.n >= 1, "particles.n must be >= 1")
@@ -249,6 +253,9 @@ def validate(cfg: RunConfig) -> RunConfig:
 
     st = cfg.study
     _require(st.t_final >= 0, "study.t_final must be nonnegative")
+    steps = st.t_final / it.dt  # 0.6 / 1e-3 is 599.9999999999999
+    whole = abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
+    _require(whole, "study.t_final must be a whole number of integrator.dt steps")
     _require(len(st.n_values) >= 1, "study.n_values must name at least one particle count")
     _require(all(n >= 1 for n in st.n_values), "study.n_values must be positive")
     _require(

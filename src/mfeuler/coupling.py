@@ -120,8 +120,8 @@ class CoupledRun:
         return self.fluid.time
 
 
-def build_runs(cfg: RunConfig, sample_index: int, n_values, n_steps=None) -> list[CoupledRun]:
-    """Assemble one fluid and noise path plus one particle system per N in ``n_values``.
+def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
+    """Assemble one fluid and noise path of t_final / dt steps plus one particle system per N in ``n_values``.
 
     The runs share the grid, sigma, noise path and guarded fluid state; only
     the kernel and the particles depend on N.
@@ -131,8 +131,7 @@ def build_runs(cfg: RunConfig, sample_index: int, n_values, n_steps=None) -> lis
     density, velocity = make_profiles(cfg)
     euler_cfg = make_euler_config(cfg)
     euler_cfg.validate_guard_order(grid.dim)
-    if n_steps is None:
-        n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
+    n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
     path = NoisePath.generate(cfg.run.master_seed, sample_index, n_steps, grid.dim, cfg.integrator.dt)
     fl = fluid_mod.stopping_guard(fluid_mod.make_fluid_state(grid, density, velocity), euler_cfg)
     return [
@@ -194,9 +193,9 @@ def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
     return [replace(run, particles=p, fluid=fl, step_index=run.step_index + 1) for run, p in zip(runs, stepped)]
 
 
-def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None, n_steps=None) -> CoupledRun:
+def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None) -> CoupledRun:
     """Assemble a one-system coupled run from a validated configuration."""
-    return build_runs(cfg, sample_index, [cfg.particles.n if n_particles is None else n_particles], n_steps)[0]
+    return build_runs(cfg, sample_index, [cfg.particles.n if n_particles is None else n_particles])[0]
 
 
 def coupled_step(run: CoupledRun) -> CoupledRun:
@@ -212,7 +211,6 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
     mollifier, which keeps the result on the direct particle sum
     (1/N) sum_j density(x - X_j) up to residual deposit aliasing.
     """
-    positions = np.atleast_2d(positions)
     warn_if_aliased(kernel.mass_outside(grid.period / 2.0))
     spectrum = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
     transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)

@@ -31,6 +31,14 @@ def _lattice(axis, dim):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def as_points(points, dim=None) -> np.ndarray:
+    """``points`` as a float (n, dim) array, a row per point in 1-d too (any width for ``dim=None``); else ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or dim not in (None, pts.shape[1]):
+        raise ValueError(f"expected points of shape (n, {'dim' if dim is None else dim}), got shape {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic lattice: ``points_per_dim`` nodes per axis on [0, period)."""
@@ -193,7 +201,7 @@ class EmpiricalMeasure:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = as_points(self.points)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape[0] != self.points.shape[0]:
@@ -224,6 +232,7 @@ def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
     for ``nearest``).  Node indices wrap with an integer mask, so a shifted
     coordinate needs no float wrap.
     """
+    nodes = as_points(nodes, grid.dim)
     m = grid.points_per_dim
     wrap = m - 1  # index & wrap == index mod m, as m is a power of two
     flat = 0
@@ -277,11 +286,11 @@ def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear
 
 
 def interpolate_stack(grid: PeriodicGrid, values: np.ndarray, points, scheme: str = "linear") -> np.ndarray:
-    """Read lattice fields ``values``, shape (components,) + grid.shape, at arbitrary points: shape (n, components).
+    """Read lattice fields ``values``, shape (components,) + grid.shape, at points (n, grid.dim): shape (n, components).
 
     One stencil, or one pair of phase tables for ``spectral``, serves every component.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     if scheme == "spectral":
         return _trig_interpolate(grid, values, pts)
     if scheme not in ("nearest", "linear"):
@@ -290,7 +299,7 @@ def interpolate_stack(grid: PeriodicGrid, values: np.ndarray, points, scheme: st
 
 
 def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """Read a lattice field back at arbitrary points (inverse of deposit)."""
+    """Read a lattice field back at points (n, grid.dim), shape (n,) (inverse of deposit)."""
     return interpolate_stack(field.grid, field.values[None], points, scheme)[:, 0]
 
 
@@ -334,6 +343,7 @@ def _phase_tables(grid: PeriodicGrid, cutoff: int, points: np.ndarray, sign: com
     Each table's rows are a geometric sequence in the mode number, built by
     repeated multiplication from two exponentials per point.
     """
+    points = as_points(points, grid.dim)
     axis = _mode_axis(grid, cutoff)
     if grid.dim == 2:
         outer = inner = (axis[0], 1, axis.size)  # (first mode, mode step, rows)

@@ -15,9 +15,9 @@ Every quadrature fallback (bump self-convolution and gradient, Fourier
 transforms, tail mass, mollification error) is a sum on one product trapezoid
 lattice, ``_quad_lattice``, taken a block of points at a time, in any dimension.
 
-All evaluation helpers accept a single point of shape ``(dim,)`` (returning a
-float) or a batch ``(n, dim)`` (returning ``(n,)``); in one dimension plain
-scalars and flat arrays are also fine.
+Every evaluation takes a batch of points of shape ``(n, dim)``, in one
+dimension too, and returns one value (shape ``(n,)``) or one row (shape
+``(n, dim)``) per point; any other shape raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivisionDegenerate, QuadratureNotConverged
-from .fields import _lattice
+from .fields import _lattice, as_points
 
 FAMILIES = ("gaussian", "bump")
 
@@ -45,29 +45,6 @@ TRUNCATION_EPS = 1e-14
 # Entries of one block of (point, quadrature node) pairs: 16 points on the
 # default 1-d lattice, so that a block's temporaries (512 KiB each) stay in cache.
 QUAD_BLOCK = 16 * (QUAD_POINTS + 1)
-
-
-def _as_points(x, dim):
-    """Coerce ``x`` to an (n, dim) array; report whether input was a single point."""
-    arr = np.asarray(x, dtype=float)
-    if dim == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1, 1), True
-        if arr.ndim == 1:
-            # ambiguous in 1-d: treat (1,) as a single point, (n,) as a batch
-            return arr.reshape(-1, 1), arr.shape == (1,)
-        return arr, False
-    if arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise ValueError(f"expected a point of dimension {dim}, got shape {arr.shape}")
-        return arr.reshape(1, dim), True
-    if arr.shape[-1] != dim:
-        raise ValueError(f"expected points with last axis {dim}, got shape {arr.shape}")
-    return arr.reshape(-1, dim), False
-
-
-def _squeeze(values, single):
-    return float(values[0]) if single else values
 
 
 def _quad_lattice(radius, n, dim):
@@ -106,10 +83,10 @@ def _convolve(points, g, density, radius, n, dim, reach=math.inf):
     as exactly zero at rows p with |p| > ``reach`` (see ``_blocked``).
     """
     nodes, weights = _quad_lattice(radius, n, dim)
-    dens = np.asarray(density(nodes))
+    dens = density(nodes)
 
     def weighted_sum(block):
-        vals = np.asarray(g((block[:, None, :] - nodes).reshape(-1, dim)))
+        vals = g((block[:, None, :] - nodes).reshape(-1, dim))
         return (vals.reshape(vals.shape[:-1] + (len(block), len(nodes))) * dens) @ weights
 
     return _blocked(points, weighted_sum, len(nodes), reach)
@@ -181,59 +158,50 @@ class MollifierSpec:
 
     def density(self, x):
         """Evaluate the base mollifier (a probability density) at ``x``."""
-        pts, single = _as_points(x, self.dim)
+        pts = as_points(x, self.dim)
         r2 = np.einsum("ij,ij->i", pts, pts)
         w = self.width
         if self.family == "gaussian":
-            vals = (2.0 * math.pi * w * w) ** (-self.dim / 2.0) * np.exp(-0.5 * r2 / (w * w))
-        else:
-            s = r2 / (w * w)
-            inside = s < 1.0
-            vals = np.zeros_like(r2)
-            vals[inside] = np.exp(-1.0 / (1.0 - s[inside]))
-            vals *= self._bump_norm / w**self.dim
-        return _squeeze(vals, single)
+            return (2.0 * math.pi * w * w) ** (-self.dim / 2.0) * np.exp(-0.5 * r2 / (w * w))
+        s = r2 / (w * w)
+        inside = s < 1.0
+        vals = np.zeros_like(r2)
+        vals[inside] = np.exp(-1.0 / (1.0 - s[inside]))
+        vals *= self._bump_norm / w**self.dim
+        return vals
 
     def gradient(self, x):
-        """Closed-form gradient of the base mollifier, shape (..., dim)."""
-        pts, single = _as_points(x, self.dim)
+        """Closed-form gradient of the base mollifier, shape (n, dim)."""
+        pts = as_points(x, self.dim)
         w = self.width
         if self.family == "gaussian":
-            dens = np.asarray(self.density(pts))
-            grad = -pts / (w * w) * dens[:, None]
-        else:
-            s = np.einsum("ij,ij->i", pts, pts) / (w * w)
-            inside = s < 1.0
-            grad = np.zeros_like(pts)
-            if np.any(inside):
-                g = np.exp(-1.0 / (1.0 - s[inside]))
-                coef = self._bump_norm / w**self.dim * g / (1.0 - s[inside]) ** 2
-                grad[inside] = -2.0 * pts[inside] / (w * w) * coef[:, None]
-        return grad[0] if single else grad
+            return -pts / (w * w) * self.density(pts)[:, None]
+        s = np.einsum("ij,ij->i", pts, pts) / (w * w)
+        inside = s < 1.0
+        grad = np.zeros_like(pts)
+        if np.any(inside):
+            g = np.exp(-1.0 / (1.0 - s[inside]))
+            coef = self._bump_norm / w**self.dim * g / (1.0 - s[inside]) ** 2
+            grad[inside] = -2.0 * pts[inside] / (w * w) * coef[:, None]
+        return grad
 
     # -- self-convolution (the interaction potential at scale 1) ----------
 
     def self_convolution(self, x):
         """(density * density)(x): closed form for gaussian, quadrature for bump."""
-        pts, single = _as_points(x, self.dim)
+        pts = as_points(x, self.dim)
         if self.family == "gaussian":
-            w = self.width
+            var = 2.0 * self.width * self.width
             r2 = np.einsum("ij,ij->i", pts, pts)
-            var = 2.0 * w * w
-            vals = (2.0 * math.pi * var) ** (-self.dim / 2.0) * np.exp(-0.5 * r2 / var)
-            return _squeeze(vals, single)
-        vals = self._convolve_quadrature(pts, self.density)
-        return _squeeze(vals, single)
+            return (2.0 * math.pi * var) ** (-self.dim / 2.0) * np.exp(-0.5 * r2 / var)
+        return self._convolve_quadrature(pts, self.density)
 
     def self_convolution_gradient(self, x):
         """Gradient of the self-convolution; (density * gradient) for the bump."""
-        pts, single = _as_points(x, self.dim)
+        pts = as_points(x, self.dim)
         if self.family == "gaussian":
-            vals = np.atleast_1d(np.asarray(self.self_convolution(pts)))
-            grad = -pts / (2.0 * self.width**2) * vals[:, None]
-            return grad[0] if single else grad
-        grad = self._convolve_quadrature(pts, lambda y: self.gradient(y).T).T
-        return grad[0] if single else grad
+            return -pts / (2.0 * self.width**2) * self.self_convolution(pts)[:, None]
+        return self._convolve_quadrature(pts, lambda y: self.gradient(y).T).T
 
     def _quad_resolution(self):
         # two-dimensional fallbacks cap the per-axis resolution to stay affordable
@@ -264,13 +232,10 @@ class MollifierSpec:
         form; the bump falls back to a trapezoid cosine transform over its
         support.
         """
-        pts, single = _as_points(lam, self.dim)
+        pts = as_points(lam, self.dim)
         if self.family == "gaussian":
-            r2 = np.einsum("ij,ij->i", pts, pts)
-            vals = np.exp(-0.5 * self.width**2 * r2)
-            return _squeeze(vals, single)
-        vals = self._fourier_quadrature(pts, self.density)
-        return _squeeze(vals.real, single)
+            return np.exp(-0.5 * self.width**2 * np.einsum("ij,ij->i", pts, pts))
+        return self._fourier_quadrature(pts, self.density).real
 
     def _fourier_quadrature(self, lams, func):
         """sum_j func(y_j) w_j exp(-i lam.y_j) on the quadrature lattice, for every row lam of ``lams``.
@@ -280,7 +245,7 @@ class MollifierSpec:
         n, dim = self._quad_resolution(), self.dim
         nodes, weights = _quad_lattice(self.truncation_radius(), n, dim)
         axis = nodes[: n + 1, -1]
-        table = (np.asarray(func(nodes)) * weights).reshape(-1, n + 1).T
+        table = (func(nodes) * weights).reshape(-1, n + 1).T
 
         def transform(block):
             out = np.exp(-1j * block[:, -1:] * axis) @ table
@@ -302,7 +267,7 @@ class MollifierSpec:
     def _mass_outside_quadrature(self, radius):
         nodes, weights = _quad_lattice(self.truncation_radius(), self._quad_resolution(), self.dim)
         outside = np.max(np.abs(nodes), axis=1) > radius
-        return float(np.sum(np.asarray(self.density(nodes)) * weights * outside))
+        return float(np.sum(self.density(nodes) * weights * outside))
 
 
 @dataclass(frozen=True)
@@ -339,23 +304,14 @@ class ScaledKernel:
         return 1.0 / self.compression
 
     def density(self, x):
-        pts, single = _as_points(x, self.spec.dim)
-        vals = self.amplitude * np.asarray(self.spec.density(pts * self.compression))
-        return _squeeze(np.atleast_1d(vals), single)
+        return self.amplitude * self.spec.density(as_points(x, self.spec.dim) * self.compression)
 
     def potential(self, x):
-        pts, single = _as_points(x, self.spec.dim)
-        vals = self.amplitude * np.asarray(self.spec.self_convolution(pts * self.compression))
-        return _squeeze(np.atleast_1d(vals), single)
+        return self.amplitude * self.spec.self_convolution(as_points(x, self.spec.dim) * self.compression)
 
     def potential_gradient(self, x):
-        pts, single = _as_points(x, self.spec.dim)
-        grad = (
-            self.amplitude
-            * self.compression
-            * np.asarray(self.spec.self_convolution_gradient(pts * self.compression))
-        )
-        return grad if not single else grad.reshape(self.spec.dim)
+        pts = as_points(x, self.spec.dim)
+        return self.amplitude * self.compression * self.spec.self_convolution_gradient(pts * self.compression)
 
     def effective_width(self):
         """Resolvable width of the potential: FWHM for gaussian, support diameter for bump."""
@@ -413,7 +369,7 @@ class TaylorWeightFamily:
         total = sum(alpha)
         if not 0 <= total <= self.order + 1:
             raise ValueError(f"multi-index order {total} outside 0..{self.order + 1}")
-        pts, single = _as_points(x, self.spec.dim)
+        pts = as_points(x, self.spec.dim)
         sign = (-1.0) ** (1 + total)
         mono = np.ones(pts.shape[0])
         fact = 1.0
@@ -421,15 +377,11 @@ class TaylorWeightFamily:
             if power:
                 mono = mono * pts[:, axis] ** power
                 fact *= math.factorial(power)
-        grad_q = np.atleast_2d(np.asarray(self.spec.gradient(pts)))[:, q]
-        vals = sign * mono / fact * grad_q
-        return _squeeze(vals, single)
+        return sign * mono / fact * self.spec.gradient(pts)[:, q]
 
     def weight_fourier(self, alpha, q, lam):
-        """Numeric Fourier transform of the weight at frequencies ``lam``."""
-        pts, single = _as_points(lam, self.spec.dim)
-        vals = self.spec._fourier_quadrature(pts, lambda y: np.asarray(self.weight(alpha, q, y)))
-        return (vals[0] if single else vals)
+        """Numeric Fourier transform of the weight at frequencies ``lam``, shape (n,), complex."""
+        return self.spec._fourier_quadrature(as_points(lam, self.spec.dim), lambda y: self.weight(alpha, q, y))
 
 
 @dataclass
@@ -538,7 +490,7 @@ def hypothesis_report(
     # decay of the base density: sup over 1 <= |x| <= R of density * (1 + |x|^(d+2))
     radii = np.linspace(1.0, space_window, n_samples)
     pts, rads = _radial_points(dim, radii)
-    dens = np.atleast_1d(np.asarray(spec.density(pts)))
+    dens = spec.density(pts)
     decay_vals = dens * (1.0 + rads ** (dim + 2))
     i = int(np.argmax(decay_vals))
     tail = HypothesisCheckResult(
@@ -551,7 +503,7 @@ def hypothesis_report(
     # window is clamped and the clamp recorded.
     lam_radii = np.linspace(freq_window / n_samples, freq_window, n_samples)
     lam_pts, lam_rads = _radial_points(dim, lam_radii, n_dirs=4)
-    base_hat = np.abs(np.atleast_1d(np.asarray(spec.fourier(lam_pts))))
+    base_hat = np.abs(spec.fourier(lam_pts))
     degenerate = base_hat < 1e-290
     if np.any(degenerate):
         where = lam_rads[degenerate][0]
@@ -570,7 +522,7 @@ def hypothesis_report(
     for total in range(1, family.order + 1):
         for alpha in multi_indices(dim, total):
             for q in range(dim):
-                uhat = np.abs(np.atleast_1d(np.asarray(family.weight_fourier(alpha, q, lam_pts))))
+                uhat = np.abs(family.weight_fourier(alpha, q, lam_pts))
                 ratio = uhat / base_hat
                 i = int(np.argmax(ratio))
                 edge = lam_rads[i] >= 0.95 * window_used
@@ -588,7 +540,7 @@ def hypothesis_report(
     env_checks = {}
     for alpha in multi_indices(dim, family.order + 1):
         for q in range(dim):
-            vals = np.abs(np.atleast_1d(np.asarray(family.weight(alpha, q, pts))))
+            vals = np.abs(family.weight(alpha, q, pts))
             env = vals * np.sqrt(1.0 + rads ** (dim + 1))
             i = int(np.argmax(env))
             env_checks[(q, alpha)] = HypothesisCheckResult(
@@ -620,13 +572,14 @@ def mollification_error_ratio(kernel: ScaledKernel, f, grad_sup, probes):
 
     The divisor is ``N**(-beta/dim) * grad_sup``; a ratio that stays bounded
     uniformly in N is the numerical evidence that the mollification error
-    scales with the smoothing length.  ``f`` must accept batched points
-    shaped like the probes.
+    scales with the smoothing length.  ``probes`` is flat in one dimension
+    and (n, 2) in two, and ``f`` must accept batched points in that layout.
     """
     if grad_sup <= 0:
         raise ValueError("grad_sup must be positive")
     spec = kernel.spec
-    probes_arr, _ = _as_points(probes, spec.dim)
+    probes_arr = np.asarray(probes, dtype=float)
+    probes_arr = as_points(probes_arr[:, None] if spec.dim == 1 else probes_arr, spec.dim)
 
     def f_batch(y):
         # points in the layout of the probes: flat in one dimension

@@ -82,7 +82,7 @@ class SigmaField:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all components at points of shape (n, dim) -> (n, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         if self.family == "constant":
             return np.full_like(pts, self.base)
         return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * pts / self.period))

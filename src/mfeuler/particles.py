@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
 from . import fields
-from .fields import PeriodicGrid, _stencil, assignment_window, sample_kernel
+from .fields import PeriodicGrid, _stencil, as_points, assignment_window, sample_kernel
 from .kernels import ScaledKernel
 from .noise import SigmaField, stream
 
@@ -40,8 +40,8 @@ class ParticleState:
     time: float = 0.0
 
     def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+        self.positions = as_points(self.positions)
+        self.velocities = as_points(self.velocities)
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must share a shape")
 
@@ -80,7 +80,7 @@ def force_direct(state: ParticleState, kernel: ScaledKernel, period: float, bloc
     for start in range(0, n, block):
         chunk = pos[start : start + block]
         disp = min_image(chunk[:, None, :] - pos[None, :, :], period)
-        grads = np.asarray(kernel.potential_gradient(disp.reshape(-1, state.dim)))
+        grads = kernel.potential_gradient(disp.reshape(-1, state.dim))
         forces[start : start + block] = -grads.reshape(disp.shape).sum(axis=1) / n
     return forces
 

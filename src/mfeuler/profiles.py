@@ -41,12 +41,12 @@ class DensityProfile:
         if self.family not in DENSITY_FAMILIES:
             raise ValueError(f"unknown density family {self.family!r}")
         if self.family == "sine" and abs(self.amplitude) >= 1.0:
-            raise ValueError("sine density amplitude must stay below 1 for positivity")
+            raise ValueError("sine density amplitude must lie in (-1, 1) for positivity")
         if self.family == "bump" and self.amplitude <= -1.0:
             raise ValueError("bump density amplitude must exceed -1 for positivity")
 
     def shape_values(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         two_pi = 2.0 * np.pi / self.period
         if self.family == "uniform":
             return np.ones(pts.shape[0])
@@ -85,7 +85,7 @@ class VelocityProfile:
             raise ValueError(f"unknown velocity family {self.family!r}")
 
     def component(self, q, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         if self.family == "zero":
             return np.zeros(pts.shape[0])
         if self.family == "constant":
@@ -93,5 +93,5 @@ class VelocityProfile:
         return self.amplitude * np.sin(2.0 * np.pi * pts[:, q] / self.period)
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         return np.stack([self.component(q, pts) for q in range(pts.shape[1])], axis=-1)

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criterion 7 executes the full default rate study and
-dominates the runtime (a few minutes).
+dominates the runtime (about 23 s on 2 cores).
 """
 
 import math

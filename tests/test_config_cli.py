@@ -43,6 +43,15 @@ def test_bad_values_name_the_key():
         RunConfig.from_text("[particles]\nn = lots\n")
     with pytest.raises(ConfigError, match="particles.init_scheme"):
         RunConfig.from_text("[grid]\ndim = 2\n[study]\nalpha = 2.5\n")
+    # the density profile must stay positive: |a| < 1 for sine, a > -1 for bump
+    for family, amplitude in (("sine", 1.5), ("sine", -1.0), ("bump", -1.0), ("bump", -2.5)):
+        with pytest.raises(ConfigError, match="init.density_amplitude"):
+            RunConfig.from_text(f"[init]\ndensity_family = {family}\ndensity_amplitude = {amplitude}\n")
+    RunConfig.from_text("[init]\ndensity_family = uniform\ndensity_amplitude = 1.5\n")  # unused by uniform
+    # the run stops at t_final only after a whole number of steps; 0.6 / 1e-3 rounds to 599.9999999999999
+    with pytest.raises(ConfigError, match="study.t_final"):
+        RunConfig.from_text("[integrator]\ndt = 0.003\n[study]\nt_final = 0.01\n")
+    assert RunConfig.from_text("[study]\nt_final = 0.6\n").study.t_final == 0.6
     for key, raw in (
         ("sigma.base", "nan"),
         ("sigma.modulation", "inf"),
@@ -159,6 +168,14 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run-coupled", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "integrator.dt" in err
+
+
+def test_cli_non_positive_density_amplitude_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[init]\ndensity_family = sine\ndensity_amplitude = 1.5\n")
+    assert main(["run-coupled", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "init.density_amplitude" in err
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -306,6 +323,42 @@ def test_read_particles_rejects_bad_payloads_naming_the_file(tmp_path, edit, mes
     path.write_bytes(head + sep + edit(payload))
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
         artifacts.read_particles(path)
+
+
+@pytest.mark.parametrize(
+    "kind,write,read",
+    [
+        ("field", lambda p: artifacts.write_field(p, GridField(PeriodicGrid(2, 4, 4.0), np.ones((4, 4)))), artifacts.read_field),
+        ("particle", lambda p: artifacts.write_particles(p, ParticleState(np.ones((5, 2)), np.zeros((5, 2)), 0.5)), artifacts.read_particles),
+    ],
+    ids=["field", "particles"],
+)
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.replace(b"\n", "\nnote = café\n".encode(), 1), "header is not ASCII text"),
+        (lambda d: re.sub(rb"\ndim = [^\n]*", b"", d, count=1), "header has no key 'dim'"),
+        (lambda d: d.replace(b"\n\n", b"\n", 1), "header is not ASCII text ending in a blank line"),
+        (lambda d: d.replace(b"dim = ", b"dim: ", 1), "header line 'dim: 2' is not 'key = value'"),
+        (lambda d: d.replace(b"dim = ", b"dim = two", 1), "header value: invalid literal for int() with base 10: 'two2'"),
+    ],
+    ids=["non_ascii", "missing_key", "no_blank_line", "no_equals", "not_a_number"],
+)
+def test_binary_readers_reject_malformed_headers_naming_the_file(tmp_path, kind, write, read, edit, message):
+    # the payloads hold no b"\n\n", so the header ends where the writer ended it
+    path = tmp_path / "artifact.bin"
+    write(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {kind} {re.escape(message)}"):
+        read(path)
+
+
+def test_read_field_rejects_a_grid_the_header_cannot_describe(tmp_path):
+    path = tmp_path / "f.field"
+    artifacts.write_field(path, GridField(PeriodicGrid(1, 4, 4.0), np.ones(4)))
+    path.write_bytes(path.read_bytes().replace(b"period = 4.0", b"period = -4.0"))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: period must be positive"):
+        artifacts.read_field(path)
 
 
 def test_field_csv_export(tmp_path):

@@ -86,7 +86,7 @@ def test_single_particle_q_oracle():
     # density term against a direct quadrature of |kernel(x - x0) - rho|^2
     fine = np.linspace(0, TWO_PI, 2**14, endpoint=False)
     wrapped = (fine - x0 + math.pi) % TWO_PI - math.pi
-    mol = np.asarray(kern.density(wrapped))
+    mol = kern.density(wrapped[:, None])
     rho_fine = (1.0 + 0.2 * np.cos(fine)) / TWO_PI
     expected = float(np.sum((mol - rho_fine) ** 2) * (fine[1] - fine[0]))
     assert rec.density_term == pytest.approx(expected, abs=1e-6)

@@ -25,7 +25,8 @@ from mfeuler.fields import (
     to_physical,
     to_spectral,
 )
-from mfeuler.kernels import MollifierSpec, ScaledKernel
+from mfeuler.kernels import MollifierSpec, ScaledKernel, TaylorWeightFamily
+from mfeuler.particles import ParticleState
 
 TWO_PI = 2.0 * math.pi
 
@@ -421,8 +422,72 @@ def test_mollified_deposit_matches_direct_sum():
     pts = rng.random((64, 1)) * g.period
     mol = mollified_density(pts, kern, g, "linear")
     wrapped = (g.axis_coords[None, :] - pts[:, 0:1] + g.period / 2) % g.period - g.period / 2
-    direct = np.asarray(kern.density(wrapped.ravel())).reshape(wrapped.shape).mean(axis=0)
+    direct = kern.density(wrapped.reshape(-1, 1)).reshape(wrapped.shape).mean(axis=0)
     # deposit interpolation error bound ~ (h / kernel scale)^2
     scale = float(np.max(direct))
     tol = (g.spacing * kern.compression) ** 2 * scale
     np.testing.assert_allclose(mol.values, direct, rtol=0, atol=tol)
+
+
+_FLAT = np.linspace(0.1, 0.3, 3)  # three 1-d points in the wrong layout
+_SPEC1 = MollifierSpec("gaussian", 1.0, 1)
+_KERN1 = ScaledKernel(_SPEC1, 16, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _SPEC1.density(_FLAT),
+        lambda: _SPEC1.density(0.1),
+        lambda: _SPEC1.gradient(_FLAT),
+        lambda: _SPEC1.self_convolution(_FLAT),
+        lambda: MollifierSpec("bump", 1.0, 1).self_convolution_gradient(_FLAT),
+        lambda: _SPEC1.fourier(_FLAT),
+        lambda: _KERN1.density(_FLAT),
+        lambda: _KERN1.potential(_FLAT),
+        lambda: _KERN1.potential_gradient(_FLAT),
+        lambda: TaylorWeightFamily(_SPEC1).weight((1,), 0, _FLAT),
+        lambda: TaylorWeightFamily(_SPEC1).weight_fourier((1,), 0, _FLAT),
+        lambda: _SPEC1.density(np.zeros((3, 2))),
+        lambda: MollifierSpec("gaussian", 1.0, 2).density(np.zeros(2)),
+        lambda: ParticleState(_FLAT, _FLAT),
+        lambda: EmpiricalMeasure(_FLAT),
+        lambda: deposit(EmpiricalMeasure(_FLAT), grid1()),
+        lambda: deposit(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI)),
+        lambda: interpolate(GridField(grid1(), np.zeros(64)), _FLAT),
+        lambda: interpolate(GridField(grid1(), np.zeros(64)), _FLAT, "spectral"),
+        lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1))),
+        lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1)), "spectral"),
+        lambda: measure_mode_coefficients(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI), 4),
+        lambda: mollified_density(_FLAT, _KERN1, grid1()),
+    ],
+    ids=[
+        "spec_density_flat",
+        "spec_density_scalar",
+        "spec_gradient_flat",
+        "spec_self_convolution_flat",
+        "bump_self_convolution_gradient_flat",
+        "spec_fourier_flat",
+        "scaled_density_flat",
+        "scaled_potential_flat",
+        "scaled_potential_gradient_flat",
+        "taylor_weight_flat",
+        "taylor_weight_fourier_flat",
+        "spec_1d_given_2d_points",
+        "spec_2d_given_one_point",
+        "particle_state_flat",
+        "measure_flat",
+        "deposit_flat",
+        "deposit_1d_points_on_2d_grid",
+        "interpolate_flat",
+        "interpolate_spectral_flat",
+        "interpolate_1d_points_on_2d_grid",
+        "interpolate_spectral_1d_points_on_2d_grid",
+        "mode_sum_1d_points_on_2d_grid",
+        "mollified_density_flat",
+    ],
+)
+def test_points_outside_the_n_by_dim_layout_raise(call):
+    # a batch of points is an (n, dim) array in every layer; any other shape is an error, not a guess
+    with pytest.raises(ValueError, match=r"expected points of shape \(n, (1|2|dim)\), got shape"):
+        call()

@@ -24,16 +24,16 @@ from mfeuler.kernels import (
 
 def test_gaussian_density_closed_form():
     spec = MollifierSpec("gaussian", 1.0, 1)
-    assert spec.density(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
-    assert spec.density(1.0) == pytest.approx(math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-12)
+    vals = spec.density(np.array([[0.0], [1.0]]))
+    np.testing.assert_allclose(vals, np.array([1.0, math.exp(-0.5)]) / math.sqrt(2 * math.pi), rtol=0, atol=1e-12)
 
 
 def test_density_symmetry_exact():
     for family in ("gaussian", "bump"):
         spec = MollifierSpec(family, 1.3, 1)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(-3, 3, 1000)
-        assert np.array_equal(np.asarray(spec.density(xs)), np.asarray(spec.density(-xs)))
+        xs = rng.uniform(-3, 3, (1000, 1))
+        assert np.array_equal(spec.density(xs), spec.density(-xs))
 
 
 def test_gradient_antisymmetry_exact():
@@ -49,9 +49,10 @@ def test_gradient_antisymmetry_exact():
 
 def test_self_convolution_gaussian():
     spec = MollifierSpec("gaussian", 1.0, 1)
-    assert spec.self_convolution(0.0) == pytest.approx(1.0 / math.sqrt(4 * math.pi), abs=1e-12)
+    assert spec.self_convolution(np.zeros((1, 1)))[0] == pytest.approx(1.0 / math.sqrt(4 * math.pi), abs=1e-12)
     # symmetric by construction
-    assert spec.self_convolution(0.4) == spec.self_convolution(-0.4)
+    vals = spec.self_convolution(np.array([[0.4], [-0.4]]))
+    assert vals[0] == vals[1]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -115,7 +116,7 @@ def test_mass_outside_quadrature_matches_gaussian_tail(dim):
 def test_quadrature_not_converged_raises():
     spec = MollifierSpec("bump", 1.0, 1, quad_points=32)
     with pytest.raises(QuadratureNotConverged):
-        spec.self_convolution(np.linspace(-0.5, 0.5, 5))
+        spec.self_convolution(np.linspace(-0.5, 0.5, 5)[:, None])
 
 
 def _without_skip(monkeypatch):
@@ -178,7 +179,7 @@ def test_far_batch_is_positive_zero_after_one_empty_call_per_resolution(dim):
 
 def test_quadrature_not_converged_raises_for_one_near_point_among_far_ones():
     spec = MollifierSpec("bump", 1.0, 1, quad_points=32)
-    pts = np.full(40, 5.0)
+    pts = np.full((40, 1), 5.0)
     pts[37] = 0.5
     with pytest.raises(QuadratureNotConverged):
         spec.self_convolution(pts)
@@ -241,7 +242,7 @@ def test_scaled_normalization_quadrature():
             kern = ScaledKernel(MollifierSpec(family, 1.0, 1), n, beta)
             r = kern.density_support_radius()
             nodes = np.linspace(-r, r, 2**12 + 1)
-            mass = np.trapezoid(np.asarray(kern.density(nodes)), nodes)
+            mass = np.trapezoid(kern.density(nodes[:, None]), nodes)
             assert mass == pytest.approx(1.0, abs=1e-8), (family, n, beta)
 
 
@@ -249,27 +250,26 @@ def test_scaling_consistency_machine_precision():
     spec = MollifierSpec("gaussian", 1.0, 1)
     kern = ScaledKernel(spec, 16, 0.5)
     rng = np.random.default_rng(3)
-    xs = rng.uniform(-1, 1, 1000)
-    lhs = np.asarray(kern.potential(xs))
-    rhs = 16**0.5 * np.asarray(spec.self_convolution(xs * 16**0.5))
+    xs = rng.uniform(-1, 1, (1000, 1))
+    lhs = kern.potential(xs)
+    rhs = 16**0.5 * spec.self_convolution(xs * 16**0.5)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-15)
     # N = 1 reduces to the base potential
     base = ScaledKernel(spec, 1, 0.5)
-    np.testing.assert_array_equal(np.asarray(base.potential(xs)), np.asarray(spec.self_convolution(xs)))
+    np.testing.assert_array_equal(base.potential(xs), spec.self_convolution(xs))
 
 
 def test_scaled_peak_value():
     # d=1, beta=0.5, N=16, gaussian width 1 at the origin
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 16, 0.5)
-    assert kern.potential(0.0) == pytest.approx(4.0 / math.sqrt(4 * math.pi), abs=1e-12)
+    assert kern.potential(np.zeros((1, 1)))[0] == pytest.approx(4.0 / math.sqrt(4 * math.pi), abs=1e-12)
 
 
 def test_fourier_transform_values():
     spec = MollifierSpec("gaussian", 1.0, 1)
-    assert spec.fourier(0.0) == pytest.approx(1.0, abs=1e-14)
-    assert spec.fourier(1.0) == pytest.approx(math.exp(-0.5), abs=1e-14)
+    np.testing.assert_allclose(spec.fourier(np.array([[0.0], [1.0]])), [1.0, math.exp(-0.5)], rtol=0, atol=1e-14)
     bump = MollifierSpec("bump", 1.0, 1)
-    assert bump.fourier(0.0) == pytest.approx(1.0, abs=1e-10)
+    assert bump.fourier(np.zeros((1, 1)))[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fourier_convolution_identity_against_grid_fft():
@@ -280,20 +280,20 @@ def test_fourier_convolution_identity_against_grid_fft():
         period, m = 8.0 * math.pi, 2048
         h = period / m
         xs = (np.arange(m) * h + 0.5 * period) % period - 0.5 * period
-        dens = np.asarray(spec.density(xs))
+        dens = spec.density(xs[:, None])
         hat = np.fft.fft(dens) * h
         lam = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
         sel = np.abs(lam) <= 4.0
-        pot_hat = np.asarray(spec.fourier(lam[sel])) ** 2
+        pot_hat = spec.fourier(lam[sel][:, None]) ** 2
         np.testing.assert_allclose(hat[sel].real ** 2, pot_hat, rtol=0, atol=1e-6)
 
 
 def test_bump_gradient_matches_finite_differences():
     spec = MollifierSpec("bump", 1.0, 1)
-    xs = np.linspace(-0.7, 0.7, 7)
+    xs = np.linspace(-0.7, 0.7, 7)[:, None]
     eps = 1e-6
-    grad = np.asarray(spec.gradient(xs))[:, 0]
-    fd = (np.asarray(spec.density(xs + eps)) - np.asarray(spec.density(xs - eps))) / (2 * eps)
+    grad = spec.gradient(xs)[:, 0]
+    fd = (spec.density(xs + eps) - spec.density(xs - eps)) / (2 * eps)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -304,9 +304,9 @@ def test_taylor_weight_order_and_zero_index():
     assert fam2.order == 2
     assert multi_indices(1, 2) == [(2,)]
     assert multi_indices(2, 1) == [(1, 0), (0, 1)]
-    xs = np.linspace(-2, 2, 9)
-    w0 = np.asarray(fam1.weight((0,), 0, xs))
-    grad = np.asarray(fam1.spec.gradient(xs))[:, 0]
+    xs = np.linspace(-2, 2, 9)[:, None]
+    w0 = fam1.weight((0,), 0, xs)
+    grad = fam1.spec.gradient(xs)[:, 0]
     np.testing.assert_array_equal(w0, -grad)
 
 
@@ -314,7 +314,7 @@ def test_taylor_weight_fourier_gaussian_closed_form():
     # for the unit gaussian, the first-order weight transform is (lam^2 - 1) * base transform
     fam = TaylorWeightFamily(MollifierSpec("gaussian", 1.0, 1))
     lam = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    got = np.asarray(fam.weight_fourier((1,), 0, lam))
+    got = fam.weight_fourier((1,), 0, lam[:, None])
     expected = (lam**2 - 1.0) * np.exp(-0.5 * lam**2)
     np.testing.assert_allclose(got.real, expected, rtol=0, atol=1e-8)
     np.testing.assert_allclose(got.imag, 0.0, rtol=0, atol=1e-8)
@@ -409,7 +409,7 @@ def _mollification_ratio_reference(kernel, f, grad_sup, probes):
     wts = np.full(n + 1, nodes[1] - nodes[0])
     wts[0] *= 0.5
     wts[-1] *= 0.5
-    dens = np.asarray(kernel.density(nodes)) * wts
+    dens = kernel.density(nodes[:, None]) * wts
     shift = probes[:, None] - nodes[None, :]
     conv = np.asarray(f(shift.ravel())).reshape(shift.shape) @ dens
     err = np.abs(np.asarray(f(probes)) - conv)
