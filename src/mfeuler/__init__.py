@@ -43,9 +43,6 @@ from .fields import (
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
     sobolev_norm,
-    spectral_derivative,
-    to_physical,
-    to_spectral,
 )
 from .fluid import EulerConfig, FluidState, StoppingRecord, make_fluid_state, sample_velocity, state_norm, stopping_guard
 from .kernels import (

@@ -9,6 +9,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import datetime
+import math
 import os
 
 import numpy as np
@@ -37,13 +38,14 @@ def write_field(path, field: GridField):
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def _read_binary(path, magic: str, kind: str, keys: dict, count):
+def _read_binary(path, magic: str, kind: str, keys: dict, layout):
     """Header fields, typed as ``keys`` maps them, and float64 payload of a binary artifact.
 
-    ``count(meta)`` is the payload's length in floats.  Raises ValueError
-    naming ``path`` unless the header is ASCII, starts with ``magic``, holds a
-    ``key = value`` line for every key and ends in a blank line, and the
-    payload holds exactly that many finite values.
+    ``layout(meta)`` is the payload's array shape, or a ValueError when the
+    header describes none.  Raises ValueError naming ``path`` unless the
+    header is ASCII, starts with ``magic``, holds a ``key = value`` line for
+    every key, ends in a blank line and describes a layout, and the payload
+    holds exactly that many finite values.
     """
     with open(path, "rb") as fh:
         head, blank, payload = fh.read().partition(b"\n\n")
@@ -64,23 +66,27 @@ def _read_binary(path, magic: str, kind: str, keys: dict, count):
         raise ValueError(f"{path}: {kind} header has no key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {kind} header value: {exc}") from None
-    size = 8 * count(meta)
+    try:
+        shape = layout(meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    size = 8 * math.prod(shape)
     if len(payload) != size:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {size}")
     values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: {kind} values must be finite")
-    return meta, values.copy()
+    return meta, values.reshape(shape).copy()
+
+
+def _field_grid(meta) -> PeriodicGrid:
+    return PeriodicGrid(meta["dim"], meta["points_per_dim"], meta["period"])
 
 
 def read_field(path) -> GridField:
     keys = {"dim": int, "points_per_dim": int, "period": float}
-    meta, values = _read_binary(path, FIELD_MAGIC, "field", keys, lambda m: m["points_per_dim"] ** m["dim"])
-    try:
-        grid = PeriodicGrid(meta["dim"], meta["points_per_dim"], meta["period"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return GridField(grid, values.reshape(grid.shape))
+    meta, values = _read_binary(path, FIELD_MAGIC, "field", keys, lambda m: _field_grid(m).shape)
+    return GridField(_field_grid(meta), values)
 
 
 def write_field_csv(path, field: GridField):
@@ -108,8 +114,8 @@ def write_particles(path, state: ParticleState):
 
 def read_particles(path) -> ParticleState:
     keys = {"n": int, "dim": int, "time": float}
-    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, lambda m: 2 * m["n"] * m["dim"])
-    pos, vel = values.reshape(2, meta["n"], meta["dim"])
+    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, lambda m: (2, m["n"], m["dim"]))
+    pos, vel = values
     return ParticleState(pos, vel, meta["time"])
 
 

@@ -1,14 +1,26 @@
 """Periodic spectral grid engine.
 
 Everything lives on a torus of side ``period`` sampled at ``points_per_dim``
-equispaced nodes per axis (a power of two).  Fourier coefficients follow
+equispaced nodes per axis (a power of two), with lattice frequencies
+lambda_k = 2 pi k / period.  Every mode sum runs on the ``rfftn`` half
+spectrum of a real field: the leading axes keep all their modes, the last
+axis its columns 0..M/2, and each interior column stands for itself and its
+conjugate partner.  One read-only weight per (grid, s), ``sobolev_weight``,
+carries the Bessel factor (1 + |lambda|^2)**s, that doubling and the
+normalisation, so that
 
-    c_k = (1 / period**dim) * sum_j f(x_j) exp(-i lambda_k . x_j) * h**dim
+    ||f||_s^2 = sum sobolev_weight(grid, s) * |rfftn(f)|^2
 
-with lattice frequencies lambda_k = 2 pi k / period, so that the s = 0
-Sobolev norm coincides with the lattice L2 norm.  The torus is a
-computational truncation of free space: initial data is expected to sit well
-inside the box, and circular convolutions are exact in that regime.
+is the lattice L2 norm at s = 0 and the fluid's guard norm at s = guard_s.
+The negative-Sobolev distance of an empirical measure to a field is the same
+sum at s = -alpha over the half box |k|_inf <= cutoff, with the measure's
+phase sums sum_n w_n exp(-i lambda_k . x_n) divided by the cell volume in
+place of rfftn(f).  At the Nyquist cutoff M/2 in 2-d the box keeps every
+mode of the leading axis, so the leading axis's Nyquist row counts as -M/2 on
+the half-spectrum columns and as +M/2 through their conjugate partners.  The
+torus is a computational truncation of free space: initial data is expected
+to sit well inside the box, and circular convolutions are exact in that
+regime.
 """
 
 from __future__ import annotations
@@ -117,30 +129,6 @@ class GridField:
 
     def integral(self):
         return float(np.sum(self.values) * self.grid.cell_volume)
-
-
-def to_spectral(field: GridField) -> np.ndarray:
-    """Fourier coefficients of the field in FFT order."""
-    m_total = field.grid.points_per_dim**field.grid.dim
-    return np.fft.fftn(field.values) / m_total
-
-
-def to_physical(grid: PeriodicGrid, coeffs: np.ndarray) -> GridField:
-    """The real field on ``grid`` with Fourier coefficients ``coeffs`` (FFT order)."""
-    m_total = grid.points_per_dim**grid.dim
-    return GridField(grid, np.fft.ifftn(coeffs * m_total).real)
-
-
-def spectral_derivative(field: GridField, axis: int = 0) -> GridField:
-    """Differentiate along ``axis`` by multiplying coefficients with i*lambda.
-
-    The unmatched Nyquist mode is zeroed to keep the result real-symmetric.
-    """
-    grid = field.grid
-    coeffs = to_spectral(field) * (1j * grid.freq_mesh[axis])
-    nyquist = grid.axis_modes == -(grid.points_per_dim // 2)
-    coeffs[(slice(None),) * axis + (nyquist,)] = 0.0
-    return to_physical(grid, coeffs)
 
 
 def sample_kernel(grid: PeriodicGrid, kernel) -> np.ndarray:
@@ -313,43 +301,41 @@ def assignment_window(grid: PeriodicGrid, scheme: str) -> np.ndarray:
     return window
 
 
-def _mode_axis(grid: PeriodicGrid, cutoff: int) -> np.ndarray:
-    """Integer modes of one axis of the mode set."""
-    if cutoff > grid.points_per_dim // 2:
-        raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
-    top = cutoff + 1 if cutoff < grid.points_per_dim // 2 else cutoff
-    return np.arange(-cutoff, top)
+def _mode_ranges(grid: PeriodicGrid, cutoff: int, half: bool = True):
+    """Integer modes of the leading axes and of the last axis in the box |k|_inf <= cutoff.
 
-
-def mode_set(grid: PeriodicGrid, cutoff: int):
-    """Integer modes with |k|_inf <= cutoff and their frequency vectors.
-
-    At the Nyquist cutoff M/2 the lattice holds a single unmatched mode, so
-    +M/2 is dropped rather than double-counting it.
+    The leading axes run -cutoff..cutoff, or -M/2..M/2 - 1 at the Nyquist
+    cutoff M/2, where the lattice holds the one mode -M/2 = +M/2.  The last
+    axis runs 0..cutoff, its columns of the ``rfftn`` half spectrum, or like
+    the leading axes with ``half=False``.
     """
-    modes = _lattice(_mode_axis(grid, cutoff), grid.dim)
-    return modes, 2.0 * np.pi * modes / grid.period
+    m = grid.points_per_dim
+    if cutoff > m // 2:
+        raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
+    lead = np.arange(-cutoff, min(cutoff + 1, m // 2))
+    return lead, (np.arange(cutoff + 1) if half else lead)
 
 
-def _phase_tables(grid: PeriodicGrid, cutoff: int, points: np.ndarray, sign: complex):
-    """Two small phase tables that factor every phase of ``mode_set(grid, cutoff)``.
+def _phase_tables(grid: PeriodicGrid, modes, points: np.ndarray, sign: complex):
+    """Two small phase tables that factor every phase of a mode box.
 
+    ``modes`` is the pair (leading axis, last axis) of ``_mode_ranges``.
     Returns ``(left, right)`` of shapes (A, n_points) and (F, n_points): the
-    phase exp(sign * lambda_k . x_n) of the j-th mode of the set is
+    phase exp(sign * lambda_k . x_n) of the j-th mode of the box in C order is
     left[j // F, n] * right[j % F, n].  In 2-d the rows are the modes of axis
-    0 and of axis 1.  In 1-d the mode k_min + j is split into digits as
-    (k_min + F a) + b with F = ceil(sqrt(K)), so A*F >= K and the entries
-    j >= K are padding.  A mode sum then never holds a modes x points table.
-    Each table's rows are a geometric sequence in the mode number, built by
-    repeated multiplication from two exponentials per point.
+    0 and of axis 1.  In 1-d the mode k_0 + j of the one axis is split into
+    digits as (k_0 + F a) + b with F = ceil(sqrt(K)), so A*F >= K and the
+    entries j >= K are padding.  A mode sum then never holds a modes x points
+    table.  Each table's rows are a geometric sequence in the mode number,
+    built by repeated multiplication from two exponentials per point.
     """
     points = as_points(points, grid.dim)
-    axis = _mode_axis(grid, cutoff)
+    lead, last = modes
     if grid.dim == 2:
-        outer = inner = (axis[0], 1, axis.size)  # (first mode, mode step, rows)
+        outer, inner = (lead[0], 1, lead.size), (last[0], 1, last.size)  # (first mode, mode step, rows)
     else:
-        digit = math.isqrt(axis.size - 1) + 1
-        outer, inner = (axis[0], digit, -(-axis.size // digit)), (0, 1, digit)
+        digit = math.isqrt(last.size - 1) + 1
+        outer, inner = (last[0], digit, -(-last.size // digit)), (0, 1, digit)
     unit = sign * 2.0 * np.pi / grid.period
 
     def rows(x, first, step, count):
@@ -366,54 +352,51 @@ def _phase_tables(grid: PeriodicGrid, cutoff: int, points: np.ndarray, sign: com
 def _trig_interpolate(grid: PeriodicGrid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Type-2 mode sum: the trigonometric interpolants of the fields ``values`` at ``pts``, shape (n, components).
 
-    The lattice modes are the mode set at the Nyquist cutoff, so with a
-    field's coefficients in mode-set order as a (rows of ``left``, rows of
-    ``right``) matrix C, its value at x_n is sum_a left[a, n] * (C @ right)[a, n].
+    The lattice modes are the full box at the Nyquist cutoff, so with a
+    field's normalised coefficients in that box's C order as a (rows of
+    ``left``, rows of ``right``) matrix C, its value at x_n is
+    sum_a left[a, n] * (C @ right)[a, n].
     """
-    left, right = _phase_tables(grid, grid.points_per_dim // 2, pts, 1j)
+    modes = _mode_ranges(grid, grid.points_per_dim // 2, half=False)
+    left, right = _phase_tables(grid, modes, pts, 1j)
     axes = tuple(range(-grid.dim, 0))
     shifted = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes) / grid.points_per_dim**grid.dim
     coeffs = np.zeros((len(values), left.shape[0] * right.shape[0]), dtype=complex)
-    coeffs[:, : shifted[0].size] = shifted.reshape(len(values), -1)  # FFT order -> mode-set order
+    coeffs[:, : shifted[0].size] = shifted.reshape(len(values), -1)  # FFT order -> box order
     return np.sum(left * (coeffs.reshape(len(values), left.shape[0], -1) @ right), axis=1).real.T
 
 
 def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cutoff: int):
-    """Characteristic-function coefficients of an empirical measure.
+    """Phase sums S_k = sum_n w_n exp(-i lambda_k . x_n) of an empirical measure on the half box |k|_inf <= cutoff.
 
-    Returns an array of shape (n_modes,) for scalar weights or (n_modes, m)
-    for vector weights, in ``mode_set`` order, normalized like field
-    coefficients (1/period**dim factor).  The sum over particles is exact:
-    each weight column is folded into the left phase table as extra rows, so
-    the whole sum is one matrix product (left * w) @ right.T.
+    The modes are those of ``_mode_ranges(grid, cutoff)`` in C order, and S
+    is on the scale of ``rfftn`` times the cell volume: for a measure with
+    lattice density f, S / h**dim approximates rfftn(f) there.  Returns shape
+    (n_modes,) for scalar weights or (n_modes, m) for vector weights.  The sum
+    over particles is exact: each weight column is folded into the left
+    phase table as extra rows, so the whole sum is one matrix product
+    (left * w) @ right.T.
     """
-    n_modes = _mode_axis(grid, cutoff).size ** grid.dim
-    left, right = _phase_tables(grid, cutoff, measure.points, -1j)
+    modes = _mode_ranges(grid, cutoff)
+    n_modes = modes[0].size ** (grid.dim - 1) * modes[1].size
+    left, right = _phase_tables(grid, modes, measure.points, -1j)
     weights = measure.scalar_weights() if measure.weights is None else measure.weights
     columns = weights.reshape(measure.n_points, -1).T
     weighted = (columns[:, None, :] * left).reshape(-1, measure.n_points)
     sums = (weighted @ right.T).reshape(len(columns), -1)[:, :n_modes]
-    coeffs = sums.T if weights.ndim == 2 else sums[0]
-    return coeffs / grid.period**grid.dim
-
-
-def field_mode_coefficients(field: GridField, cutoff: int):
-    """Field Fourier coefficients restricted to |k|_inf <= cutoff, in mode-set order."""
-    grid = field.grid
-    modes, _ = mode_set(grid, cutoff)
-    return to_spectral(field)[tuple(np.mod(modes, grid.points_per_dim).T)]
+    return sums.T if weights.ndim == 2 else sums[0]
 
 
 def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, check_alpha=True):
     """Negative-Sobolev distance between an empirical measure and grid fields.
 
-    Compares characteristic-function coefficients of the measure with field
-    coefficients over modes |k|_inf <= cutoff, weighted by
-    (1 + |lambda|^2)**(-alpha).  ``fields`` may be a single GridField, a
-    sequence of component fields matching vector weights, or ``None`` for the
-    zero field (then ``grid`` must be supplied).  ``check_alpha=False``
-    computes the bare truncated sum, which is finite for any alpha; it exists
-    for oracle comparisons only.
+    The sum of ``sobolev_weight(grid, -alpha)`` * |S / h**dim - rfftn(f)|^2
+    over the half box |k|_inf <= cutoff and the components, with S the
+    measure's ``measure_mode_coefficients``.  ``fields`` may be a single
+    GridField, a sequence of component fields matching vector weights, or
+    ``None`` for the zero field (then ``grid`` must be supplied).
+    ``check_alpha=False`` computes the bare truncated sum, which is finite for
+    any alpha; it exists for oracle comparisons only.
 
     Raises
     ------
@@ -435,22 +418,17 @@ def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, ch
         raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
     cutoff = grid.points_per_dim // 2 if freq_cutoff is None else int(freq_cutoff)
 
-    mcoeffs = measure_mode_coefficients(measure, grid, cutoff)
-    if mcoeffs.ndim == 1:
-        mcoeffs = mcoeffs[:, None]
-    n_comp = mcoeffs.shape[1]
-    if components is None:
-        fcoeffs = np.zeros_like(mcoeffs)
-    else:
-        if len(components) != n_comp:
+    lead, last = _mode_ranges(grid, cutoff)
+    box = np.ix_(*(lead,) * (grid.dim - 1), last)  # negative leading modes index from the end, as in FFT order
+    sums = measure_mode_coefficients(measure, grid, cutoff)
+    diff = sums.reshape(len(sums), -1).T / grid.cell_volume  # (components, n_modes)
+    if components is not None:
+        if len(components) != len(diff):
             raise ValueError("component count of fields and measure weights differ")
-        fcoeffs = np.stack([field_mode_coefficients(f, cutoff) for f in components], axis=-1)
-
-    _, freqs = mode_set(grid, cutoff)
-    weight = (1.0 + np.sum(freqs * freqs, axis=1)) ** (-alpha)
-    diff2 = np.sum(np.abs(mcoeffs - fcoeffs) ** 2, axis=1)
-    total = grid.period**grid.dim * np.sum(weight * diff2)
-    return float(np.sqrt(total))
+        spectra = np.fft.rfftn(np.stack([f.values for f in components]), axes=tuple(range(-grid.dim, 0)))
+        diff -= spectra[(slice(None),) + box].reshape(len(diff), -1)
+    weight = sobolev_weight(grid, -alpha)[box].ravel()
+    return float(np.sqrt(np.sum(weight * np.sum(np.abs(diff) ** 2, axis=0))))
 
 
 def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, outer=None):
@@ -466,10 +444,15 @@ def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, ou
     coeff = grid.period**grid.dim * (mass_bound / grid.period**grid.dim) ** 2
 
     def lattice_sum(k_lo, k_hi):
-        k = _lattice(np.arange(-k_hi, k_hi + 1), grid.dim)
-        k = k[np.max(np.abs(k), axis=1) > k_lo]
-        lam2 = np.sum((lam_unit * k) ** 2, axis=1)
-        return float(np.sum((1.0 + lam2) ** (-alpha)))
+        # one row of the box |k|_inf <= k_hi at a time, leading mode k0 fixed; 1-d is the single row k0 = 0
+        k = np.arange(-k_hi, k_hi + 1)
+        lam2 = (lam_unit * k) ** 2
+        beyond = lam2[np.abs(k) > k_lo]
+        total = 0.0
+        for k0, lam2_0 in (zip(k, lam2) if grid.dim == 2 else [(0, 0.0)]):
+            row = lam2 if abs(k0) > k_lo else beyond
+            total += np.sum((1.0 + (lam2_0 + row)) ** (-alpha))
+        return float(total)
 
     if outer is not None:
         return coeff * lattice_sum(cutoff, int(outer))

@@ -15,6 +15,8 @@ from functools import cache
 
 import numpy as np
 
+from .fields import as_points
+
 
 def stream(master_seed: int, *tags) -> np.random.Generator:
     """Deterministic generator for the stream identified by (master_seed, *tags)."""
@@ -82,7 +84,7 @@ class SigmaField:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all components at points of shape (n, dim) -> (n, dim)."""
-        pts = np.asarray(points, dtype=float)
+        pts = as_points(points)
         if self.family == "constant":
             return np.full_like(pts, self.base)
         return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * pts / self.period))

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import GridField, PeriodicGrid
+from .fields import GridField, PeriodicGrid, as_points
 
 DENSITY_FAMILIES = ("uniform", "bump", "sine")
 VELOCITY_FAMILIES = ("zero", "constant", "sine")
@@ -46,7 +46,7 @@ class DensityProfile:
             raise ValueError("bump density amplitude must exceed -1 for positivity")
 
     def shape_values(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = as_points(points, self.dim)
         two_pi = 2.0 * np.pi / self.period
         if self.family == "uniform":
             return np.ones(pts.shape[0])
@@ -85,7 +85,7 @@ class VelocityProfile:
             raise ValueError(f"unknown velocity family {self.family!r}")
 
     def component(self, q, points):
-        pts = np.asarray(points, dtype=float)
+        pts = as_points(points)
         if self.family == "zero":
             return np.zeros(pts.shape[0])
         if self.family == "constant":
@@ -93,5 +93,5 @@ class VelocityProfile:
         return self.amplitude * np.sin(2.0 * np.pi * pts[:, q] / self.period)
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = as_points(points)
         return np.stack([self.component(q, pts) for q in range(pts.shape[1])], axis=-1)

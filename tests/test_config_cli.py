@@ -354,11 +354,18 @@ def test_binary_readers_reject_malformed_headers_naming_the_file(tmp_path, kind,
 
 
 def test_read_field_rejects_a_grid_the_header_cannot_describe(tmp_path):
+    # the grid is built before the payload size is checked, so the error names the grid, not a byte count
     path = tmp_path / "f.field"
-    artifacts.write_field(path, GridField(PeriodicGrid(1, 4, 4.0), np.ones(4)))
-    path.write_bytes(path.read_bytes().replace(b"period = 4.0", b"period = -4.0"))
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: period must be positive"):
-        artifacts.read_field(path)
+    cases = [
+        (b"period = 4.0", b"period = -4.0", "period must be positive"),
+        (b"dim = 1", b"dim = -1", "grid dim must be 1 or 2"),
+        (b"points_per_dim = 4", b"points_per_dim = 3", "points_per_dim must be a power of two"),
+    ]
+    for line, edited, message in cases:
+        artifacts.write_field(path, GridField(PeriodicGrid(1, 4, 4.0), np.ones(4)))
+        path.write_bytes(path.read_bytes().replace(line, edited))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            artifacts.read_field(path)
 
 
 def test_field_csv_export(tmp_path):

@@ -17,16 +17,15 @@ from mfeuler.fields import (
     deposit,
     interpolate,
     measure_mode_coefficients,
-    mode_set,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
     sobolev_norm,
-    spectral_derivative,
-    to_physical,
-    to_spectral,
+    sobolev_weight,
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel, TaylorWeightFamily
+from mfeuler.noise import SigmaField
 from mfeuler.particles import ParticleState
+from mfeuler.profiles import DensityProfile, VelocityProfile
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,47 +43,30 @@ def test_grid_validation():
         PeriodicGrid(1, 64, -1.0)
 
 
+def lattice_measure_coefficients(g, f):
+    # the measure f(x_j) h on the nodes; its phase sums over the period are the
+    # normalised Fourier coefficients of f, rfftn(f) / m on the half box
+    return measure_mode_coefficients(EmpiricalMeasure(g.axis_coords[:, None], f * g.spacing), g, g.points_per_dim // 4) / g.period
+
+
 def test_constant_field_spectrum():
     g = grid1()
-    coeffs = to_spectral(GridField(g, np.ones(g.shape)))
+    coeffs = lattice_measure_coefficients(g, np.ones(g.shape))
+    assert coeffs.shape == (17,)
     assert coeffs[0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(coeffs[1:])) < 1e-14
 
 
 def test_sine_coefficients():
     g = grid1()
-    coeffs = to_spectral(GridField(g, np.sin(g.axis_coords)))
+    f = np.sin(g.axis_coords)
+    coeffs = lattice_measure_coefficients(g, f)
+    np.testing.assert_allclose(coeffs, np.fft.rfftn(f)[:17] / g.points_per_dim, rtol=0, atol=1e-14)
     assert coeffs[1] == pytest.approx(-0.5j, abs=1e-14)
-    assert coeffs[-1] == pytest.approx(0.5j, abs=1e-14)
-
-
-def test_round_trip_identity():
-    g = grid1(128)
-    rng = np.random.default_rng(0)
-    f = GridField(g, rng.standard_normal(g.shape))
-    back = to_physical(g, to_spectral(f))
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
-
-
-def test_spectral_derivative():
-    g = grid1(128)
-    const = spectral_derivative(GridField(g, np.full(g.shape, 3.0)))
-    assert np.max(np.abs(const.values)) < 1e-13
-    s = GridField(g, np.sin(g.axis_coords))
-    ds = spectral_derivative(s)
-    assert np.max(np.abs(ds.values - np.cos(g.axis_coords))) < 1e-10
-    dds = spectral_derivative(ds)
-    assert np.max(np.abs(dds.values + np.sin(g.axis_coords))) < 1e-9
-
-
-def test_spectral_derivative_2d():
-    g = PeriodicGrid(2, 32, TWO_PI)
-    xx, yy = np.meshgrid(g.axis_coords, g.axis_coords, indexing="ij")
-    f = GridField(g, np.sin(xx) * np.cos(yy))
-    dx = spectral_derivative(f, 0)
-    np.testing.assert_allclose(dx.values, np.cos(xx) * np.cos(yy), atol=1e-10)
-    dy = spectral_derivative(f, 1)
-    np.testing.assert_allclose(dy.values, -np.sin(xx) * np.sin(yy), atol=1e-10)
+    # the half box holds k >= 0 only; the k = -1 coefficient 0.5j is the conjugate of k = 1
+    assert np.conj(coeffs[1]) == pytest.approx(0.5j, abs=1e-14)
+    assert coeffs[0] == pytest.approx(0.0, abs=1e-14)
+    assert np.max(np.abs(coeffs[2:])) < 1e-14
 
 
 def test_parseval():
@@ -219,14 +201,20 @@ def test_stencil_matches_per_corner_reference_and_is_adjoint(dim, scheme):
     assert lattice_side == pytest.approx(particle_side, rel=1e-12)
 
 
+def _half_box(g, cutoff):
+    """Integer modes |k|_inf <= cutoff of the rfftn half spectrum, C order: the last axis 0..cutoff."""
+    lead = np.arange(-cutoff, min(cutoff + 1, g.points_per_dim // 2))
+    axes = (lead,) * (g.dim - 1) + (np.arange(cutoff + 1),)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
+
+
 def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((37, g.dim)) * g.period
     w = {"uniform": None, "scalar": rng.standard_normal(37), "vector": rng.standard_normal((37, 2))}[weights]
     for cutoff in cutoffs:
-        _, freqs = mode_set(g, cutoff)
-        dense = np.exp(-1j * freqs @ pts.T)
-        expected = (dense.mean(axis=1) if w is None else dense @ w) / g.period**g.dim
+        dense = np.exp(-1j * (2.0 * np.pi / g.period) * _half_box(g, cutoff) @ pts.T)
+        expected = dense.mean(axis=1) if w is None else dense @ w
         got = measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -234,13 +222,13 @@ def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed):
 
 @pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
 def test_mode_coefficients_2d_match_dense_sum(weights):
-    # 8 is the Nyquist cutoff, where the mode set is asymmetric
+    # 8 is the Nyquist cutoff, where the leading axis holds -8..7 and the last axis 0..8
     _assert_mode_coefficients_match_dense_sum(PeriodicGrid(2, 16, 5.0), (3, 8), weights, 12)
 
 
 @pytest.mark.parametrize("weights", ["uniform", "scalar", "vector"])
 def test_mode_coefficients_1d_match_dense_sum(weights):
-    # 7 and 17 modes (17 is prime, so its digit table is padded) and the asymmetric Nyquist set of 32
+    # 4, 9 and 17 modes (17 is prime, so its digit table is padded); 16 is the Nyquist cutoff
     _assert_mode_coefficients_match_dense_sum(PeriodicGrid(1, 32, 5.0), (3, 8, 16), weights, 14)
 
 
@@ -251,7 +239,8 @@ def test_spectral_interpolation_matches_dense_trigonometric_sum(dim):
     field = GridField(g, rng.standard_normal(g.shape))
     pts = rng.random((41, dim)) * g.period
     modes = np.stack(np.meshgrid(*(g.axis_modes,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ to_spectral(field).ravel()
+    coeffs = np.fft.fftn(field.values) / g.points_per_dim**dim  # normalised coefficients, FFT order
+    dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ coeffs.ravel()
     got = interpolate(field, pts, "spectral")
     assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
 
@@ -413,6 +402,56 @@ def test_cutoff_tail_bound():
     assert gap <= bound
 
 
+def _dense_tail_sum(g, alpha, k_lo, k_hi):
+    """The weighted mode count over k_lo < |k|_inf <= k_hi from the full integer table of the box."""
+    axis = np.arange(-k_hi, k_hi + 1)
+    k = np.stack(np.meshgrid(*(axis,) * g.dim, indexing="ij"), axis=-1).reshape(-1, g.dim)
+    k = k[np.max(np.abs(k), axis=1) > k_lo]
+    return np.sum((1.0 + np.sum((2.0 * np.pi / g.period * k) ** 2, axis=1)) ** (-alpha))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tail_bound_matches_dense_mode_table(dim):
+    g = PeriodicGrid(dim, 64, 5.0)
+    alpha = 2.5
+    coeff = g.period**dim * (2.0 / g.period**dim) ** 2
+    assert neg_sobolev_tail_bound(g, alpha, 8, outer=40) == pytest.approx(
+        coeff * _dense_tail_sum(g, alpha, 8, 40), rel=1e-13
+    )
+    explicit = coeff * _dense_tail_sum(g, alpha, 32, 128)  # the default explicit range max(4 cutoff, 64)
+    continuum = neg_sobolev_tail_bound(g, alpha, 32) - explicit
+    assert 0 < continuum < 0.5 * explicit
+
+
+def test_tail_bound_peak_memory_stays_small():
+    # a dense integer table of the (8 * 256 + 1)^2 modes would take about 64 MiB here
+    g = PeriodicGrid(2, 512, TWO_PI)
+    tracemalloc.start()
+    try:
+        neg_sobolev_tail_bound(g, 2.5, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_distance_is_one_half_spectrum_sobolev_sum():
+    # sum of sobolev_weight(grid, -alpha) |S/h^d - rfftn(f)|^2 over the half box, for a 2-d vector measure
+    g = PeriodicGrid(2, 16, 5.0)
+    rng = np.random.default_rng(18)
+    pts = rng.random((23, 2)) * g.period
+    w = rng.standard_normal((23, 2)) / 23
+    comps = [GridField(g, rng.standard_normal(g.shape)) for _ in range(2)]
+    for cutoff in (3, 8):
+        box = _half_box(g, cutoff)
+        phases = np.exp(-1j * (2.0 * np.pi / g.period) * box @ pts.T)
+        spectra = np.stack([np.fft.rfftn(f.values)[tuple(box.T)] for f in comps], axis=-1)
+        weight = sobolev_weight(g, -2.5)[tuple(box.T)]
+        expected = math.sqrt(np.sum(weight[:, None] * np.abs(phases @ w / g.cell_volume - spectra) ** 2))
+        got = neg_sobolev_distance(EmpiricalMeasure(pts, w), comps, 2.5, cutoff)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
 def test_mollified_deposit_matches_direct_sum():
     from mfeuler.coupling import mollified_density
 
@@ -460,6 +499,14 @@ _KERN1 = ScaledKernel(_SPEC1, 16, 0.5)
         lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1)), "spectral"),
         lambda: measure_mode_coefficients(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI), 4),
         lambda: mollified_density(_FLAT, _KERN1, grid1()),
+        lambda: DensityProfile("uniform")(np.zeros(3)),
+        lambda: DensityProfile("bump")(np.zeros(3)),
+        lambda: DensityProfile("sine")(np.zeros(3)),
+        lambda: DensityProfile("bump", dim=2)(np.zeros((3, 1))),
+        lambda: VelocityProfile("sine")(np.zeros(3)),
+        lambda: VelocityProfile("zero").component(0, np.zeros(3)),
+        lambda: SigmaField("constant", 0.3).values(np.zeros(3)),
+        lambda: SigmaField("sinusoidal", 0.3, 0.5).values(np.zeros(3)),
     ],
     ids=[
         "spec_density_flat",
@@ -485,6 +532,14 @@ _KERN1 = ScaledKernel(_SPEC1, 16, 0.5)
         "interpolate_spectral_1d_points_on_2d_grid",
         "mode_sum_1d_points_on_2d_grid",
         "mollified_density_flat",
+        "density_uniform_flat",
+        "density_bump_flat",
+        "density_sine_flat",
+        "density_2d_given_1d_points",
+        "velocity_flat",
+        "velocity_component_flat",
+        "sigma_constant_flat",
+        "sigma_sinusoidal_flat",
     ],
 )
 def test_points_outside_the_n_by_dim_layout_raise(call):

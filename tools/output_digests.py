@@ -7,9 +7,11 @@ workloads from ``mfbench``.  Each workload's program runs once, in this
 process, with the configuration and master seeds ``mfbench/run.py`` would use
 for workload seed N, in a temporary directory that is removed afterwards.  The
 program's own output goes to stderr, so stdout holds one line per workload.  The
-digest covers the files ``mfbench.check.output_files`` names and, for a coupled
-workload, each seed's final snapshots (``rho_final.field``, ``vel{q}_final.field``,
-``rho_final.csv`` in 1-d and ``particles_final.bin``), hashed as
+digest covers the files ``mfbench.check.output_files`` names; for a study
+workload also ``rate_summary.txt`` (the fitted slopes, ``dist_tail_bound`` and
+the notes), and for a coupled workload each seed's final snapshots
+(``rho_final.field``, ``vel{q}_final.field``, ``rho_final.csv`` in 1-d and
+``particles_final.bin``), hashed as
 ``mfbench.check.outputs_digest`` hashes them: equal lines from two checkouts
 mean those files are byte-identical.
 """
@@ -31,9 +33,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def digest_files(workload, cfg, seeds) -> list[str]:
-    """The checked output files plus, for a coupled workload, every seed's final snapshots."""
+    """The checked output files plus a study's summary or every coupled seed's final snapshots."""
     files = output_files(workload, seeds)
-    if workload.kind == "coupled":
+    if workload.kind == "study":
+        files.append("rate_summary.txt")
+    else:
         snapshots = ["rho_final.field", *(f"vel{q}_final.field" for q in range(cfg.grid.dim)), "particles_final.bin"]
         if cfg.grid.dim == 1:
             snapshots.append("rho_final.csv")
