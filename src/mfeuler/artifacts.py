@@ -112,9 +112,17 @@ def write_particles(path, state: ParticleState):
         fh.write(np.ascontiguousarray(state.velocities, dtype="<f8").tobytes())
 
 
+def _particle_layout(meta) -> tuple:
+    if meta["n"] < 0:
+        raise ValueError(f"particle header n = {meta['n']} is negative")
+    if meta["dim"] not in (1, 2):
+        raise ValueError(f"particle header dim = {meta['dim']} is not 1 or 2")
+    return (2, meta["n"], meta["dim"])
+
+
 def read_particles(path) -> ParticleState:
     keys = {"n": int, "dim": int, "time": float}
-    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, lambda m: (2, m["n"], m["dim"]))
+    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, _particle_layout)
     pos, vel = values
     return ParticleState(pos, vel, meta["time"])
 

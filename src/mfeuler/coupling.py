@@ -103,13 +103,19 @@ class CoupledRun:
     fluid: fluid_mod.FluidState
     path: NoisePath
     kernel: ScaledKernel
-    grid: PeriodicGrid
     sigma: SigmaField
     euler_config: fluid_mod.EulerConfig
     force_method: str = "particle_mesh"
     deposit_scheme: str = "linear"
     velocity_interpolation: str = "linear"
-    step_index: int = 0
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.fluid.grid
+
+    @property
+    def step_index(self) -> int:
+        return self.fluid.step_index
 
     @property
     def dt(self):
@@ -149,7 +155,6 @@ def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
             fluid=fl,
             path=path,
             kernel=make_kernel(cfg, n),
-            grid=grid,
             sigma=sigma,
             euler_config=euler_cfg,
             force_method=cfg.integrator.force_method,
@@ -190,7 +195,7 @@ def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
         for run in runs
     ]
     fl = fluid_mod.step(head.fluid, dB, head.sigma, head.euler_config)
-    return [replace(run, particles=p, fluid=fl, step_index=run.step_index + 1) for run, p in zip(runs, stepped)]
+    return [replace(run, particles=p, fluid=fl) for run, p in zip(runs, stepped)]
 
 
 def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None) -> CoupledRun:
@@ -214,8 +219,7 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
     warn_if_aliased(kernel.mass_outside(grid.period / 2.0))
     spectrum = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
     transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)
-    values = np.fft.irfftn(transfer * spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
-    return GridField(grid, values / len(positions))
+    return GridField(grid, grid.irfft(transfer * spectrum) / len(positions))
 
 
 def q_functional(run: CoupledRun) -> QRecord:

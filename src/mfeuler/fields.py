@@ -2,25 +2,25 @@
 
 Everything lives on a torus of side ``period`` sampled at ``points_per_dim``
 equispaced nodes per axis (a power of two), with lattice frequencies
-lambda_k = 2 pi k / period.  Every mode sum runs on the ``rfftn`` half
-spectrum of a real field: the leading axes keep all their modes, the last
-axis its columns 0..M/2, and each interior column stands for itself and its
-conjugate partner.  One read-only weight per (grid, s), ``sobolev_weight``,
-carries the Bessel factor (1 + |lambda|^2)**s, that doubling and the
-normalisation, so that
-
-    ||f||_s^2 = sum sobolev_weight(grid, s) * |rfftn(f)|^2
-
-is the lattice L2 norm at s = 0 and the fluid's guard norm at s = guard_s.
-The negative-Sobolev distance of an empirical measure to a field is the same
-sum at s = -alpha over the half box |k|_inf <= cutoff, with the measure's
-phase sums sum_n w_n exp(-i lambda_k . x_n) divided by the cell volume in
-place of rfftn(f).  At the Nyquist cutoff M/2 in 2-d the box keeps every
-mode of the leading axis, so the leading axis's Nyquist row counts as -M/2 on
-the half-spectrum columns and as +M/2 through their conjugate partners.  The
-torus is a computational truncation of free space: initial data is expected
-to sit well inside the box, and circular convolutions are exact in that
-regime.
+lambda_k = 2 pi k / period.  The grid owns the package's one Fourier layout,
+the ``rfftn`` half spectrum over the trailing lattice axes of any stack of
+real fields: ``PeriodicGrid.rfft``/``irfft`` transform to and from it (no
+other module calls ``np.fft``) and ``PeriodicGrid.half`` cuts a full
+FFT-order array to it.  The leading axes keep all their modes, the last axis
+its columns 0..M/2, and each interior column stands for itself and its
+conjugate partner.  ``sobolev_weight`` carries the Bessel factor
+(1 + |lambda|^2)**s, that column multiplicity and the normalisation, so that
+||f||_s^2 = sum sobolev_weight(grid, s) * |grid.rfft(f)|^2.  Both mode sums
+run on the half box |k|_inf <= cutoff of ``_mode_box``: the negative-Sobolev
+distance (type 1) is that sum at s = -alpha with the measure's phase sums
+over the cell volume in place of grid.rfft(f), and the spectral interpolant
+(type 2) the real part of the multiplicity-weighted coefficients against
+exp(+i lambda_k . x) at the Nyquist cutoff.  At that cutoff in 2-d the
+leading axis's Nyquist row counts as -M/2 on the half-spectrum columns and as
++M/2 through their conjugate partners; on the lattice nodes the two agree.
+The torus is a computational truncation of free space: initial data is
+expected to sit well inside the box, and circular convolutions are exact in
+that regime.
 """
 
 from __future__ import annotations
@@ -114,6 +114,18 @@ class PeriodicGrid:
         half = 0.5 * self.period
         return (self.points() + half) % self.period - half
 
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a stack of real fields, shape (...) + grid.shape: ``rfftn`` over the lattice axes."""
+        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
+
+    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+        """The real fields, shape (...) + grid.shape, of a stack of half spectra: the inverse of ``rfft``."""
+        return np.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(-self.dim, 0)))
+
+    def half(self, array: np.ndarray) -> np.ndarray:
+        """Columns 0..M/2 of the last axis of a full FFT-order array: the modes ``rfft`` keeps."""
+        return array[..., : self.points_per_dim // 2 + 1]
+
 
 @dataclass
 class GridField:
@@ -148,26 +160,29 @@ def warn_if_aliased(mass_outside: float):
         )
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: how every cached operator is handed out."""
+    array.flags.writeable = False
+    return array
+
+
+def _column_multiplicity(grid: PeriodicGrid) -> np.ndarray:
+    """Modes per half-spectrum column: 2 on interior columns, which stand for their conjugate partners too, else 1."""
+    return np.r_[1.0, np.full(grid.points_per_dim // 2 - 1, 2.0), 1.0]
+
+
 @cache
 def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
-    """Weights w with ||f||_s^2 = sum w * |rfftn(f)|^2, on the ``rfftn`` half spectrum; read-only.
-
-    (1 + |lambda|^2)**s times the normalisation period**dim / M**(2 dim),
-    doubled on the interior columns of the last axis, which stand for
-    themselves and their conjugate partners; column 0 and column M/2 have none.
-    """
-    m = grid.points_per_dim
-    norm_sq = grid.freq_norm_sq[..., : m // 2 + 1]  # |lambda|^2 is even in every mode number
-    columns = np.full(m // 2 + 1, 2.0)
-    columns[[0, -1]] = 1.0
-    weight = (1.0 + norm_sq) ** s * columns * (grid.period**grid.dim / float(m**grid.dim) ** 2)
-    weight.flags.writeable = False
-    return weight
+    """Weights w with ||f||_s^2 = sum w * |grid.rfft(f)|^2, read-only: (1 + |lambda|^2)**s times the
+    column multiplicity and the normalisation period**dim / M**(2 dim)."""
+    norm_sq = grid.half(grid.freq_norm_sq)  # |lambda|^2 is even in every mode number
+    norm = grid.period**grid.dim / float(grid.points_per_dim**grid.dim) ** 2
+    return read_only((1.0 + norm_sq) ** s * _column_multiplicity(grid) * norm)
 
 
 def sobolev_norm(field: GridField, s: float) -> float:
     """Bessel-type Sobolev norm on the torus; s = 0 is the lattice L2 norm."""
-    coeffs = np.fft.rfftn(field.values)
+    coeffs = field.grid.rfft(field.values)
     return float(np.sqrt(np.sum(sobolev_weight(field.grid, s) * np.abs(coeffs) ** 2)))
 
 
@@ -296,30 +311,27 @@ def assignment_window(grid: PeriodicGrid, scheme: str) -> np.ndarray:
     """Fourier transform of the deposit assignment window (per-mode), built once per (grid, scheme)."""
     power = {"nearest": 1, "linear": 2}[scheme]
     axis = np.sinc(grid.axis_modes / grid.points_per_dim) ** power
-    window = reduce(np.multiply.outer, (axis,) * grid.dim)
-    window.flags.writeable = False
-    return window
+    return read_only(reduce(np.multiply.outer, (axis,) * grid.dim))
 
 
-def _mode_ranges(grid: PeriodicGrid, cutoff: int, half: bool = True):
-    """Integer modes of the leading axes and of the last axis in the box |k|_inf <= cutoff.
+def _mode_box(grid: PeriodicGrid, cutoff: int):
+    """The half box |k|_inf <= cutoff: ``((lead, last), index)``, its modes per axis and its index into a half spectrum.
 
-    The leading axes run -cutoff..cutoff, or -M/2..M/2 - 1 at the Nyquist
-    cutoff M/2, where the lattice holds the one mode -M/2 = +M/2.  The last
-    axis runs 0..cutoff, its columns of the ``rfftn`` half spectrum, or like
-    the leading axes with ``half=False``.
+    The leading axes run -cutoff..cutoff, or -M/2..M/2 - 1 at the Nyquist cutoff M/2, where the lattice
+    holds the one mode -M/2 = +M/2; the last axis runs 0..cutoff.  ``index`` picks the box in C order from
+    the lattice axes of ``grid.rfft``'s output, negative leading modes from the end, as in FFT order.
     """
     m = grid.points_per_dim
     if cutoff > m // 2:
         raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
-    lead = np.arange(-cutoff, min(cutoff + 1, m // 2))
-    return lead, (np.arange(cutoff + 1) if half else lead)
+    lead, last = np.arange(-cutoff, min(cutoff + 1, m // 2)), np.arange(cutoff + 1)
+    return (lead, last), np.ix_(*(lead,) * (grid.dim - 1), last)
 
 
 def _phase_tables(grid: PeriodicGrid, modes, points: np.ndarray, sign: complex):
     """Two small phase tables that factor every phase of a mode box.
 
-    ``modes`` is the pair (leading axis, last axis) of ``_mode_ranges``.
+    ``modes`` is the pair (leading axis, last axis) of ``_mode_box``.
     Returns ``(left, right)`` of shapes (A, n_points) and (F, n_points): the
     phase exp(sign * lambda_k . x_n) of the j-th mode of the box in C order is
     left[j // F, n] * right[j % F, n].  In 2-d the rows are the modes of axis
@@ -352,32 +364,31 @@ def _phase_tables(grid: PeriodicGrid, modes, points: np.ndarray, sign: complex):
 def _trig_interpolate(grid: PeriodicGrid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Type-2 mode sum: the trigonometric interpolants of the fields ``values`` at ``pts``, shape (n, components).
 
-    The lattice modes are the full box at the Nyquist cutoff, so with a
-    field's normalised coefficients in that box's C order as a (rows of
-    ``left``, rows of ``right``) matrix C, its value at x_n is
-    sum_a left[a, n] * (C @ right)[a, n].
+    With a field's normalised coefficients on the half box at the Nyquist cutoff, times the column
+    multiplicity, in C order as a (rows of ``left``, rows of ``right``) matrix C, its value at x_n is
+    Re sum_a left[a, n] * (C @ right)[a, n].
     """
-    modes = _mode_ranges(grid, grid.points_per_dim // 2, half=False)
+    modes, box = _mode_box(grid, grid.points_per_dim // 2)
     left, right = _phase_tables(grid, modes, pts, 1j)
-    axes = tuple(range(-grid.dim, 0))
-    shifted = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes) / grid.points_per_dim**grid.dim
+    scale = _column_multiplicity(grid) / grid.points_per_dim**grid.dim
+    spectra = grid.rfft(values)[(slice(None),) + box] * scale
     coeffs = np.zeros((len(values), left.shape[0] * right.shape[0]), dtype=complex)
-    coeffs[:, : shifted[0].size] = shifted.reshape(len(values), -1)  # FFT order -> box order
+    coeffs[:, : spectra[0].size] = spectra.reshape(len(values), -1)
     return np.sum(left * (coeffs.reshape(len(values), left.shape[0], -1) @ right), axis=1).real.T
 
 
 def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cutoff: int):
     """Phase sums S_k = sum_n w_n exp(-i lambda_k . x_n) of an empirical measure on the half box |k|_inf <= cutoff.
 
-    The modes are those of ``_mode_ranges(grid, cutoff)`` in C order, and S
-    is on the scale of ``rfftn`` times the cell volume: for a measure with
-    lattice density f, S / h**dim approximates rfftn(f) there.  Returns shape
+    The modes are those of ``_mode_box(grid, cutoff)`` in C order, and S
+    is on the scale of ``grid.rfft`` times the cell volume: for a measure with
+    lattice density f, S / h**dim approximates grid.rfft(f) there.  Returns shape
     (n_modes,) for scalar weights or (n_modes, m) for vector weights.  The sum
     over particles is exact: each weight column is folded into the left
     phase table as extra rows, so the whole sum is one matrix product
     (left * w) @ right.T.
     """
-    modes = _mode_ranges(grid, cutoff)
+    modes, _ = _mode_box(grid, cutoff)
     n_modes = modes[0].size ** (grid.dim - 1) * modes[1].size
     left, right = _phase_tables(grid, modes, measure.points, -1j)
     weights = measure.scalar_weights() if measure.weights is None else measure.weights
@@ -390,7 +401,7 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
 def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, check_alpha=True):
     """Negative-Sobolev distance between an empirical measure and grid fields.
 
-    The sum of ``sobolev_weight(grid, -alpha)`` * |S / h**dim - rfftn(f)|^2
+    The sum of ``sobolev_weight(grid, -alpha)`` * |S / h**dim - grid.rfft(f)|^2
     over the half box |k|_inf <= cutoff and the components, with S the
     measure's ``measure_mode_coefficients``.  ``fields`` may be a single
     GridField, a sequence of component fields matching vector weights, or
@@ -418,14 +429,13 @@ def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, ch
         raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
     cutoff = grid.points_per_dim // 2 if freq_cutoff is None else int(freq_cutoff)
 
-    lead, last = _mode_ranges(grid, cutoff)
-    box = np.ix_(*(lead,) * (grid.dim - 1), last)  # negative leading modes index from the end, as in FFT order
+    _, box = _mode_box(grid, cutoff)
     sums = measure_mode_coefficients(measure, grid, cutoff)
     diff = sums.reshape(len(sums), -1).T / grid.cell_volume  # (components, n_modes)
     if components is not None:
         if len(components) != len(diff):
             raise ValueError("component count of fields and measure weights differ")
-        spectra = np.fft.rfftn(np.stack([f.values for f in components]), axes=tuple(range(-grid.dim, 0)))
+        spectra = grid.rfft(np.stack([f.values for f in components]))
         diff -= spectra[(slice(None),) + box].reshape(len(diff), -1)
     weight = sobolev_weight(grid, -alpha)[box].ravel()
     return float(np.sqrt(np.sum(weight * np.sum(np.abs(diff) ** 2, axis=0))))

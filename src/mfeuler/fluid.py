@@ -32,7 +32,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import NonFiniteState, NonPositiveDensity
-from .fields import GridField, PeriodicGrid, interpolate_stack, sobolev_weight
+from .fields import GridField, PeriodicGrid, interpolate_stack, read_only, sobolev_weight
 from .noise import SigmaField
 
 
@@ -114,28 +114,21 @@ def _checked(state: FluidState) -> FluidState:
     return state
 
 
-def _lattice_axes(grid: PeriodicGrid):
-    return tuple(range(-grid.dim, 0))  # the lattice axes, last in every stack
-
-
 def state_norm(state: FluidState, s: float) -> float:
-    """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2), from one ``rfftn`` of ``u``."""
-    u_hat = np.fft.rfftn(state.u, axes=_lattice_axes(state.grid))
+    """H^s norm of the full state: sqrt(||rho||_s^2 + sum_q ||v_q||_s^2), from one ``grid.rfft`` of ``u``."""
+    u_hat = state.grid.rfft(state.u)
     return math.sqrt(np.sum(sobolev_weight(state.grid, s) * np.abs(u_hat) ** 2))
 
 
 @cache
 def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: float, hyperviscosity_order: int):
-    """Per-(grid, config) arrays of the drift right-hand side on the ``rfftn`` half spectrum.
+    """Per-(grid, config) read-only arrays of the drift right-hand side on the half spectrum.
 
     Returns (i*lambda stacked over axes, dealias mask, hyperviscous rate).
     i*lambda_a is zero on the modes where axis a is at Nyquist: that is the
     part of the derivative a real field keeps.
     """
     m = grid.points_per_dim
-    # columns 0..M/2 of the last axis; column M/2 holds mode -M/2, which has the
-    # |lambda| of the half spectrum's +M/2 and, like it, no derivative
-    half = (Ellipsis, slice(m // 2 + 1))
     ilam = 1j * np.stack(grid.freq_mesh)
     nyquist = grid.axis_modes == -(m // 2)
     for a in range(grid.dim):
@@ -143,13 +136,10 @@ def _workspace(grid: PeriodicGrid, dealias_fraction: float, hyperviscosity_nu: f
     keep = int(dealias_fraction * (m // 2))
     axis_ok = (np.abs(grid.axis_modes) <= keep).astype(float)
     dealias = reduce(np.multiply.outer, (axis_ok,) * grid.dim)
-    nyq = np.pi / grid.spacing
-    ratio = grid.freq_norm_sq / nyq**2
+    ratio = grid.freq_norm_sq / (np.pi / grid.spacing) ** 2  # |lambda|^2 over its Nyquist value
     hyper = -hyperviscosity_nu * ratio**hyperviscosity_order
-    arrays = tuple(np.ascontiguousarray(array[half]) for array in (ilam, dealias, hyper))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    # column M/2 of the half spectrum holds mode -M/2, which has the |lambda| of +M/2 and, like it, no derivative
+    return tuple(read_only(np.ascontiguousarray(grid.half(array))) for array in (ilam, dealias, hyper))
 
 
 def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
@@ -160,23 +150,21 @@ def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
     NonPositiveDensity unless the state is finite with strictly positive density.
     """
     grid = state.grid
-    axes = _lattice_axes(grid)
-    du_hat = _rhs(np.fft.rfftn(_checked(state).u, axes=axes), grid, config)
-    return np.fft.irfftn(du_hat, s=grid.shape, axes=axes)
+    return grid.irfft(_rhs(grid.rfft(_checked(state).u), grid, config))
 
 
 def _rhs(u_hat, grid, config):
-    """Spectral tendency of the half spectrum ``u_hat``: one ``irfftn`` and one ``rfftn``."""
+    """Spectral tendency of the half spectrum ``u_hat``: one ``grid.irfft`` and one ``grid.rfft``."""
     ilam, dealias, hyper = _workspace(
         grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
     )
-    dim, axes = grid.dim, _lattice_axes(grid)
+    dim = grid.dim
     grad_hat = (ilam[:, None] * u_hat[None, 1:]).reshape((dim * dim,) + u_hat.shape[1:])
-    values = np.fft.irfftn(np.concatenate((u_hat, grad_hat)), s=grid.shape, axes=axes)
+    values = grid.irfft(np.concatenate((u_hat, grad_hat)))
     rho, vel = values[0], values[1 : 1 + dim]
     grad = values[1 + dim :].reshape((dim, dim) + grid.shape)  # grad[a, q] = d_a v_q
     advect = (vel[:, None] * grad).sum(axis=0)  # v . grad v_q, summed over a in order
-    products_hat = np.fft.rfftn(np.concatenate((rho * vel, advect)), axes=axes) * dealias
+    products_hat = grid.rfft(np.concatenate((rho * vel, advect))) * dealias
     flux_hat, advect_hat = products_hat[:dim], products_hat[dim:]
 
     du_hat = np.empty_like(u_hat)
@@ -189,14 +177,13 @@ def _rhs(u_hat, grid, config):
 def step_drift(state: FluidState, dt: float, config: EulerConfig) -> FluidState:
     """Classical four-stage Runge-Kutta step of the deterministic part, staged on the half spectrum of ``u``."""
     grid = state.grid
-    axes = _lattice_axes(grid)
-    u0 = np.fft.rfftn(state.u, axes=axes)
+    u0 = grid.rfft(state.u)
     k1 = _rhs(u0, grid, config)
     k2 = _rhs(u0 + 0.5 * dt * k1, grid, config)
     k3 = _rhs(u0 + 0.5 * dt * k2, grid, config)
     k4 = _rhs(u0 + dt * k3, grid, config)
     u_hat = u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, u=np.fft.irfftn(u_hat, s=grid.shape, axes=axes), time=state.time + dt)
+    return replace(state, u=grid.irfft(u_hat), time=state.time + dt)
 
 
 def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: float = 1.0) -> FluidState:

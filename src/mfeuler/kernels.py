@@ -434,7 +434,7 @@ class HypothesisReport:
             q, alpha = key
             tag = f"fourier_ratio.q{q + 1}.alpha{alpha}"
             lines += [
-                f"{tag}.sup: {c.sup_value!r}",
+                f"{tag}.sup: {format(c.sup_value, '.8g')}",  # the quadrature's accuracy, not repr's 17 digits
                 f"{tag}.sup_at: {c.sup_location!r}",
                 f"{tag}.bounded: {'yes' if c.bounded else 'no'}",
                 f"{tag}.trend: {'growing over window' if c.growing_at_edge else 'settled'}",

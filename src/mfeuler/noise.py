@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import as_points
+from .fields import as_points, read_only
 
 
 def stream(master_seed: int, *tags) -> np.random.Generator:
@@ -92,6 +92,4 @@ class SigmaField:
     @cache
     def on_grid(self, grid) -> np.ndarray:
         """Every component at every lattice node, shape ``(dim,) + grid.shape``; built once per (sigma, grid), read-only."""
-        vals = self.values(grid.points()).T.reshape((grid.dim,) + grid.shape)
-        vals.flags.writeable = False
-        return vals
+        return read_only(self.values(grid.points()).T.reshape((grid.dim,) + grid.shape))

@@ -13,8 +13,9 @@ error.  Forces come either from the exact O(N^2) pair sum or from one fused
 particle-mesh step: the particles are placed on two interlaced lattices, the
 nodes and the nodes shifted by half a cell, and each of the two assignment
 stencils serves as the deposit and, by its adjoint, as the gather.  Between
-the two, one real FFT pair and one operator cached per (kernel, grid, scheme)
-convolve with the sampled force kernel and divide out the assignment window.
+the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached per
+(kernel, grid, scheme) convolve with the sampled force kernel and divide out
+the assignment window.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
 from . import fields
-from .fields import PeriodicGrid, _stencil, as_points, assignment_window, sample_kernel
+from .fields import PeriodicGrid, _stencil, as_points, assignment_window, read_only, sample_kernel
 from .kernels import ScaledKernel
 from .noise import SigmaField, stream
 
@@ -85,20 +86,15 @@ def force_direct(state: ParticleState, kernel: ScaledKernel, period: float, bloc
     return forces
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @cache
 def _half_cell_phase(grid: PeriodicGrid) -> np.ndarray:
-    """Half-cell shift P = exp(i lambda . h/2) on the modes ``np.fft.rfftn`` keeps, as a real field sees it:
+    """Half-cell shift P = exp(i lambda . h/2) on the modes ``grid.rfft`` keeps, as a real field sees it:
     (P(k) + conj P(-k)) / 2, which differs from P only on modes with a Nyquist component."""
     phase = np.ones(grid.shape, dtype=complex)
     for lam in grid.freq_mesh:
         phase = phase * np.exp(1j * lam * grid.spacing / 2.0)
     phase = 0.5 * (phase + np.conj(np.roll(np.flip(phase), 1, axis=tuple(range(grid.dim)))))
-    return _read_only(phase[..., : grid.points_per_dim // 2 + 1].copy())
+    return read_only(grid.half(phase).copy())
 
 
 @cache
@@ -109,10 +105,9 @@ def force_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) -> np.
     of the sampled force-kernel component q, W the assignment window (divided out once for deposit and
     gather), 1/4 the two interlacing halves; a density's 1/cell_volume and a convolution's cell_volume cancel.
     """
-    window = assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1]
-    sampled = sample_kernel(grid, kernel.potential_gradient)
-    direct = -0.25 * np.fft.rfftn(sampled, axes=tuple(range(-grid.dim, 0))) / window**2
-    return _read_only(np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1))
+    window = grid.half(assignment_window(grid, scheme))
+    direct = -0.25 * grid.rfft(sample_kernel(grid, kernel.potential_gradient)) / window**2
+    return read_only(np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1))
 
 
 @cache
@@ -121,8 +116,8 @@ def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) ->
 
     1/2 m / W: m the transform of ``kernel.density`` on the lattice, W the assignment window.
     """
-    m_hat = np.fft.rfftn(sample_kernel(grid, kernel.density), axes=tuple(range(-grid.dim, 0)))
-    return _read_only(0.5 * m_hat / assignment_window(grid, scheme)[..., : grid.points_per_dim // 2 + 1])
+    m_hat = grid.rfft(sample_kernel(grid, kernel.density))
+    return read_only(0.5 * m_hat / grid.half(assignment_window(grid, scheme)))
 
 
 def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str) -> tuple:
@@ -146,7 +141,7 @@ def deposit_spectrum(stencils, grid: PeriodicGrid) -> np.ndarray:
     """
     size = grid.points_per_dim**grid.dim
     counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=size) for flat, weights in stencils]
-    halves = np.fft.rfftn(np.reshape(counts, (2,) + grid.shape), axes=tuple(range(-grid.dim, 0)))
+    halves = grid.rfft(np.reshape(counts, (2,) + grid.shape))
     return halves[0] + _half_cell_phase(grid) * halves[1]
 
 
@@ -160,12 +155,7 @@ def gather(values, stencils) -> np.ndarray:
 
 
 def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: PeriodicGrid, deposit_scheme: str = "linear"):
-    """Particle-mesh force as one fused step: deposit, one cached transfer operator, gather.
-
-    The two interlaced stencils (``interlaced_stencils``) serve as the
-    deposit (``deposit_spectrum``) and, by their adjoint, as the gather
-    (``gather``); ``force_transfer`` convolves with the sampled force kernel
-    in between, in one real FFT pair.
+    """Particle-mesh force as one fused step: the interlaced deposit, ``force_transfer``, then ``gather``.
 
     Raises
     ------
@@ -181,7 +171,7 @@ def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: Period
         )
     stencils = interlaced_stencils(state.positions, grid, deposit_scheme)
     spectrum = force_transfer(kernel, grid, deposit_scheme) * deposit_spectrum(stencils, grid) / state.n_particles
-    return gather(np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(-grid.dim, 0))), stencils)
+    return gather(grid.irfft(spectrum), stencils)
 
 
 def compute_force(state, kernel, period, method="direct", grid=None, deposit_scheme="linear"):

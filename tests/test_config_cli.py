@@ -368,6 +368,25 @@ def test_read_field_rejects_a_grid_the_header_cannot_describe(tmp_path):
             artifacts.read_field(path)
 
 
+def test_read_particles_rejects_a_layout_the_header_cannot_describe(tmp_path):
+    # checked before the payload size: n = -2 once read as "expected -32 bytes", and dim = 3 with a
+    # 96-byte payload (2 x 2 x 3 values) as a 3-d state
+    path = tmp_path / "p.bin"
+    cases = [
+        ({b"n = 3": b"n = -2"}, "particle header n = -2 is negative"),
+        ({b"dim = 2": b"dim = 0"}, "particle header dim = 0 is not 1 or 2"),
+        ({b"n = 3": b"n = 2", b"dim = 2": b"dim = 3"}, "particle header dim = 3 is not 1 or 2"),
+    ]
+    for edits, message in cases:
+        artifacts.write_particles(path, ParticleState(np.ones((3, 2)), np.zeros((3, 2)), 0.5))
+        data = path.read_bytes()
+        for line, edited in edits.items():
+            data = data.replace(line, edited, 1)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            artifacts.read_particles(path)
+
+
 def test_field_csv_export(tmp_path):
     grid = PeriodicGrid(1, 8, 2.0)
     f = GridField(grid, np.arange(8.0))

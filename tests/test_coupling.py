@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,28 @@ def test_well_prepared_kinetic_term_zero_at_start():
     assert rec.kinetic_term < 1e-25
 
 
+def test_lattice_transforms_run_only_in_fields(monkeypatch):
+    # the Fourier layout belongs to fields: every other module transforms through grid.rfft / grid.irfft
+    callers = set()
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    cfg = tiny_config()
+    run = coupled_step(build_run(cfg))
+    q_functional(run)
+    mean_field_distances(run, cfg.study.alpha)
+    state_norm(run.fluid, cfg.euler.guard_s)
+    grid = PeriodicGrid(2, 16, TWO_PI)
+    rng = np.random.default_rng(5)
+    fluid_mod.sample_velocity(FluidState(grid, rng.random((3,) + grid.shape)), rng.random((7, 2)) * TWO_PI, "spectral")
+    assert callers == {"mfeuler.fields"}
+
+
 def test_single_particle_q_oracle():
     # one particle at x0 with velocity w against a prescribed fluid state
     # grid fine enough that the deposit alias floor sits below the 1e-6
@@ -74,7 +97,6 @@ def test_single_particle_q_oracle():
         fluid=fluid_state,
         path=NoisePath.generate(0, 0, 1, 1, 1e-3),
         kernel=kern,
-        grid=grid,
         sigma=SigmaField("constant", 0.0),
         euler_config=EulerConfig(dt=1e-3),
         velocity_interpolation="spectral",

@@ -238,11 +238,27 @@ def test_spectral_interpolation_matches_dense_trigonometric_sum(dim):
     rng = np.random.default_rng(15 + dim)
     field = GridField(g, rng.standard_normal(g.shape))
     pts = rng.random((41, dim)) * g.period
-    modes = np.stack(np.meshgrid(*(g.axis_modes,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    coeffs = np.fft.fftn(field.values) / g.points_per_dim**dim  # normalised coefficients, FFT order
-    dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ coeffs.ravel()
+    if dim == 1:
+        modes = np.stack(np.meshgrid(*(g.axis_modes,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        coeffs = np.fft.fftn(field.values) / g.points_per_dim**dim  # normalised coefficients, FFT order
+        dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ coeffs.ravel()
+    else:
+        # the real half-box sum: each interior column of the last axis also stands for its conjugate partner
+        modes = _half_box(g, g.points_per_dim // 2)
+        column = modes[:, -1]
+        count = np.where((column == 0) | (column == g.points_per_dim // 2), 1.0, 2.0)
+        coeffs = count * np.fft.rfftn(field.values)[tuple(modes.T)] / g.points_per_dim**dim
+        dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ coeffs
     got = interpolate(field, pts, "spectral")
     assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
+
+
+def test_spectral_interpolation_2d_returns_node_values_of_a_random_field():
+    # off the lattice the leading axis's Nyquist row may be read as -M/2 or +M/2; on it both agree
+    g = PeriodicGrid(2, 16, 5.0)
+    field = GridField(g, np.random.default_rng(19).standard_normal(g.shape))
+    got = interpolate(field, g.points(), "spectral")
+    np.testing.assert_allclose(got, field.values.ravel(), rtol=0, atol=1e-12)
 
 
 def test_mode_coefficients_peak_memory_stays_small():

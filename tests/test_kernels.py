@@ -357,6 +357,11 @@ def test_hypothesis_report_gaussian_2d_smoke():
     assert len(report.remainder_envelope) == 8
     assert report.tail_decay.bounded
     assert "multi_index_orders: 0,1,2" in report.to_text()
+    # the gaussian is symmetric under swapping the axes, so component 1 at alpha (a, b) and component 2
+    # at (b, a) are one supremum; printed to the quadrature's accuracy, the two lines agree
+    lines = dict(line.partition(": ")[::2] for line in report.to_text().splitlines())
+    for a, b in (alpha for q, alpha in report.fourier_ratio if q == 0):
+        assert lines[f"fourier_ratio.q1.alpha{(a, b)}.sup"] == lines[f"fourier_ratio.q2.alpha{(b, a)}.sup"]
 
 
 def test_hypothesis_report_bump_flags_unbounded_ratio():

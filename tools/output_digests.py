@@ -1,4 +1,4 @@
-"""Print one sha256 per benchmark workload over the output files its check compares.
+"""Print one sha256 per benchmark workload over the output files its check compares, and one for the kernel report.
 
     python3 tools/output_digests.py --seed N
 
@@ -12,8 +12,10 @@ workload also ``rate_summary.txt`` (the fitted slopes, ``dist_tail_bound`` and
 the notes), and for a coupled workload each seed's final snapshots
 (``rho_final.field``, ``vel{q}_final.field``, ``rho_final.csv`` in 1-d and
 ``particles_final.bin``), hashed as
-``mfbench.check.outputs_digest`` hashes them: equal lines from two checkouts
-mean those files are byte-identical.
+``mfbench.check.outputs_digest`` hashes them.  A last line, ``kernel-report``,
+hashes the ``kernel_report.txt`` that ``mfeuler kernel-report`` writes under
+the default configuration, which no workload runs.  Equal lines from two
+checkouts mean those files are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "mfbench")]
 
 from check import output_files, outputs_digest  # noqa: E402
+from mfeuler import cli  # noqa: E402
 from worker import run_workload  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -59,6 +62,10 @@ def main(argv=None) -> int:
             with contextlib.redirect_stdout(sys.stderr):  # the program's progress lines
                 run_workload(workload, cfg, config_path, [str(s) for s in seeds], out)
             print(f"{name} {outputs_digest(out, digest_files(workload, cfg, seeds))}", flush=True)
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(sys.stderr):
+            cli.main(["kernel-report", "--out", out])
+        print(f"kernel-report {outputs_digest(out, ['kernel_report.txt'])}", flush=True)
     return 0
 
 
