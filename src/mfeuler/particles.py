@@ -240,21 +240,29 @@ def init_well_prepared(
 ) -> ParticleState:
     """Positions sampled from the density, velocities read off the profile.
 
-    ``stratified`` (dim 1 only) inverts the numerically accumulated CDF at the
+    In 1-d the density is any callable on (n, 1) points, read at ``resolution``
+    nodes: ``stratified`` inverts the numerically accumulated CDF at the
     quantile midpoints (k - 1/2)/N; ``iid`` draws uniforms from the stream
     tagged by (master_seed, "init", *seed_tags) and inverts the same CDF.
-    Velocities are exact samples of the velocity profile, so the kinetic
-    mismatch vanishes at t = 0 by construction.
+    In 2-d (``iid`` only) the density must be a 2-d ``DensityProfile`` of
+    period ``period``, and ``resolution`` is not used: each particle picks a
+    node of the profile's own normalization lattice with probability
+    proportional to its density, read from the profile's one cached lattice
+    evaluation, then moves uniformly into that node's cell, both draws from
+    the same stream.  Velocities are exact samples of the velocity profile,
+    so the kinetic mismatch vanishes at t = 0 by construction.
 
     Raises
     ------
     DensityNotNormalizable
         If the lattice mass of the density deviates from 1 by more than 1e-6.
+    ValueError
+        If, in 2-d, the density profile is not 2-d or its period is not ``period``.
     """
     if scheme not in ("stratified", "iid"):
         raise ValueError(f"unknown init scheme {scheme!r}")
-    h = period / resolution
     if dim == 1:
+        h = period / resolution
         axis = np.arange(resolution) * h
         dens = np.asarray(density(axis[:, None]))
         mass = float(np.sum(dens) * h)
@@ -271,10 +279,15 @@ def init_well_prepared(
     else:
         if scheme == "stratified":
             raise ValueError("stratified initialization is defined for dim=1 only; use iid")
-        lattice = PeriodicGrid(2, 2**9, period)
+        if density.dim != 2:
+            raise ValueError(f"2-d initialization needs a 2-d density profile, got dim {density.dim}")
+        if density.period != period:
+            raise ValueError(f"density profile period {density.period!r} differs from the period argument {period!r}")
+        lattice = density.lattice
         h2 = lattice.spacing
-        pts = lattice.points()
-        dens = np.asarray(density(pts))
+        dens = density.lattice_shape()
+        if density.normalize:
+            dens = dens / density.mass
         mass = float(np.sum(dens) * h2 * h2)
         if abs(mass - 1.0) > 1e-6:
             raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
@@ -282,6 +295,7 @@ def init_well_prepared(
         probs = dens / dens.sum()
         cells = rng.choice(dens.size, size=n, p=probs)
         jitter = rng.random((n, 2))
-        positions = pts[cells] + jitter * h2
+        rows, cols = np.divmod(cells, lattice.points_per_dim)
+        positions = np.stack([lattice.axis_coords[rows], lattice.axis_coords[cols]], axis=1) + jitter * h2
     velocities = np.asarray(velocity(positions))
     return ParticleState(positions, velocities, 0.0)

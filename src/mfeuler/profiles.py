@@ -2,17 +2,18 @@
 
 Profiles are exactly periodic closed forms.  The density profile can be
 normalized to unit mass (the probability-density convention both solvers
-share); normalization constants come from a fine lattice quadrature.
+share); normalization constants come from a fine lattice quadrature, and the
+raw shape on that lattice is evaluated once per profile value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .fields import GridField, PeriodicGrid, as_points
+from .fields import GridField, PeriodicGrid, as_points, read_only
 
 DENSITY_FAMILIES = ("uniform", "bump", "sine")
 VELOCITY_FAMILIES = ("zero", "constant", "sine")
@@ -55,13 +56,26 @@ class DensityProfile:
         phases = np.cos(two_pi * (pts - 0.5 * self.period)) - 1.0
         return 1.0 + self.amplitude * np.exp(self.concentration * phases.sum(axis=1))
 
+    @property
+    def lattice(self) -> PeriodicGrid:
+        """The normalization lattice: ``_NORM_RESOLUTION[dim]`` nodes per axis over the period."""
+        return PeriodicGrid(self.dim, _NORM_RESOLUTION[self.dim], self.period)
+
+    @cache
+    def lattice_shape(self) -> np.ndarray:
+        """Raw shape at every node of ``lattice``, flat in the C order of ``lattice.points()``, read-only.
+
+        Evaluated once per profile value and kept for the process: equal profiles share one array.
+        """
+        return read_only(self.shape_values(self.lattice.points()))
+
     @cached_property
     def mass(self):
         """Lattice quadrature of the raw shape over the torus."""
-        grid = PeriodicGrid(self.dim, _NORM_RESOLUTION[self.dim], self.period)
-        total = np.sum(self.shape_values(grid.points()))
+        h = self.lattice.spacing
+        total = np.sum(self.lattice_shape())
         for _ in range(self.dim):
-            total = total * grid.spacing
+            total = total * h
         return float(total)
 
     def __call__(self, points):

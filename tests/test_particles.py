@@ -15,7 +15,7 @@ from mfeuler.fields import (
     sample_kernel,
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel
-from mfeuler.noise import NoisePath, SigmaField
+from mfeuler.noise import NoisePath, SigmaField, stream
 from mfeuler.particles import (
     ParticleState,
     _half_cell_phase,
@@ -425,6 +425,57 @@ def test_init_rejects_unnormalized_density():
     vel = VelocityProfile("zero", 0.0, TWO_PI)
     with pytest.raises(DensityNotNormalizable):
         init_well_prepared(dens, vel, 8, TWO_PI)
+
+
+def init_2d_reference(density, velocity, n, period, master_seed, seed_tags):
+    """The 2-d ``iid`` init written out on its own 2^9 lattice: density at every node, one choice, one jitter."""
+    lattice = PeriodicGrid(2, 2**9, period)
+    h = lattice.spacing
+    pts = lattice.points()
+    raw = density.shape_values(pts)
+    dens = raw / float(np.sum(raw) * h * h)
+    rng = stream(master_seed, "init", *seed_tags)
+    cells = rng.choice(dens.size, size=n, p=dens / dens.sum())
+    positions = pts[cells] + rng.random((n, 2)) * h
+    return positions, np.asarray(velocity(positions))
+
+
+@pytest.mark.parametrize("family", ["bump", "sine"])
+def test_init_2d_matches_reference_bitwise(family):
+    dens = DensityProfile(family, 0.3, 6.0, TWO_PI, 2, True)
+    vel = VelocityProfile("sine", 0.1, TWO_PI)
+    for seed in (3, 11):
+        for n in (200, 1024):
+            st = init_well_prepared(dens, vel, n, TWO_PI, scheme="iid", master_seed=seed, seed_tags=(0, n), dim=2)
+            positions, velocities = init_2d_reference(dens, vel, n, TWO_PI, seed, (0, n))
+            assert np.array_equal(st.positions, positions)
+            assert np.array_equal(st.velocities, velocities)
+
+
+def test_init_2d_rejects_unnormalized_density():
+    dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, normalize=False)
+    vel = VelocityProfile("zero", 0.0, TWO_PI)
+    with pytest.raises(DensityNotNormalizable):
+        init_well_prepared(dens, vel, 8, TWO_PI, scheme="iid", dim=2)
+
+
+def test_init_2d_rejects_profile_of_other_period():
+    dens = DensityProfile("bump", 0.2, 8.0, 1.0, 2, True)
+    vel = VelocityProfile("zero", 0.0, TWO_PI)
+    with pytest.raises(ValueError, match=r"period 1\.0 differs from the period argument 6\.28"):
+        init_well_prepared(dens, vel, 8, TWO_PI, scheme="iid", dim=2)
+
+
+def test_profile_lattice_shape_cached_read_only():
+    a = DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, True)
+    shape = a.lattice_shape()
+    assert shape.shape == (2**18,)
+    assert DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, True).lattice_shape() is shape
+    with pytest.raises(ValueError):
+        shape[0] = 0.0
+    other = DensityProfile("bump", 0.4, 8.0, TWO_PI, 2, True).lattice_shape()
+    assert other is not shape and not np.array_equal(other, shape)
+    np.testing.assert_array_equal(shape, a.shape_values(a.lattice.points()))
 
 
 def test_stratified_density_term_decreases_with_n():
