@@ -43,6 +43,7 @@ def _outdir(cfg) -> str:
 
 def cmd_run_coupled(args) -> int:
     cfg = _load_config(args)
+    coupling.check_kernel_fits(cfg, "particles.n")
     out = _outdir(cfg)
     run = coupling.build_run(cfg, sample_index=0)
     n_steps = run.path.n_steps
@@ -88,6 +89,7 @@ def _write_snapshot(out, tag, run):
 
 def cmd_rate_study(args) -> int:
     cfg = _load_config(args)
+    coupling.check_kernel_fits(cfg, "study.n_values")
     out = _outdir(cfg)
     result = coupling.monte_carlo_rate(cfg)
     artifacts.write_rate_csv(os.path.join(out, "rate.csv"), result)

@@ -24,7 +24,7 @@ import numpy as np
 from . import fluid as fluid_mod
 from . import particles as particles_mod
 from .config import RunConfig
-from .errors import DegenerateFit
+from .errors import ConfigError, DegenerateFit, GridTooCoarse
 from .fields import (
     EmpiricalMeasure,
     GridField,
@@ -69,6 +69,31 @@ def make_profiles(cfg: RunConfig):
     )
     velocity = VelocityProfile(i.velocity_family, i.velocity_amplitude, cfg.grid.period)
     return density, velocity
+
+
+def check_kernel_fits(cfg: RunConfig, key: str):
+    """Reject, naming the keys, a force kernel that a particle step would refuse at some N of ``key``.
+
+    ``key`` is ``particles.n`` or ``study.n_values``, the particle counts the
+    command runs.  The support radius falls with N and so does the effective
+    width, so the smallest N is the one the box check binds and the largest
+    the one the particle-mesh spacing rule binds.
+    """
+    section, name = key.split(".")
+    counts = np.atleast_1d(getattr(getattr(cfg, section), name))
+    grid = make_grid(cfg)
+    for n in (int(counts.min()), int(counts.max())):
+        kernel = make_kernel(cfg, n)
+        try:
+            if cfg.integrator.force_method == "particle_mesh":
+                particles_mod.validate_kernel_mesh(kernel, grid)
+            else:
+                particles_mod.validate_kernel_box(kernel, grid.period)
+        except GridTooCoarse as exc:
+            raise ConfigError(
+                f"kernel.width = {cfg.kernel.width!r} with kernel.beta = {cfg.kernel.beta!r} "
+                f"does not fit at {key} N = {n}: {exc}"
+            ) from None
 
 
 def make_euler_config(cfg: RunConfig) -> fluid_mod.EulerConfig:
@@ -146,11 +171,9 @@ def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
                 density,
                 velocity,
                 n,
-                grid.period,
                 scheme=cfg.particles.init_scheme,
                 master_seed=cfg.run.master_seed,
                 seed_tags=(int(sample_index), n),
-                dim=grid.dim,
             ),
             fluid=fl,
             path=path,

@@ -60,7 +60,18 @@ def validate_kernel_box(kernel: ScaledKernel, period: float):
     radius = kernel.support_radius()
     if radius >= 0.5 * period:
         raise GridTooCoarse(
-            f"kernel support radius {radius:.4g} does not fit in half the period {period:.4g}"
+            f"kernel support radius {radius:.4g} does not fit in half the period, {0.5 * period:.4g}"
+        )
+
+
+def validate_kernel_mesh(kernel: ScaledKernel, grid: PeriodicGrid):
+    """The particle-mesh rules: the kernel box check, and a lattice spacing of at most a quarter of the
+    kernel's effective width, beyond which the sampled kernel would alias badly."""
+    validate_kernel_box(kernel, grid.period)
+    if grid.spacing > kernel.effective_width() / 4.0:
+        raise GridTooCoarse(
+            f"grid spacing {grid.spacing:.4g} > effective kernel width / 4 = "
+            f"{kernel.effective_width() / 4.0:.4g}"
         )
 
 
@@ -160,15 +171,9 @@ def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: Period
     Raises
     ------
     GridTooCoarse
-        If the lattice spacing exceeds a quarter of the kernel's effective
-        width, where the sampled kernel would alias badly.
+        If the kernel breaks a rule of ``validate_kernel_mesh``.
     """
-    validate_kernel_box(kernel, grid.period)
-    if grid.spacing > kernel.effective_width() / 4.0:
-        raise GridTooCoarse(
-            f"grid spacing {grid.spacing:.4g} > effective kernel width / 4 = "
-            f"{kernel.effective_width() / 4.0:.4g}"
-        )
+    validate_kernel_mesh(kernel, grid)
     stencils = interlaced_stencils(state.positions, grid, deposit_scheme)
     spectrum = force_transfer(kernel, grid, deposit_scheme) * deposit_spectrum(stencils, grid) / state.n_particles
     return gather(grid.irfft(spectrum), stencils)
@@ -231,71 +236,49 @@ def init_well_prepared(
     density,
     velocity,
     n: int,
-    period: float,
     scheme: str = "stratified",
     master_seed: int = 0,
     seed_tags=(),
-    dim: int = 1,
-    resolution: int = 2**13,
 ) -> ParticleState:
-    """Positions sampled from the density, velocities read off the profile.
+    """Positions sampled from the density profile, velocities read off the velocity profile.
 
-    In 1-d the density is any callable on (n, 1) points, read at ``resolution``
-    nodes: ``stratified`` inverts the numerically accumulated CDF at the
-    quantile midpoints (k - 1/2)/N; ``iid`` draws uniforms from the stream
-    tagged by (master_seed, "init", *seed_tags) and inverts the same CDF.
-    In 2-d (``iid`` only) the density must be a 2-d ``DensityProfile`` of
-    period ``period``, and ``resolution`` is not used: each particle picks a
-    node of the profile's own normalization lattice with probability
-    proportional to its density, read from the profile's one cached lattice
-    evaluation, then moves uniformly into that node's cell, both draws from
-    the same stream.  Velocities are exact samples of the velocity profile,
-    so the kinetic mismatch vanishes at t = 0 by construction.
+    Both dimensions read the profile's one cached lattice evaluation,
+    ``density.lattice_shape()`` on ``density.lattice``, divided by its mass if
+    the profile normalizes, and check that mass on the same lattice.
+    In 1-d, ``stratified`` inverts the accumulated CDF, with breakpoints at the
+    nodes and the period, at the quantile midpoints (k - 1/2)/N; ``iid`` draws
+    uniforms from the stream tagged by (master_seed, "init", *seed_tags) and
+    inverts the same CDF.  In 2-d (``iid`` only) each particle picks a node with
+    probability proportional to its density, then moves uniformly into that
+    node's cell, both draws from the same stream.  Velocities are exact samples
+    of the velocity profile, so the kinetic mismatch vanishes at t = 0 by
+    construction.
 
     Raises
     ------
     DensityNotNormalizable
         If the lattice mass of the density deviates from 1 by more than 1e-6.
-    ValueError
-        If, in 2-d, the density profile is not 2-d or its period is not ``period``.
     """
     if scheme not in ("stratified", "iid"):
         raise ValueError(f"unknown init scheme {scheme!r}")
-    if dim == 1:
-        h = period / resolution
-        axis = np.arange(resolution) * h
-        dens = np.asarray(density(axis[:, None]))
-        mass = float(np.sum(dens) * h)
-        if abs(mass - 1.0) > 1e-6:
-            raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
-        cdf = np.concatenate([[0.0], np.cumsum(dens) * h])
+    if scheme == "stratified" and density.dim != 1:
+        raise ValueError("stratified initialization is defined for dim=1 only; use iid")
+    lattice = density.lattice
+    dens = density.lattice_shape()
+    if density.normalize:
+        dens = dens / density.mass
+    mass = float(np.sum(dens) * lattice.cell_volume)
+    if abs(mass - 1.0) > 1e-6:
+        raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
+    rng = stream(master_seed, "init", *seed_tags)
+    if density.dim == 1:
+        cdf = np.concatenate([[0.0], np.cumsum(dens) * lattice.spacing])
         cdf /= cdf[-1]
-        nodes = np.concatenate([axis, [period]])
-        if scheme == "stratified":
-            u = (np.arange(n) + 0.5) / n
-        else:
-            u = stream(master_seed, "init", *seed_tags).random(n)
-        positions = np.interp(u, cdf, nodes)[:, None]
+        u = (np.arange(n) + 0.5) / n if scheme == "stratified" else rng.random(n)
+        positions = np.interp(u, cdf, np.append(lattice.axis_coords, density.period))[:, None]
     else:
-        if scheme == "stratified":
-            raise ValueError("stratified initialization is defined for dim=1 only; use iid")
-        if density.dim != 2:
-            raise ValueError(f"2-d initialization needs a 2-d density profile, got dim {density.dim}")
-        if density.period != period:
-            raise ValueError(f"density profile period {density.period!r} differs from the period argument {period!r}")
-        lattice = density.lattice
-        h2 = lattice.spacing
-        dens = density.lattice_shape()
-        if density.normalize:
-            dens = dens / density.mass
-        mass = float(np.sum(dens) * h2 * h2)
-        if abs(mass - 1.0) > 1e-6:
-            raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
-        rng = stream(master_seed, "init", *seed_tags)
-        probs = dens / dens.sum()
-        cells = rng.choice(dens.size, size=n, p=probs)
-        jitter = rng.random((n, 2))
+        cells = rng.choice(dens.size, size=n, p=dens / dens.sum())
         rows, cols = np.divmod(cells, lattice.points_per_dim)
-        positions = np.stack([lattice.axis_coords[rows], lattice.axis_coords[cols]], axis=1) + jitter * h2
-    velocities = np.asarray(velocity(positions))
-    return ParticleState(positions, velocities, 0.0)
+        axis = lattice.axis_coords
+        positions = np.stack([axis[rows], axis[cols]], axis=1) + rng.random((n, 2)) * lattice.spacing
+    return ParticleState(positions, np.asarray(velocity(positions)), 0.0)

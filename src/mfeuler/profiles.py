@@ -41,6 +41,10 @@ class DensityProfile:
     def __post_init__(self):
         if self.family not in DENSITY_FAMILIES:
             raise ValueError(f"unknown density family {self.family!r}")
+        if self.dim not in _NORM_RESOLUTION:
+            raise ValueError(f"density dim must be 1 or 2, got {self.dim!r}")
+        if not self.period > 0:
+            raise ValueError(f"density period must be positive, got {self.period!r}")
         if self.family == "sine" and abs(self.amplitude) >= 1.0:
             raise ValueError("sine density amplitude must lie in (-1, 1) for positivity")
         if self.family == "bump" and self.amplitude <= -1.0:

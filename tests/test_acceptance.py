@@ -39,7 +39,7 @@ def test_criterion_1_force_path_equivalence():
     kern = ScaledKernel(MollifierSpec("gaussian", 4.0, 1), 1024, 0.5)
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
-    stratified = init_well_prepared(dens, vel, 1024, TWO_PI, scheme="stratified")
+    stratified = init_well_prepared(dens, vel, 1024, scheme="stratified")
     rng = np.random.default_rng(2024)
     uniform = ParticleState(rng.random((1024, 1)) * TWO_PI, np.zeros((1024, 1)))
     worst = 0.0

@@ -178,6 +178,22 @@ def test_cli_non_positive_density_amplitude_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "init.density_amplitude" in err
 
 
+def test_cli_kernel_the_step_refuses_exits_2(tmp_path, capsys):
+    # beta = 0.25 at width 2: the support radius at the smallest N exceeds half the period
+    cfg_path = _tiny_run_config(tmp_path, **{"kernel.beta": 0.25})
+    for command, key in (("rate-study", "study.n_values"), ("run-coupled", "particles.n")):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "half the period, 3.142" in err
+        assert all(name in err for name in ("kernel.width", "kernel.beta", key))
+    # the particle-mesh spacing rule binds at the largest N: 128 nodes are too coarse at N = 8192
+    cfg_path = _tiny_run_config(tmp_path, **{"particles.n": 8192})
+    assert main(["run-coupled", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "particles.n N = 8192" in err and "effective kernel width / 4" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg_path = _tiny_run_config(tmp_path)
     assert main(["run-coupled", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0

@@ -350,16 +350,18 @@ def test_2d_coupled_run_smoke():
     assert run.particles.positions.shape == (128, 2)
 
 
-def test_2d_study_evaluates_density_once_on_its_lattice(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_study_evaluates_density_once_on_its_lattice(monkeypatch, dim):
     from mfeuler import profiles
 
     cfg = RunConfig()
-    cfg.grid.dim = 2
     cfg.grid.points_per_dim = 64
-    cfg.kernel.width = 1.0
-    cfg.particles.init_scheme = "iid"
-    cfg.study.alpha = 2.5
     cfg.study.t_final = 0.002
+    if dim == 2:
+        cfg.grid.dim = 2
+        cfg.kernel.width = 1.0
+        cfg.particles.init_scheme = "iid"
+        cfg.study.alpha = 2.5
     validate(cfg)
     profiles.DensityProfile.lattice_shape.cache_clear()
     sizes = []
@@ -372,7 +374,7 @@ def test_2d_study_evaluates_density_once_on_its_lattice(monkeypatch):
     monkeypatch.setattr(profiles.DensityProfile, "shape_values", counted)
     for sample in (0, 1):
         coupling_mod.build_runs(cfg, sample, (256, 1024, 2048))
-    assert sizes.count(2**18) == 1
+    assert sizes.count({1: 2**13, 2: 2**18}[dim]) == 1
 
 
 def test_mollified_density_unit_mass():

@@ -9,9 +9,11 @@ from mfeuler.fields import (
     EmpiricalMeasure,
     GridField,
     PeriodicGrid,
+    _column_multiplicity,
     assignment_window,
     deposit,
     interpolate,
+    neg_sobolev_distance,
     sample_kernel,
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel
@@ -381,7 +383,7 @@ def test_determinism_same_seed():
         kern = gaussian_kernel(64)
         dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
         vel = VelocityProfile("sine", 0.1, TWO_PI)
-        st = init_well_prepared(dens, vel, 64, TWO_PI, scheme="stratified")
+        st = init_well_prepared(dens, vel, 64, scheme="stratified")
         grid = PeriodicGrid(1, 128, TWO_PI)
         for dB in path.increments:
             st = step(st, dB, path.dt, kern, sigma, TWO_PI, method="particle_mesh", grid=grid)
@@ -399,16 +401,11 @@ def test_non_finite_state_raises():
 
 
 def test_stratified_uniform_subinterval_quantiles():
-    # uniform density on [pi/2, 3pi/2): quantile midpoints are equispaced
-    a, b = TWO_PI / 4.0, 3.0 * TWO_PI / 4.0
-
-    def dens(pts):
-        x = np.atleast_2d(pts)[:, 0]
-        return np.where((x >= a) & (x < b), 1.0 / (b - a), 0.0)
-
-    vel = VelocityProfile("zero", 0.0, TWO_PI)
-    st = init_well_prepared(dens, vel, 4, TWO_PI, scheme="stratified", resolution=2**14)
-    expected = a + (np.arange(4) + 0.5) / 4.0 * (b - a)
+    # uniform profile on the torus [0, pi), half of [0, 2pi): the quantile midpoints are equispaced
+    period = TWO_PI / 2.0
+    dens = DensityProfile("uniform", period=period)
+    st = init_well_prepared(dens, VelocityProfile("zero", 0.0, period), 4, scheme="stratified")
+    expected = (np.arange(4) + 0.5) / 4.0 * period
     np.testing.assert_allclose(st.positions[:, 0], expected, atol=2 * TWO_PI / 2**14)
 
 
@@ -416,7 +413,7 @@ def test_init_velocities_exact_samples():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
     for scheme in ("stratified", "iid"):
-        st = init_well_prepared(dens, vel, 32, TWO_PI, scheme=scheme, master_seed=4)
+        st = init_well_prepared(dens, vel, 32, scheme=scheme, master_seed=4)
         np.testing.assert_array_equal(st.velocities, np.asarray(vel(st.positions)))
 
 
@@ -424,7 +421,7 @@ def test_init_rejects_unnormalized_density():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, normalize=False)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
     with pytest.raises(DensityNotNormalizable):
-        init_well_prepared(dens, vel, 8, TWO_PI)
+        init_well_prepared(dens, vel, 8)
 
 
 def init_2d_reference(density, velocity, n, period, master_seed, seed_tags):
@@ -440,13 +437,42 @@ def init_2d_reference(density, velocity, n, period, master_seed, seed_tags):
     return positions, np.asarray(velocity(positions))
 
 
+def init_1d_reference(density, velocity, n, scheme, master_seed, seed_tags):
+    """The 1-d init written out on its own 2^13 nodes: the normalized density at every node, the CDF
+    with breakpoints at the nodes and the period, inverted at the quantile midpoints or at uniform draws."""
+    period = density.period
+    h = period / 2**13
+    axis = np.arange(2**13) * h
+    dens = np.asarray(density(axis[:, None]))
+    cdf = np.concatenate([[0.0], np.cumsum(dens) * h])
+    cdf /= cdf[-1]
+    if scheme == "stratified":
+        u = (np.arange(n) + 0.5) / n
+    else:
+        u = stream(master_seed, "init", *seed_tags).random(n)
+    positions = np.interp(u, cdf, np.concatenate([axis, [period]]))[:, None]
+    return positions, np.asarray(velocity(positions))
+
+
+@pytest.mark.parametrize("scheme", ["stratified", "iid"])
+@pytest.mark.parametrize("family", ["bump", "sine", "uniform"])
+def test_init_1d_matches_reference_bitwise(family, scheme):
+    dens = DensityProfile(family, 0.3, 6.0, TWO_PI, 1, True)
+    vel = VelocityProfile("sine", 0.1, TWO_PI)
+    for n in (1, 7, 256, 8192):
+        st = init_well_prepared(dens, vel, n, scheme=scheme, master_seed=9, seed_tags=(2, n))
+        positions, velocities = init_1d_reference(dens, vel, n, scheme, 9, (2, n))
+        assert np.array_equal(st.positions, positions)
+        assert np.array_equal(st.velocities, velocities)
+
+
 @pytest.mark.parametrize("family", ["bump", "sine"])
 def test_init_2d_matches_reference_bitwise(family):
     dens = DensityProfile(family, 0.3, 6.0, TWO_PI, 2, True)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
     for seed in (3, 11):
         for n in (200, 1024):
-            st = init_well_prepared(dens, vel, n, TWO_PI, scheme="iid", master_seed=seed, seed_tags=(0, n), dim=2)
+            st = init_well_prepared(dens, vel, n, scheme="iid", master_seed=seed, seed_tags=(0, n))
             positions, velocities = init_2d_reference(dens, vel, n, TWO_PI, seed, (0, n))
             assert np.array_equal(st.positions, positions)
             assert np.array_equal(st.velocities, velocities)
@@ -456,14 +482,7 @@ def test_init_2d_rejects_unnormalized_density():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, normalize=False)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
     with pytest.raises(DensityNotNormalizable):
-        init_well_prepared(dens, vel, 8, TWO_PI, scheme="iid", dim=2)
-
-
-def test_init_2d_rejects_profile_of_other_period():
-    dens = DensityProfile("bump", 0.2, 8.0, 1.0, 2, True)
-    vel = VelocityProfile("zero", 0.0, TWO_PI)
-    with pytest.raises(ValueError, match=r"period 1\.0 differs from the period argument 6\.28"):
-        init_well_prepared(dens, vel, 8, TWO_PI, scheme="iid", dim=2)
+        init_well_prepared(dens, vel, 8, scheme="iid")
 
 
 def test_profile_lattice_shape_cached_read_only():
@@ -476,6 +495,10 @@ def test_profile_lattice_shape_cached_read_only():
     other = DensityProfile("bump", 0.4, 8.0, TWO_PI, 2, True).lattice_shape()
     assert other is not shape and not np.array_equal(other, shape)
     np.testing.assert_array_equal(shape, a.shape_values(a.lattice.points()))
+    # a geometry the lattice cannot take is refused when the profile is built, naming the field
+    for field, value in (("dim", 3), ("dim", 0), ("period", -1.0), ("period", 0.0)):
+        with pytest.raises(ValueError, match=f"density {field}"):
+            DensityProfile("bump", **{field: value})
 
 
 def test_stratified_density_term_decreases_with_n():
@@ -489,11 +512,30 @@ def test_stratified_density_term_decreases_with_n():
     errs = []
     for j in range(8, 13):
         n = 2**j
-        st = init_well_prepared(dens, vel, n, TWO_PI, scheme="stratified")
+        st = init_well_prepared(dens, vel, n, scheme="stratified")
         kern = gaussian_kernel(n)
         mol = mollified_density(st.positions, kern, grid)
         errs.append(float(np.sum((mol.values - rho.values) ** 2) * grid.cell_volume))
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+def test_iid_init_distance_matches_sampling_variance():
+    # at t = 0 an iid sample's mean squared distance is its variance, (1 - |rho_k|^2) / N per mode with rho_0 = 1;
+    # the sampling law's bias (its cells sit half a 2^13-node cell off the nodes) is far below one SE
+    grid = PeriodicGrid(1, 512, TWO_PI)
+    alpha = 2.0
+    dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
+    vel = VelocityProfile("zero", 0.0, TWO_PI)
+    rho = dens.on_grid(grid)
+    spectrum = grid.rfft(rho.values)
+    rho_hat = spectrum / spectrum[0]
+    weights = _column_multiplicity(grid) * (1.0 + grid.half(grid.freq_norm_sq)) ** -alpha
+    for n in (256, 1024, 4096):
+        samples = [init_well_prepared(dens, vel, n, "iid", 21, (m, n)) for m in range(400)]
+        sq = [neg_sobolev_distance(EmpiricalMeasure(st.positions), rho, alpha) ** 2 for st in samples]
+        expected = np.sum(weights * (1.0 - np.abs(rho_hat) ** 2)) / (n * grid.period)
+        se = np.std(sq, ddof=1) / math.sqrt(len(sq))
+        assert abs(np.mean(sq) - expected) < 4.0 * se, (n, np.mean(sq), expected, se)
 
 
 def test_noise_path_statistics():
