@@ -1,9 +1,9 @@
 """On-disk artifact formats: field/trajectory binaries, CSVs, run manifests.
 
 Binary layout is a short structured-text header (terminated by a blank line)
-followed by raw little-endian float64 payloads in row-major order.  CSV floats
-are written with ``repr`` so rerunning a configuration reproduces files
-byte-for-byte.
+followed by raw little-endian float64 payloads in row-major order.  A CSV cell
+is an integer (int, bool, numpy integer) or else the ``repr`` of a float, so
+rerunning a configuration reproduces files byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,23 +19,37 @@ from .particles import ParticleState
 
 FIELD_MAGIC = "mfeuler-field v1"
 TRAJ_MAGIC = "mfeuler-particles v1"
+_FIELD_KEYS = {"dim": int, "points_per_dim": int, "period": float}  # header keys and their types
+_PARTICLE_KEYS = {"n": int, "dim": int, "time": float}
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_field(path, field: GridField):
-    header = (
-        f"{FIELD_MAGIC}\n"
-        f"dim = {field.grid.dim}\n"
-        f"points_per_dim = {field.grid.points_per_dim}\n"
-        f"period = {_fmt(field.grid.period)}\n"
-        "\n"
-    )
+def _cell(x) -> str:
+    return str(int(x)) if isinstance(x, (int, np.integer, np.bool_)) else _fmt(x)
+
+
+def _write_table(path, columns, rows):
+    """The one CSV writer: a header of ``columns``, then a line per row, each cell formatted by ``_cell``."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_binary(path, magic: str, keys: dict, header: tuple, *payloads):
+    """Write what ``_read_binary`` reads: ``magic``, a ``key = value`` line per key, a blank line, the payloads.
+
+    ``header`` holds the values in the order of ``keys``, each cast as ``keys`` maps it and printed by
+    ``repr``; each payload follows as little-endian float64 in row-major order.
+    """
+    lines = [magic, *(f"{key} = {cast(value)!r}" for (key, cast), value in zip(keys.items(), header)), "", ""]
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write("\n".join(lines).encode("ascii"))
+        for payload in payloads:
+            fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
 def _read_binary(path, magic: str, kind: str, keys: dict, layout):
@@ -83,33 +97,25 @@ def _field_grid(meta) -> PeriodicGrid:
     return PeriodicGrid(meta["dim"], meta["points_per_dim"], meta["period"])
 
 
+def write_field(path, field: GridField):
+    g = field.grid
+    _write_binary(path, FIELD_MAGIC, _FIELD_KEYS, (g.dim, g.points_per_dim, g.period), field.values)
+
+
 def read_field(path) -> GridField:
-    keys = {"dim": int, "points_per_dim": int, "period": float}
-    meta, values = _read_binary(path, FIELD_MAGIC, "field", keys, lambda m: _field_grid(m).shape)
+    meta, values = _read_binary(path, FIELD_MAGIC, "field", _FIELD_KEYS, lambda m: _field_grid(m).shape)
     return GridField(_field_grid(meta), values)
 
 
 def write_field_csv(path, field: GridField):
     if field.grid.dim != 1:
         raise ValueError("CSV export is defined for 1-d fields")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(field.grid.axis_coords, field.values):
-            fh.write(f"{_fmt(x)},{_fmt(v)}\n")
+    _write_table(path, ("x", "value"), zip(field.grid.axis_coords, field.values))
 
 
 def write_particles(path, state: ParticleState):
-    header = (
-        f"{TRAJ_MAGIC}\n"
-        f"n = {state.n_particles}\n"
-        f"dim = {state.dim}\n"
-        f"time = {_fmt(state.time)}\n"
-        "\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(state.positions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.velocities, dtype="<f8").tobytes())
+    header = (state.n_particles, state.dim, state.time)
+    _write_binary(path, TRAJ_MAGIC, _PARTICLE_KEYS, header, state.positions, state.velocities)
 
 
 def _particle_layout(meta) -> tuple:
@@ -121,39 +127,25 @@ def _particle_layout(meta) -> tuple:
 
 
 def read_particles(path) -> ParticleState:
-    keys = {"n": int, "dim": int, "time": float}
-    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", keys, _particle_layout)
+    meta, values = _read_binary(path, TRAJ_MAGIC, "particle", _PARTICLE_KEYS, _particle_layout)
     pos, vel = values
     return ParticleState(pos, vel, meta["time"])
 
 
 def write_q_series(path, records):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("time,kinetic_term,density_term,q_total,stopped\n")
-        for r in records:
-            fh.write(
-                f"{_fmt(r.time)},{_fmt(r.kinetic_term)},{_fmt(r.density_term)},"
-                f"{_fmt(r.q_total)},{int(r.stopped)}\n"
-            )
+    rows = ((r.time, r.kinetic_term, r.density_term, r.q_total, r.stopped) for r in records)
+    _write_table(path, ("time", "kinetic_term", "density_term", "q_total", "stopped"), rows)
 
 
 def write_mass_trace(path, rows):
     """rows: iterable of (step, time, mass, min_rho)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("step,time,mass,min_rho\n")
-        for step, time, mass, min_rho in rows:
-            fh.write(f"{step},{_fmt(time)},{_fmt(mass)},{_fmt(min_rho)}\n")
+    _write_table(path, ("step", "time", "mass", "min_rho"), rows)
 
 
 def write_rate_csv(path, result):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("N,mean_q,se_q,mean_dist_S,mean_dist_V,censored_count\n")
-        for i, n in enumerate(result.n_values):
-            fh.write(
-                f"{n},{_fmt(result.mean_q[i])},{_fmt(result.se_q[i])},"
-                f"{_fmt(result.mean_dist_s[i])},{_fmt(result.mean_dist_v[i])},"
-                f"{int(result.censored_counts[i])}\n"
-            )
+    columns = ("N", "mean_q", "se_q", "mean_dist_S", "mean_dist_V", "censored_count")
+    r = result
+    _write_table(path, columns, zip(r.n_values, r.mean_q, r.se_q, r.mean_dist_s, r.mean_dist_v, r.censored_counts))
 
 
 def rate_summary_text(result) -> str:

@@ -329,28 +329,20 @@ class RateResult:
         return -self.beta / self.dim
 
 
-@dataclass
-class _SampleResult:
-    q0: np.ndarray
-    qT: np.ndarray
-    dist_s: np.ndarray
-    dist_v: np.ndarray
-    censored: bool
+SAMPLE_COLUMNS = ("q0", "q", "dist_s", "dist_v")  # the columns of a sample's table, one row per N
 
 
-def _run_sample(cfg: RunConfig, sample_index: int) -> _SampleResult:
+def _run_sample(cfg: RunConfig, sample_index: int, cutoff: int):
+    """One sample's table, a row per N in the columns ``SAMPLE_COLUMNS``, and whether the guard stopped it early."""
     runs = build_runs(cfg, sample_index, cfg.study.n_values)
-    q0 = np.array([q_functional(run).q_total for run in runs])
+    q0 = [q_functional(run).q_total for run in runs]
     for _ in range(runs[0].path.n_steps):
         runs = step_runs(runs)
-    qT = np.array([q_functional(run).q_total for run in runs])
-    cutoff = cfg.study.freq_cutoff or None
-    dists = [mean_field_distances(run, cfg.study.alpha, cutoff) for run in runs]
-    dist_s = np.array([d[0] for d in dists])
-    dist_v = np.array([d[1] for d in dists])
+    qT = [q_functional(run).q_total for run in runs]
+    dists = [mean_field_distances(run, cfg.study.alpha, cutoff) for run in runs]  # after every Q: lower peak RSS
+    table = np.column_stack([q0, qT, *zip(*dists)])
     fl = runs[0].fluid
-    censored = bool(fl.stopped and fl.stopping.time < cfg.study.t_final - 1e-12)
-    return _SampleResult(q0, qT, dist_s, dist_v, censored)
+    return table, bool(fl.stopped and fl.stopping.time < cfg.study.t_final - 1e-12)
 
 
 def monte_carlo_rate(cfg: RunConfig, threads: int | None = None) -> RateResult:
@@ -363,57 +355,43 @@ def monte_carlo_rate(cfg: RunConfig, threads: int | None = None) -> RateResult:
     """
     if threads is not None and int(threads) < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    results = [_run_sample(cfg, m) for m in range(cfg.study.samples)]
-
-    n_values = cfg.study.n_values
-    n_arr = np.asarray(n_values, dtype=float)
-    qT = np.stack([r.qT for r in results])  # (samples, len(N))
-    q0 = np.stack([r.q0 for r in results])
-    ds = np.stack([r.dist_s for r in results])
-    dv = np.stack([r.dist_v for r in results])
-    censored = np.array([r.censored for r in results])
-
-    m_samples = len(results)
-    mean_q = qT.mean(axis=0)
-    se_q = qT.std(axis=0, ddof=1) / np.sqrt(m_samples) if m_samples > 1 else np.zeros_like(mean_q)
-    mean_q0 = q0.mean(axis=0)
-    mean_ds = ds.mean(axis=0)
-    mean_dv = dv.mean(axis=0)
-    censored_counts = np.full(len(n_values), int(censored.sum()))
+    grid = make_grid(cfg)
+    cutoff = cfg.study.freq_cutoff or grid.points_per_dim // 2  # 0 is M/2, for the distances and the tail bound
+    tables, censored = zip(*(_run_sample(cfg, m, cutoff) for m in range(cfg.study.samples)))
+    table = np.stack(tables)  # (samples, len(N), len(SAMPLE_COLUMNS))
+    # one mean over the samples; column c's mean is the RateResult field mean_c
+    means = {f"mean_{name}": column for name, column in zip(SAMPLE_COLUMNS, table.mean(axis=0).T)}
+    q = table[:, :, SAMPLE_COLUMNS.index("q")]
+    se_q = q.std(axis=0, ddof=1) / np.sqrt(len(q)) if len(q) > 1 else np.zeros_like(means["mean_q"])
+    censored_counts = np.full(len(cfg.study.n_values), sum(censored))
 
     notes = []
     clean = censored_counts == 0
+    n_clean = np.asarray(cfg.study.n_values, dtype=float)[clean]
 
     def safe_fit(ys, label):
         try:
-            slope, _, r2 = fit_loglog(n_arr[clean], np.asarray(ys)[clean])
+            slope, _, r2 = fit_loglog(n_clean, ys[clean])
             return slope, r2
         except DegenerateFit as exc:
             notes.append(f"{label}: {exc}")
             return None, None
 
-    slope_q, r2_q = safe_fit(mean_q, "slope_q")
-    slope_ds, _ = safe_fit(mean_ds, "slope_dist_s")
-    slope_dv, _ = safe_fit(mean_dv, "slope_dist_v")
+    slope_q, r2_q = safe_fit(means["mean_q"], "slope_q")
+    slope_ds, _ = safe_fit(means["mean_dist_s"], "slope_dist_s")
+    slope_dv, _ = safe_fit(means["mean_dist_v"], "slope_dist_v")
 
-    adjusted = mean_q - mean_q0
+    adjusted = means["mean_q"] - means["mean_q0"]
     if np.all(adjusted[clean] > 0):
         slope_adj, _ = safe_fit(adjusted, "slope_q_adjusted")
     else:
         slope_adj = None
         notes.append("slope_q_adjusted: floor-subtracted means not all positive")
 
-    grid = make_grid(cfg)
-    cutoff = cfg.study.freq_cutoff or grid.points_per_dim // 2
-    tail_bound = neg_sobolev_tail_bound(grid, cfg.study.alpha, cutoff)
-
     return RateResult(
-        n_values=tuple(n_values),
-        mean_q=mean_q,
+        n_values=tuple(cfg.study.n_values),
+        **means,
         se_q=se_q,
-        mean_q0=mean_q0,
-        mean_dist_s=mean_ds,
-        mean_dist_v=mean_dv,
         censored_counts=censored_counts,
         slope_q=slope_q,
         slope_q_adjusted=slope_adj,
@@ -427,6 +405,6 @@ def monte_carlo_rate(cfg: RunConfig, threads: int | None = None) -> RateResult:
         guard_m=cfg.euler.guard_m,
         samples=cfg.study.samples,
         freq_cutoff=cutoff,
-        dist_tail_bound=tail_bound,
+        dist_tail_bound=neg_sobolev_tail_bound(grid, cfg.study.alpha, cutoff),
         notes=tuple(notes),
     )

@@ -322,6 +322,8 @@ def _mode_box(grid: PeriodicGrid, cutoff: int):
     the lattice axes of ``grid.rfft``'s output, negative leading modes from the end, as in FFT order.
     """
     m = grid.points_per_dim
+    if cutoff < 0:
+        raise ValueError(f"freq_cutoff = {cutoff} must be nonnegative")
     if cutoff > m // 2:
         raise ValueError("freq_cutoff exceeds the grid Nyquist mode")
     lead, last = np.arange(-cutoff, min(cutoff + 1, m // 2)), np.arange(cutoff + 1)
@@ -450,6 +452,8 @@ def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, ou
     ``outer`` limits the sum to cutoff < |k|_inf <= outer (default: grid
     Nyquist plus a continuum estimate beyond).
     """
+    if cutoff < 0:
+        raise ValueError(f"freq_cutoff = {cutoff} must be nonnegative")
     lam_unit = 2.0 * np.pi / grid.period
     coeff = grid.period**grid.dim * (mass_bound / grid.period**grid.dim) ** 2
 

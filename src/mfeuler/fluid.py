@@ -50,7 +50,7 @@ class EulerConfig:
             raise ValueError("dt must be positive")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError("dealias_fraction must lie in (0, 1]")
-        if self.hyperviscosity_nu < 0:
+        if not self.hyperviscosity_nu >= 0:
             raise ValueError("hyperviscosity_nu must be nonnegative")
         if self.hyperviscosity_order < 1:
             raise ValueError("hyperviscosity_order must be >= 1")

@@ -268,7 +268,7 @@ def init_well_prepared(
     if density.normalize:
         dens = dens / density.mass
     mass = float(np.sum(dens) * lattice.cell_volume)
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
         raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
     rng = stream(master_seed, "init", *seed_tags)
     if density.dim == 1:

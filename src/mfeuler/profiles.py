@@ -45,6 +45,9 @@ class DensityProfile:
             raise ValueError(f"density dim must be 1 or 2, got {self.dim!r}")
         if not self.period > 0:
             raise ValueError(f"density period must be positive, got {self.period!r}")
+        for name in ("amplitude", "concentration"):  # an infinite one is left to the solvers, which refuse it
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"density {name} must not be NaN")
         if self.family == "sine" and abs(self.amplitude) >= 1.0:
             raise ValueError("sine density amplitude must lie in (-1, 1) for positivity")
         if self.family == "bump" and self.amplitude <= -1.0:

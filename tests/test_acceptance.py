@@ -77,17 +77,15 @@ def test_criterion_2_stratonovich_noise_exactness():
     # must converge to the same terminal value (its theoretical strong order
     # is one half)
     levels = list(range(6, 13))
-    errs = {("euler", j): [] for j in levels} | {("corrected", j): [] for j in levels}
-    for sample in range(32):
-        path = NoisePath.generate(2024, sample, finest, 1, horizon / finest)
-        exact = math.exp(0.3 * path.terminal()[0])
-        for j in levels:
-            coarse = path.coarsen(2 ** (12 - j))
-            for scheme in ("euler", "corrected"):
-                v = ito_reference(
-                    np.array([[1.0]]), np.array([[3.0]]), sigma, coarse.increments, coarse.dt, TWO_PI, scheme
-                )
-                errs[(scheme, j)].append(abs(v[0, 0] - exact))
+    paths = [NoisePath.generate(2024, sample, finest, 1, horizon / finest) for sample in range(32)]
+    exact = np.array([math.exp(0.3 * path.terminal()[0]) for path in paths])
+    errs = {}
+    for j in levels:
+        coarse = [path.coarsen(2 ** (12 - j)) for path in paths]
+        increments = np.stack([c.increments for c in coarse], axis=1)  # (steps, paths, 1): one path per row
+        for scheme in ("euler", "corrected"):
+            v = ito_reference(np.ones((32, 1)), np.full((32, 1), 3.0), sigma, increments, coarse[0].dt, TWO_PI, scheme)
+            errs[(scheme, j)] = np.abs(v[:, 0] - exact)
     dts = [horizon / 2**j for j in levels]
     slope_corr, _, _ = fit_loglog(dts, [np.mean(errs[("corrected", j)]) for j in levels])
     slope_em, _, _ = fit_loglog(dts, [np.mean(errs[("euler", j)]) for j in levels])

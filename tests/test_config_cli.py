@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from mfeuler import artifacts
 from mfeuler.cli import main
 from mfeuler.config import RunConfig, validate
+from mfeuler.coupling import QRecord
 from mfeuler.errors import ConfigError
 from mfeuler.fields import GridField, PeriodicGrid
 from mfeuler.particles import ParticleState
@@ -401,6 +404,56 @@ def test_read_particles_rejects_a_layout_the_header_cannot_describe(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             artifacts.read_particles(path)
+
+
+def test_writers_pin_the_output_bytes(tmp_path):
+    # ints, bools and numpy integers print as integers, every other value as repr(float); binaries are the
+    # header text, a blank line and little-endian float64 payloads in C order
+    records = [QRecord(0.0, 0.25, -0.0, 0.25, False), QRecord(np.float64(0.5), 0.125, 3.0, 3.125, np.True_)]
+    rate = SimpleNamespace(
+        n_values=(64, 128),
+        mean_q=np.array([0.1, 0.2]),
+        se_q=np.array([0.0, -0.0]),
+        mean_dist_s=np.array([1e-12, 2.5e-13]),
+        mean_dist_v=np.array([3.0, 4.0]),
+        censored_counts=np.array([0, 2], dtype=np.int64),
+    )
+    mass_rows = [(0, 0.0, 1.0, 0.5), (np.int64(12), 0.012, 1.0000000000000002, -0.0)]
+    field_1d = GridField(PeriodicGrid(1, 4, 2.0), np.array([-0.0, 1.0, 0.1, 3.0]))
+    field_2d = GridField(PeriodicGrid(2, 2, 4.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    writes = {
+        "q.csv": lambda p: artifacts.write_q_series(p, records),
+        "mass.csv": lambda p: artifacts.write_mass_trace(p, mass_rows),
+        "rate.csv": lambda p: artifacts.write_rate_csv(p, rate),
+        "rho.csv": lambda p: artifacts.write_field_csv(p, field_1d),
+        "rho.field": lambda p: artifacts.write_field(p, field_1d),
+        "u.field": lambda p: artifacts.write_field(p, field_2d),
+        "p.bin": lambda p: artifacts.write_particles(
+            p, ParticleState(np.array([[0.5, 1.5], [2.5, 3.5]]), np.array([[-0.0, 2.0], [4.0, 8.0]]), 0.25)
+        ),
+    }
+    expected = {
+        "q.csv": b"time,kinetic_term,density_term,q_total,stopped\n0.0,0.25,-0.0,0.25,0\n0.5,0.125,3.0,3.125,1\n",
+        "mass.csv": b"step,time,mass,min_rho\n0,0.0,1.0,0.5\n12,0.012,1.0000000000000002,-0.0\n",
+        "rate.csv": (
+            b"N,mean_q,se_q,mean_dist_S,mean_dist_V,censored_count\n"
+            b"64,0.1,0.0,1e-12,3.0,0\n128,0.2,-0.0,2.5e-13,4.0,2\n"
+        ),
+        "rho.csv": b"x,value\n0.0,-0.0\n0.5,1.0\n1.0,0.1\n1.5,3.0\n",
+        "rho.field": (
+            b"mfeuler-field v1\ndim = 1\npoints_per_dim = 4\nperiod = 2.0\n\n" + struct.pack("<4d", -0.0, 1.0, 0.1, 3.0)
+        ),
+        "u.field": (
+            b"mfeuler-field v1\ndim = 2\npoints_per_dim = 2\nperiod = 4.0\n\n" + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
+        ),
+        "p.bin": (
+            b"mfeuler-particles v1\nn = 2\ndim = 2\ntime = 0.25\n\n"
+            + struct.pack("<8d", 0.5, 1.5, 2.5, 3.5, -0.0, 2.0, 4.0, 8.0)
+        ),
+    }
+    for name, write in writes.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected[name], name
 
 
 def test_field_csv_export(tmp_path):

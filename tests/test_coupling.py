@@ -15,6 +15,7 @@ from mfeuler.coupling import (
     monte_carlo_rate,
     q_functional,
     mean_field_distances,
+    SAMPLE_COLUMNS,
     _run_sample,
 )
 from mfeuler.errors import DegenerateFit
@@ -192,15 +193,15 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
 
     monkeypatch.setattr(fluid_mod, "step", counted_step)
     monkeypatch.setattr(coupling_mod, "mean_field_distances", recorded_distances)
-    result = _run_sample(cfg, 1)
+    table, censored = _run_sample(cfg, 1, cfg.grid.points_per_dim // 2)
     monkeypatch.undo()
 
     if tight_guard:
         stop_step = final_runs[0].fluid.stopping.step_index
-        assert result.censored and 0 < stop_step < n_steps
+        assert censored and 0 < stop_step < n_steps
     else:
         stop_step = n_steps
-        assert not result.censored
+        assert not censored
     # the shared fluid steps once per increment, for all N together
     assert fluid_steps == list(range(stop_step))
     for j, n in enumerate(cfg.study.n_values):
@@ -211,7 +212,7 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
         assert inside.particles.n_particles == n
         np.testing.assert_array_equal(inside.particles.positions, solo.particles.positions)
         np.testing.assert_array_equal(inside.particles.velocities, solo.particles.velocities)
-        assert result.qT[j] == q_functional(solo).q_total
+        assert table[j, SAMPLE_COLUMNS.index("q")] == q_functional(solo).q_total
         assert solo.step_index == stop_step
         if tight_guard:
             # a step after the stop changes nothing
@@ -288,10 +289,11 @@ def test_rate_study_common_random_numbers_and_isolation():
     path_b = NoisePath.generate(cfg.run.master_seed, 1, 20, 1, cfg.integrator.dt)
     np.testing.assert_array_equal(path_a.increments, path_b.increments)
     # sample results do not depend on which other samples ran
-    r_solo = _run_sample(cfg, 1)
+    cutoff = cfg.grid.points_per_dim // 2
+    r_solo, _ = _run_sample(cfg, 1, cutoff)
     res = monte_carlo_rate(cfg)
-    r_batch = _run_sample(cfg, 1)
-    np.testing.assert_array_equal(r_solo.qT, r_batch.qT)
+    r_batch, _ = _run_sample(cfg, 1, cutoff)
+    np.testing.assert_array_equal(r_solo, r_batch)
     assert res.samples == 2
 
 

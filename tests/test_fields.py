@@ -439,6 +439,17 @@ def test_tail_bound_matches_dense_mode_table(dim):
     assert 0 < continuum < 0.5 * explicit
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_negative_freq_cutoff_is_refused_naming_it(dim):
+    g = PeriodicGrid(dim, 16, 2 * math.pi)
+    rho = GridField(g, np.full(g.shape, 1.0 / g.period**dim))
+    measure = EmpiricalMeasure(np.full((4, dim), 1.0))
+    with pytest.raises(ValueError, match="freq_cutoff = -1 must be nonnegative"):
+        neg_sobolev_distance(measure, rho, 2.5, -1)
+    with pytest.raises(ValueError, match="freq_cutoff = -3 must be nonnegative"):
+        neg_sobolev_tail_bound(g, 2.5, -3)
+
+
 def test_tail_bound_peak_memory_stays_small():
     # a dense integer table of the (8 * 256 + 1)^2 modes would take about 64 MiB here
     g = PeriodicGrid(2, 512, TWO_PI)

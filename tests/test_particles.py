@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfeuler.errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
+from mfeuler.fluid import EulerConfig
 import mfeuler.particles as particles_mod
 from mfeuler.fields import (
     EmpiricalMeasure,
@@ -485,6 +486,29 @@ def test_init_2d_rejects_unnormalized_density():
         init_well_prepared(dens, vel, 8, scheme="iid")
 
 
+def _init_bump(amplitude, concentration):
+    return init_well_prepared(DensityProfile("bump", amplitude, concentration), VelocityProfile(), 8)
+
+
+@pytest.mark.parametrize(
+    "build,error,match",
+    [
+        (lambda: DensityProfile("sine", math.nan), ValueError, "density amplitude must not be NaN"),
+        (lambda: DensityProfile("bump", math.nan), ValueError, "density amplitude must not be NaN"),
+        (lambda: DensityProfile("bump", 0.2, math.nan), ValueError, "density concentration must not be NaN"),
+        # an infinite field, or finite ones whose shape overflows, make the lattice mass inf / inf = nan
+        (lambda: _init_bump(math.inf, 8.0), DensityNotNormalizable, "density mass nan"),
+        (lambda: _init_bump(0.2, math.inf), DensityNotNormalizable, "density mass nan"),
+        (lambda: _init_bump(0.2, -1e3), DensityNotNormalizable, "density mass nan"),
+        (lambda: EulerConfig(dt=1e-3, hyperviscosity_nu=math.nan), ValueError, "hyperviscosity_nu"),
+    ],
+    ids=["sine_amplitude", "bump_amplitude", "concentration", "inf_amplitude", "inf_concentration", "overflow", "nu"],
+)
+def test_non_finite_initial_data_raises_instead_of_nan_particles(build, error, match):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        build()
+
+
 def test_profile_lattice_shape_cached_read_only():
     a = DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, True)
     shape = a.lattice_shape()
@@ -561,7 +585,8 @@ def test_ito_oracles_converge_to_exact_factor():
     exact = math.exp(0.3 * path.terminal()[0])
     errs = {}
     for scheme in ("euler", "corrected"):
-        v = ito_reference(np.array([[1.0]]), np.array([[0.0]]), sigma, path.increments, path.dt, TWO_PI, scheme)
+        increments = path.increments[:, None]  # (steps, 1 path, dim)
+        v = ito_reference(np.array([[1.0]]), np.array([[0.0]]), sigma, increments, path.dt, TWO_PI, scheme)
         errs[scheme] = abs(v[0, 0] - exact)
     assert errs["euler"] < 5e-3
     assert errs["corrected"] < errs["euler"]
