@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime
 import math
-import os
 
 import numpy as np
 
@@ -148,7 +147,7 @@ def write_rate_csv(path, result):
     _write_table(path, columns, zip(r.n_values, r.mean_q, r.se_q, r.mean_dist_s, r.mean_dist_v, r.censored_counts))
 
 
-def rate_summary_text(result) -> str:
+def write_rate_summary(path, result):
     def fmt_slope(s):
         return "degenerate" if s is None else _fmt(s)
 
@@ -172,20 +171,14 @@ def rate_summary_text(result) -> str:
         f"mean_q0: {','.join(_fmt(v) for v in result.mean_q0)}",
         f"censored_total: {int(result.censored_counts.max()) if len(result.censored_counts) else 0}",
     ]
-    for note in result.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
-
-
-def write_rate_summary(path, result):
+    lines += [f"note: {note}" for note in result.notes]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(rate_summary_text(result))
+        fh.write("\n".join(lines) + "\n")
 
 
-def write_manifest(path, config_text, version, stopping=None, extra=None, timestamp=True):
-    lines = ["mfeuler run manifest", f"version: {version}"]
-    if timestamp:
-        lines.append(f"written_at: {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
+def write_manifest(path, config_text, version, stopping=None, extra=None):
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    lines = ["mfeuler run manifest", f"version: {version}", f"written_at: {now}"]
     if stopping is None:
         lines.append("stopping: none")
     else:
@@ -202,8 +195,3 @@ def write_manifest(path, config_text, version, stopping=None, extra=None, timest
     lines.append(config_text.rstrip("\n"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

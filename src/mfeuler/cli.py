@@ -38,7 +38,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _outdir(cfg) -> str:
-    return artifacts.ensure_dir(cfg.run.output_dir)
+    os.makedirs(cfg.run.output_dir, exist_ok=True)
+    return cfg.run.output_dir
 
 
 def cmd_run_coupled(args) -> int:

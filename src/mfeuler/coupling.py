@@ -17,6 +17,7 @@ the whole N sweep.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,15 +25,8 @@ import numpy as np
 from . import fluid as fluid_mod
 from . import particles as particles_mod
 from .config import RunConfig
-from .errors import ConfigError, DegenerateFit, GridTooCoarse
-from .fields import (
-    EmpiricalMeasure,
-    GridField,
-    PeriodicGrid,
-    neg_sobolev_distance,
-    neg_sobolev_tail_bound,
-    warn_if_aliased,
-)
+from .errors import ConfigError, DegenerateFit, GridTooCoarse, KernelAliasingWarning
+from .fields import EmpiricalMeasure, GridField, PeriodicGrid, neg_sobolev_distance, neg_sobolev_tail_bound
 from .kernels import MollifierSpec, ScaledKernel
 from .noise import NoisePath, SigmaField
 from .profiles import DensityProfile, VelocityProfile
@@ -146,10 +140,6 @@ class CoupledRun:
     def dt(self):
         return self.euler_config.dt
 
-    @property
-    def time(self):
-        return self.fluid.time
-
 
 def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
     """Assemble one fluid and noise path of t_final / dt steps plus one particle system per N in ``n_values``.
@@ -237,9 +227,14 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
     The interlaced deposit spectrum goes through one cached operator that
     divides out the assignment window and convolves with the sampled
     mollifier, which keeps the result on the direct particle sum
-    (1/N) sum_j density(x - X_j) up to residual deposit aliasing.
+    (1/N) sum_j density(x - X_j) up to residual deposit aliasing.  Warns
+    (``KernelAliasingWarning``) when over 1e-6 of the kernel's mass wraps around.
     """
-    warn_if_aliased(kernel.mass_outside(grid.period / 2.0))
+    wrapped = kernel.mass_outside(grid.period / 2.0)
+    if wrapped > 1e-6:
+        warnings.warn(
+            f"kernel mass {wrapped:.3e} outside the half-period box wraps around", KernelAliasingWarning, stacklevel=2
+        )
     spectrum = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
     transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)
     return GridField(grid, grid.irfft(transfer * spectrum) / len(positions))

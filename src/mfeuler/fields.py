@@ -26,13 +26,12 @@ that regime.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .errors import AlphaTooSmall, KernelAliasingWarning
+from .errors import AlphaTooSmall
 
 DEFAULT_PERIOD = 4.0 * 2.0 * np.pi
 
@@ -148,16 +147,6 @@ def sample_kernel(grid: PeriodicGrid, kernel) -> np.ndarray:
     (components,) + grid.shape for a kernel whose values have shape (n_points, components)."""
     vals = np.asarray(kernel(grid.wrapped_points()), dtype=float)
     return vals.reshape(grid.shape) if vals.ndim == 1 else vals.T.reshape((-1,) + grid.shape)
-
-
-def warn_if_aliased(mass_outside: float):
-    """Emit a ``KernelAliasingWarning`` when more than 1e-6 of a kernel's mass lies outside the half-period box."""
-    if mass_outside > 1e-6:
-        warnings.warn(
-            f"kernel mass {mass_outside:.3e} outside the half-period box wraps around",
-            KernelAliasingWarning,
-            stacklevel=3,
-        )
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -443,11 +432,12 @@ def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, ch
     return float(np.sqrt(np.sum(weight * np.sum(np.abs(diff) ** 2, axis=0))))
 
 
-def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, outer=None):
+def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, outer=None):
     """Bound for the distance-squared mass in modes with |k|_inf > cutoff.
 
-    Characteristic coefficients of measures with total variation at most
-    ``mass_bound`` are bounded by mass_bound/period**dim, so the tail of the
+    The distance compares a probability measure with a unit-mass density, so
+    their difference has total variation at most 2 and each of its
+    characteristic coefficients is bounded by 2/period**dim; the tail of the
     squared distance is at most the weighted mode count times that square.
     ``outer`` limits the sum to cutoff < |k|_inf <= outer (default: grid
     Nyquist plus a continuum estimate beyond).
@@ -455,7 +445,7 @@ def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, mass_bound=2.0, ou
     if cutoff < 0:
         raise ValueError(f"freq_cutoff = {cutoff} must be nonnegative")
     lam_unit = 2.0 * np.pi / grid.period
-    coeff = grid.period**grid.dim * (mass_bound / grid.period**grid.dim) ** 2
+    coeff = grid.period**grid.dim * (2.0 / grid.period**grid.dim) ** 2
 
     def lattice_sum(k_lo, k_hi):
         # one row of the box |k|_inf <= k_hi at a time, leading mode k0 fixed; 1-d is the single row k0 = 0

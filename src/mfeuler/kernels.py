@@ -149,11 +149,6 @@ class MollifierSpec:
         # gaussian: exp(-r^2 / 2 w^2) < eps  =>  r > w sqrt(2 ln 1/eps)
         return self.width * math.sqrt(2.0 * math.log(1.0 / TRUNCATION_EPS))
 
-    def potential_truncation_radius(self):
-        if self.family == "bump":
-            return 2.0 * self.width
-        return math.sqrt(2.0) * self.width * math.sqrt(2.0 * math.log(1.0 / TRUNCATION_EPS))
-
     # -- base density and derivatives ------------------------------------
 
     def density(self, x):
@@ -323,7 +318,10 @@ class ScaledKernel:
 
     def support_radius(self):
         """Radius outside which the potential is negligible (< TRUNCATION_EPS * peak)."""
-        return self.spec.potential_truncation_radius() * self.smoothing_length
+        # the potential is the base density convolved with itself: the bump's support doubles, and the
+        # gaussian's variance doubles, which stretches its truncation radius by sqrt(2)
+        factor = 2.0 if self.spec.family == "bump" else math.sqrt(2.0)
+        return factor * self.spec.truncation_radius() * self.smoothing_length
 
     def density_support_radius(self):
         return self.spec.truncation_radius() * self.smoothing_length
@@ -386,7 +384,6 @@ class TaylorWeightFamily:
 
 @dataclass
 class HypothesisCheckResult:
-    name: str
     sup_value: float
     sup_location: float
     bounded: bool
@@ -423,31 +420,19 @@ class HypothesisReport:
             f"freq_window_used: {self.freq_window_used!r}",
             f"space_window: {self.space_window!r}",
         ]
-        c = self.tail_decay
-        lines += [
-            f"tail_decay.sup: {c.sup_value!r}",
-            f"tail_decay.sup_at: {c.sup_location!r}",
-            f"tail_decay.bounded: {'yes' if c.bounded else 'no'}",
-        ]
-        for key in sorted(self.fourier_ratio):
-            c = self.fourier_ratio[key]
-            q, alpha = key
-            tag = f"fourier_ratio.q{q + 1}.alpha{alpha}"
+        rows = [("tail_decay", self.tail_decay)]
+        for kind, checks in (("fourier_ratio", self.fourier_ratio), ("remainder_envelope", self.remainder_envelope)):
+            rows += [(f"{kind}.q{q + 1}.alpha{alpha}", checks[q, alpha]) for q, alpha in sorted(checks)]
+        for tag, c in rows:
+            ratio = tag.startswith("fourier_ratio")
+            # a ratio to the quadrature's accuracy, not repr's 17 digits
             lines += [
-                f"{tag}.sup: {format(c.sup_value, '.8g')}",  # the quadrature's accuracy, not repr's 17 digits
-                f"{tag}.sup_at: {c.sup_location!r}",
-                f"{tag}.bounded: {'yes' if c.bounded else 'no'}",
-                f"{tag}.trend: {'growing over window' if c.growing_at_edge else 'settled'}",
-            ]
-        for key in sorted(self.remainder_envelope):
-            c = self.remainder_envelope[key]
-            q, alpha = key
-            tag = f"remainder_envelope.q{q + 1}.alpha{alpha}"
-            lines += [
-                f"{tag}.sup: {c.sup_value!r}",
+                f"{tag}.sup: {format(c.sup_value, '.8g') if ratio else repr(c.sup_value)}",
                 f"{tag}.sup_at: {c.sup_location!r}",
                 f"{tag}.bounded: {'yes' if c.bounded else 'no'}",
             ]
+            if ratio:
+                lines.append(f"{tag}.trend: {'growing over window' if c.growing_at_edge else 'settled'}")
         return "\n".join(lines) + "\n"
 
 
@@ -462,6 +447,12 @@ def _radial_points(dim, radii, n_dirs=8):
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     rads = np.repeat(radii, n_dirs)
     return pts, rads
+
+
+def _supremum(values, where, ceiling) -> HypothesisCheckResult:
+    """The largest of ``values``, the entry of ``where`` at its index, and whether it is at most ``ceiling``."""
+    i = int(np.argmax(values))
+    return HypothesisCheckResult(float(values[i]), float(where[i]), bool(values[i] <= ceiling))
 
 
 def hypothesis_report(
@@ -490,12 +481,7 @@ def hypothesis_report(
     # decay of the base density: sup over 1 <= |x| <= R of density * (1 + |x|^(d+2))
     radii = np.linspace(1.0, space_window, n_samples)
     pts, rads = _radial_points(dim, radii)
-    dens = spec.density(pts)
-    decay_vals = dens * (1.0 + rads ** (dim + 2))
-    i = int(np.argmax(decay_vals))
-    tail = HypothesisCheckResult(
-        "tail_decay", float(decay_vals[i]), float(rads[i]), bool(decay_vals[i] <= ceiling)
-    )
+    tail = _supremum(spec.density(pts) * (1.0 + rads ** (dim + 2)), rads, ceiling)
 
     # Fourier domination of the weight functions for 1 <= |a| <= order.
     # Ratios are scanned only where the denominator sits above the quadrature
@@ -522,17 +508,13 @@ def hypothesis_report(
     for total in range(1, family.order + 1):
         for alpha in multi_indices(dim, total):
             for q in range(dim):
-                uhat = np.abs(family.weight_fourier(alpha, q, lam_pts))
-                ratio = uhat / base_hat
-                i = int(np.argmax(ratio))
-                edge = lam_rads[i] >= 0.95 * window_used
-                ratio_checks[(q, alpha)] = HypothesisCheckResult(
-                    "fourier_ratio",
-                    float(ratio[i]),
-                    float(lam_rads[i]),
-                    bool(ratio[i] <= ceiling),
-                    growing_at_edge=bool(edge and ratio[i] > 2.0 * np.median(ratio)),
+                ratio = np.abs(family.weight_fourier(alpha, q, lam_pts)) / base_hat
+                check = _supremum(ratio, lam_rads, ceiling)
+                # a maximum at the window's edge and well above the median ratio: still growing there
+                check.growing_at_edge = (
+                    check.sup_location >= 0.95 * window_used and check.sup_value > 2.0 * float(np.median(ratio))
                 )
+                ratio_checks[(q, alpha)] = check
 
     # remainder envelope at order order+1
     radii = np.linspace(0.0, space_window, n_samples)
@@ -541,11 +523,7 @@ def hypothesis_report(
     for alpha in multi_indices(dim, family.order + 1):
         for q in range(dim):
             vals = np.abs(family.weight(alpha, q, pts))
-            env = vals * np.sqrt(1.0 + rads ** (dim + 1))
-            i = int(np.argmax(env))
-            env_checks[(q, alpha)] = HypothesisCheckResult(
-                "remainder_envelope", float(env[i]), float(rads[i]), bool(env[i] <= ceiling)
-            )
+            env_checks[(q, alpha)] = _supremum(vals * np.sqrt(1.0 + rads ** (dim + 1)), rads, ceiling)
 
     return HypothesisReport(
         family=spec.family,

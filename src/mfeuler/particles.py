@@ -79,13 +79,14 @@ def min_image(disp: np.ndarray, period: float) -> np.ndarray:
     return disp - period * np.round(disp / period)
 
 
-def force_direct(state: ParticleState, kernel: ScaledKernel, period: float, block: int = 1024):
+def force_direct(state: ParticleState, kernel: ScaledKernel, period: float):
     """Exact pair-sum force -(1/N) sum_l grad potential(X_k - X_l), minimum image.
 
     The self term vanishes because the potential gradient of a symmetric C^1
     kernel is zero at the origin; no special-casing of l = k is needed.
     """
     validate_kernel_box(kernel, period)
+    block = 1024  # particles per chunk: a chunk's displacements are block * N rows
     pos = state.positions
     n = state.n_particles
     forces = np.empty_like(pos)

@@ -45,9 +45,11 @@ class DensityProfile:
             raise ValueError(f"density dim must be 1 or 2, got {self.dim!r}")
         if not self.period > 0:
             raise ValueError(f"density period must be positive, got {self.period!r}")
-        for name in ("amplitude", "concentration"):  # an infinite one is left to the solvers, which refuse it
-            if np.isnan(getattr(self, name)):
-                raise ValueError(f"density {name} must not be NaN")
+        for name in ("amplitude", "concentration"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"density {name} must not be NaN or infinite, got {getattr(self, name)!r}")
+        if not self.concentration > 0:
+            raise ValueError(f"density concentration must be positive, got {self.concentration!r}")
         if self.family == "sine" and abs(self.amplitude) >= 1.0:
             raise ValueError("sine density amplitude must lie in (-1, 1) for positivity")
         if self.family == "bump" and self.amplitude <= -1.0:
@@ -104,6 +106,8 @@ class VelocityProfile:
     def __post_init__(self):
         if self.family not in VELOCITY_FAMILIES:
             raise ValueError(f"unknown velocity family {self.family!r}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"velocity amplitude must not be NaN or infinite, got {self.amplitude!r}")
 
     def component(self, q, points):
         pts = as_points(points)

@@ -414,7 +414,7 @@ def test_cutoff_tail_bound():
     d_small = neg_sobolev_distance(measure, rho, alpha, 32)
     d_large = neg_sobolev_distance(measure, rho, alpha, 64)
     gap = abs(d_large**2 - d_small**2)
-    bound = neg_sobolev_tail_bound(g, alpha, 32, mass_bound=2.0, outer=64)
+    bound = neg_sobolev_tail_bound(g, alpha, 32, outer=64)
     assert gap <= bound
 
 

@@ -257,7 +257,7 @@ def test_make_fluid_state_checks_the_initial_values():
     grid = PeriodicGrid(1, 64, TWO_PI)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
     with pytest.raises(NonFiniteState):
-        make_fluid_state(grid, DensityProfile("bump", math.inf, 8.0, TWO_PI, 1, False), vel)
+        make_fluid_state(grid, lambda pts: np.full(len(pts), math.inf), vel)
     with pytest.raises(NonPositiveDensity):
         make_fluid_state(grid, lambda pts: np.zeros(len(pts)), vel)
 

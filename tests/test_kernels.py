@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mfeuler.fields import PeriodicGrid, sample_kernel
 from mfeuler.kernels import (
     FAMILIES,
     QUAD_BLOCK,
+    HypothesisReport,
     QUAD_POINTS,
     MollifierSpec,
     ScaledKernel,
@@ -336,7 +338,7 @@ def test_hypothesis_report_gaussian():
     check = report.fourier_ratio[(0, (1,))]
     assert check.sup_value == pytest.approx(report.freq_window_used**2 - 1.0, rel=0.02)
     assert check.sup_location > 0.95 * report.freq_window_used
-    assert check.growing_at_edge
+    assert check.growing_at_edge is True
     # remainder envelope at order L+1 = 2 is finite
     env = report.remainder_envelope[(0, (2,))]
     assert env.bounded
@@ -344,6 +346,90 @@ def test_hypothesis_report_gaussian():
     assert "taylor_order: 1" in text
     assert "multi_index_orders: 0,1" in text
     assert "remainder_order: 2" in text
+
+
+def _check(sup, at, bounded, growing=False):
+    # the fields ``HypothesisReport.to_text`` reads of one supremum
+    return SimpleNamespace(sup_value=sup, sup_location=at, bounded=bounded, growing_at_edge=growing)
+
+
+def _report(dim, order, tail, ratios, envelopes):
+    return HypothesisReport("gaussian", dim, 1.0, order, 1e3, 8.0, 6.5, 10.0, tail, ratios, envelopes)
+
+
+REPORT_HEAD = """mfeuler kernel hypothesis report
+family: gaussian
+dim: {dim}
+width: 1.0
+taylor_order: {order}
+multi_index_orders: {orders}
+remainder_order: {remainder}
+ceiling: 1000.0
+freq_window: 8.0
+freq_window_used: 6.5
+space_window: 10.0
+"""
+
+
+def test_hypothesis_report_text_is_pinned():
+    # ratio sups to 8 significant digits, every other float by repr, a trend line on ratio rows only,
+    # rows in sorted (q, alpha) order whatever order the scan filled them in
+    one_d = _report(
+        1,
+        1,
+        _check(0.12345678901234, 1.0, True),
+        {(0, (1,)): _check(41.123456789012, 6.4876543210987, True, growing=True)},
+        {(0, (2,)): _check(0.5, 1.4142135623730951, True)},
+    )
+    assert one_d.to_text() == REPORT_HEAD.format(dim=1, order=1, orders="0,1", remainder=2) + (
+        "tail_decay.sup: 0.12345678901234\n"
+        "tail_decay.sup_at: 1.0\n"
+        "tail_decay.bounded: yes\n"
+        "fourier_ratio.q1.alpha(1,).sup: 41.123457\n"
+        "fourier_ratio.q1.alpha(1,).sup_at: 6.4876543210987\n"
+        "fourier_ratio.q1.alpha(1,).bounded: yes\n"
+        "fourier_ratio.q1.alpha(1,).trend: growing over window\n"
+        "remainder_envelope.q1.alpha(2,).sup: 0.5\n"
+        "remainder_envelope.q1.alpha(2,).sup_at: 1.4142135623730951\n"
+        "remainder_envelope.q1.alpha(2,).bounded: yes\n"
+    )
+    two_d = _report(
+        2,
+        2,
+        _check(2000.0, 3.25, False),
+        {
+            (1, (1, 0)): _check(1.5e12, 0.75, False),
+            (0, (1, 0)): _check(2.0, 6.5, True, growing=True),
+            (0, (0, 2)): _check(123.456789012345, 0.1, True),
+        },
+        {
+            (1, (0, 3)): _check(1e-300, 0.0, True),
+            (0, (3, 0)): _check(1234.5, 9.999, False),
+        },
+    )
+    assert two_d.to_text() == REPORT_HEAD.format(dim=2, order=2, orders="0,1,2", remainder=3) + (
+        "tail_decay.sup: 2000.0\n"
+        "tail_decay.sup_at: 3.25\n"
+        "tail_decay.bounded: no\n"
+        "fourier_ratio.q1.alpha(0, 2).sup: 123.45679\n"
+        "fourier_ratio.q1.alpha(0, 2).sup_at: 0.1\n"
+        "fourier_ratio.q1.alpha(0, 2).bounded: yes\n"
+        "fourier_ratio.q1.alpha(0, 2).trend: settled\n"
+        "fourier_ratio.q1.alpha(1, 0).sup: 2\n"
+        "fourier_ratio.q1.alpha(1, 0).sup_at: 6.5\n"
+        "fourier_ratio.q1.alpha(1, 0).bounded: yes\n"
+        "fourier_ratio.q1.alpha(1, 0).trend: growing over window\n"
+        "fourier_ratio.q2.alpha(1, 0).sup: 1.5e+12\n"
+        "fourier_ratio.q2.alpha(1, 0).sup_at: 0.75\n"
+        "fourier_ratio.q2.alpha(1, 0).bounded: no\n"
+        "fourier_ratio.q2.alpha(1, 0).trend: settled\n"
+        "remainder_envelope.q1.alpha(3, 0).sup: 1234.5\n"
+        "remainder_envelope.q1.alpha(3, 0).sup_at: 9.999\n"
+        "remainder_envelope.q1.alpha(3, 0).bounded: no\n"
+        "remainder_envelope.q2.alpha(0, 3).sup: 1e-300\n"
+        "remainder_envelope.q2.alpha(0, 3).sup_at: 0.0\n"
+        "remainder_envelope.q2.alpha(0, 3).bounded: yes\n"
+    )
 
 
 def test_hypothesis_report_gaussian_2d_smoke():

@@ -486,26 +486,39 @@ def test_init_2d_rejects_unnormalized_density():
         init_well_prepared(dens, vel, 8, scheme="iid")
 
 
-def _init_bump(amplitude, concentration):
-    return init_well_prepared(DensityProfile("bump", amplitude, concentration), VelocityProfile(), 8)
-
-
 @pytest.mark.parametrize(
     "build,error,match",
     [
         (lambda: DensityProfile("sine", math.nan), ValueError, "density amplitude must not be NaN"),
         (lambda: DensityProfile("bump", math.nan), ValueError, "density amplitude must not be NaN"),
         (lambda: DensityProfile("bump", 0.2, math.nan), ValueError, "density concentration must not be NaN"),
-        # an infinite field, or finite ones whose shape overflows, make the lattice mass inf / inf = nan
-        (lambda: _init_bump(math.inf, 8.0), DensityNotNormalizable, "density mass nan"),
-        (lambda: _init_bump(0.2, math.inf), DensityNotNormalizable, "density mass nan"),
-        (lambda: _init_bump(0.2, -1e3), DensityNotNormalizable, "density mass nan"),
+        # refused when the profile is built, before any lattice evaluation could overflow; a negative
+        # concentration would overflow the bump's exponential on the lattice
+        (lambda: DensityProfile("bump", math.inf), ValueError, "density amplitude must not be NaN or infinite"),
+        (lambda: DensityProfile("bump", 0.2, math.inf), ValueError, "density concentration must not be NaN or inf"),
+        (lambda: DensityProfile("bump", 0.2, -1e3), ValueError, "density concentration must be positive"),
         (lambda: EulerConfig(dt=1e-3, hyperviscosity_nu=math.nan), ValueError, "hyperviscosity_nu"),
+        (
+            lambda: init_well_prepared(DensityProfile(), VelocityProfile("sine", math.nan), 4),
+            ValueError,
+            "velocity amplitude must not be NaN or infinite",
+        ),
+        (lambda: VelocityProfile("constant", math.inf), ValueError, "velocity amplitude must not be NaN or infinite"),
     ],
-    ids=["sine_amplitude", "bump_amplitude", "concentration", "inf_amplitude", "inf_concentration", "overflow", "nu"],
+    ids=[
+        "sine_amplitude",
+        "bump_amplitude",
+        "concentration",
+        "inf_amplitude",
+        "inf_concentration",
+        "overflow",
+        "nu",
+        "velocity_nan",
+        "velocity_inf",
+    ],
 )
 def test_non_finite_initial_data_raises_instead_of_nan_particles(build, error, match):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+    with pytest.raises(error, match=match):
         build()
 
 
