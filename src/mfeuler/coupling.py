@@ -181,9 +181,11 @@ def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
 def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
     """Advance runs that share one fluid and path by one Brownian increment.
 
-    Every particle system steps on the increment, then the shared fluid steps
-    once.  Once the fluid guard has fired, the runs are frozen: both clocks
-    stay at the stopping time and the states are returned unchanged.
+    Every particle system steps on the increment in one ``particles.step``
+    call, with the first run's dt, sigma, grid, force method and deposit
+    scheme, then the shared fluid steps once.  Once the fluid guard has fired,
+    the runs are frozen: both clocks stay at the stopping time and the states
+    are returned unchanged.
     """
     head = runs[0]
     if head.fluid.stopped:
@@ -191,22 +193,18 @@ def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
     if head.step_index >= head.path.n_steps:
         raise IndexError("noise path exhausted")
     dB = head.path.increments[head.step_index]
-    context = f"seed={head.path.master_seed} sample={head.path.sample_index} step={head.step_index}"
-    stepped = [
-        particles_mod.step(
-            run.particles,
-            dB,
-            run.dt,
-            run.kernel,
-            run.sigma,
-            run.grid.period,
-            method=run.force_method,
-            grid=run.grid,
-            deposit_scheme=run.deposit_scheme,
-            context=context,
-        )
-        for run in runs
-    ]
+    stepped = particles_mod.step(
+        [run.particles for run in runs],
+        dB,
+        head.dt,
+        [run.kernel for run in runs],
+        head.sigma,
+        head.grid.period,
+        method=head.force_method,
+        grid=head.grid,
+        deposit_scheme=head.deposit_scheme,
+        context=f"seed={head.path.master_seed} sample={head.path.sample_index} step={head.step_index}",
+    )
     fl = fluid_mod.step(head.fluid, dB, head.sigma, head.euler_config)
     return [replace(run, particles=p, fluid=fl) for run, p in zip(runs, stepped)]
 
@@ -235,7 +233,7 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
         warnings.warn(
             f"kernel mass {wrapped:.3e} outside the half-period box wraps around", KernelAliasingWarning, stacklevel=2
         )
-    spectrum = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
+    (spectrum,) = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
     transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)
     return GridField(grid, grid.irfft(transfer * spectrum) / len(positions))
 

@@ -233,15 +233,18 @@ def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
             node = np.rint(u).astype(int)[None] & wrap
             weights = np.ones(node.shape)
         else:
-            base = np.floor(u)
-            node = np.empty((2, u.size), dtype=int)  # filled in place: temporaries of 128 KB+ cost page faults
-            node[0] = base
+            # both filled in place: temporaries of 128 KB and more cost page faults
+            node = np.empty((2, u.size), dtype=int)
+            factor = np.empty((2, u.size))  # (1 - frac, frac), the floor held in factor[0] first
+            np.floor(u, out=factor[0])
+            node[0] = factor[0]
             np.add(node[0], 1, out=node[1])
             node &= wrap
-            frac = u - base
+            np.subtract(u, factor[0], out=factor[1])
+            np.subtract(1.0, factor[1], out=factor[0])
             corner_shape = (2,) + (1,) * a + (u.size,)
             node = node.reshape(corner_shape)
-            factor = np.array([1.0 - frac, frac]).reshape(corner_shape)
+            factor = factor.reshape(corner_shape)
             weights = factor if a == 0 else weights * factor
         flat = node if a == 0 else flat * m + node
     return flat, weights

@@ -9,13 +9,15 @@ with Stratonovich noise shared by all particles.  One step splits into a
 symplectic-Euler drift and an exact noise map: freezing X, the noise-only
 equation dV_q = sigma_q V_q o dB_q has pathwise solution
 V_q * exp(sigma_q(X) dB_q), so the noise substep carries no time-discretization
-error.  Forces come either from the exact O(N^2) pair sum or from one fused
-particle-mesh step: the particles are placed on two interlaced lattices, the
-nodes and the nodes shifted by half a cell, and each of the two assignment
-stencils serves as the deposit and, by its adjoint, as the gather.  Between
-the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached per
-(kernel, grid, scheme) convolve with the sampled force kernel and divide out
-the assignment window.
+error.  A step advances a sweep of systems, each with its own N and kernel,
+on one shared increment; one system is the sweep of one.  Forces come either
+from the exact O(N^2) pair sum, system by system, or from one fused
+particle-mesh pass for the whole sweep: the particles are placed on two
+interlaced lattices, the nodes and the nodes shifted by half a cell, and each
+of the two assignment stencils serves as the deposit and, by its adjoint, as
+the gather.  Between the two, one ``grid.rfft``/``grid.irfft`` pair and one
+operator cached per (kernel, grid, scheme) convolve with the sampled force
+kernel and divide out the assignment window.
 """
 
 from __future__ import annotations
@@ -132,62 +134,96 @@ def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) ->
     return read_only(0.5 * m_hat / grid.half(assignment_window(grid, scheme)))
 
 
-def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str) -> tuple:
+def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str, bounds=()) -> tuple:
     """``(flat, weights)`` stencils of the particles at node coordinate u = x/h and at u + 1/2.
 
     The second places the particles on the lattice shifted by half a cell;
-    the stencil's integer wrap folds u + 1/2 back into the torus.
+    the stencil's integer wrap folds u + 1/2 back into the torus.  ``bounds``
+    holds the (start, stop) rows of each system of a sweep's joined positions
+    (empty for one system); the node indices of system s are offset by
+    s * M**dim, in place, so that one ``np.bincount`` deposits every system
+    onto a lattice of its own.
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
     u = np.asarray(positions) / grid.spacing
-    return _stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme)
+    stencils = _stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme)
+    size = grid.points_per_dim**grid.dim
+    for flat, _ in stencils:
+        for system, (start, stop) in enumerate(bounds[1:], 1):
+            flat[..., start:stop] += system * size
+    return stencils
 
 
-def deposit_spectrum(stencils, grid: PeriodicGrid) -> np.ndarray:
-    """Interlaced spectrum of unit-weight particles, F[lattice] + half-cell phase * F[shifted lattice].
+def deposit_spectrum(stencils, grid: PeriodicGrid, systems: int = 1) -> np.ndarray:
+    """Interlaced spectra of unit-weight particles, F[lattice] + half-cell phase * F[shifted lattice],
+    shape (systems,) + the half spectrum.
 
-    One ``np.bincount`` per stencil deposits each lattice and one real FFT transforms both.  The phase
-    moves the shifted lattice back onto the particles, so that their average (interlacing) cancels the
-    odd-order alias images of the point masses; the 1/2 and the window are left to the transfer operators.
+    One ``np.bincount`` per stencil deposits each lattice of every system and one real FFT transforms
+    them all.  The phase moves the shifted lattice back onto the particles, so that their average
+    (interlacing) cancels the odd-order alias images of the point masses; the 1/2 and the window are
+    left to the transfer operators.
     """
     size = grid.points_per_dim**grid.dim
-    counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=size) for flat, weights in stencils]
-    halves = grid.rfft(np.reshape(counts, (2,) + grid.shape))
+    counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=systems * size) for flat, weights in stencils]
+    halves = grid.rfft(np.reshape(counts, (2, systems) + grid.shape))
     return halves[0] + _half_cell_phase(grid) * halves[1]
 
 
 def gather(values, stencils) -> np.ndarray:
-    """The interlaced deposit's adjoint, shape (N, components): the sum of one ``fields.gather`` per lattice.
+    """The interlaced deposit's adjoint, shape (points, components): the sum of one ``fields.gather`` per lattice.
 
-    ``values`` has shape (components, 2) + grid.shape: per component, one
-    field on the lattice and one on the shifted lattice.
+    ``values`` has shape (components, 2, ...) + grid.shape: per component, the
+    fields on the lattice and on the shifted lattice, of every system.
     """
     return fields.gather(values[:, 0], stencils[0]) + fields.gather(values[:, 1], stencils[1])
 
 
-def force_particle_mesh(state: ParticleState, kernel: ScaledKernel, grid: PeriodicGrid, deposit_scheme: str = "linear"):
-    """Particle-mesh force as one fused step: the interlaced deposit, ``force_transfer``, then ``gather``.
+@cache
+def _sweep_transfer(kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarray:
+    """The ``force_transfer`` of each kernel of a sweep stacked as (dim, 2, systems) + the half spectrum,
+    built once per tuple of kernels.  In this layout the inverse transform of the product holds, per
+    component and lattice, the fields of all systems as one run of systems * M**dim values, which
+    ``fields.gather`` reads at the offset node indices of ``interlaced_stencils``."""
+    return read_only(np.stack([force_transfer(kernel, grid, scheme) for kernel in kernels], axis=2))
+
+
+def _joined(arrays) -> np.ndarray:
+    """The systems' rows in one array; a one-system sweep's own array, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _bounds(states) -> list:
+    """The (start, stop) rows of each system in the joined arrays of a sweep."""
+    bounds, stop = [], 0
+    for state in states:
+        start, stop = stop, stop + state.n_particles
+        bounds.append((start, stop))
+    return bounds
+
+
+def force_particle_mesh(states, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
+    """Particle-mesh forces on a sweep of systems as one fused step, shape (sum of N, dim), in system order.
+
+    The interlaced deposit of every system, ``force_transfer`` of its kernel
+    divided by its N, then ``gather``: one stencil pair, one ``np.bincount``
+    per lattice, one ``grid.rfft``/``grid.irfft`` pair and one
+    ``fields.gather`` per lattice for the whole sweep.  Each system's bins and
+    transforms are its own, so its forces are those of a sweep of one.
 
     Raises
     ------
     GridTooCoarse
-        If the kernel breaks a rule of ``validate_kernel_mesh``.
+        If a kernel breaks a rule of ``validate_kernel_mesh``.
     """
-    validate_kernel_mesh(kernel, grid)
-    stencils = interlaced_stencils(state.positions, grid, deposit_scheme)
-    spectrum = force_transfer(kernel, grid, deposit_scheme) * deposit_spectrum(stencils, grid) / state.n_particles
+    for kernel in kernels:
+        validate_kernel_mesh(kernel, grid)
+    bounds = _bounds(states)
+    stencils = interlaced_stencils(_joined([state.positions for state in states]), grid, deposit_scheme, bounds)
+    spectrum = _sweep_transfer(tuple(kernels), grid, deposit_scheme) * deposit_spectrum(stencils, grid, len(states))
+    for system, state in enumerate(states):  # (T * D) / N; a 1/N folded into the cached T would change the bits
+        spectrum[:, :, system] /= state.n_particles
     return gather(grid.irfft(spectrum), stencils)
-
-
-def compute_force(state, kernel, period, method="direct", grid=None, deposit_scheme="linear"):
-    if method == "direct":
-        return force_direct(state, kernel, period)
-    if method == "particle_mesh":
-        if grid is None:
-            raise ValueError("particle_mesh force needs a grid")
-        return force_particle_mesh(state, kernel, grid, deposit_scheme)
-    raise ValueError(f"unknown force method {method!r}")
 
 
 def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
@@ -201,31 +237,66 @@ def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
 
 
 def step(
-    state: ParticleState,
+    states,
     dB: np.ndarray,
     dt: float,
-    kernel: ScaledKernel,
+    kernels,
     sigma: SigmaField,
     period: float,
     method: str = "direct",
     grid: PeriodicGrid | None = None,
     deposit_scheme: str = "linear",
     context: str = "",
-) -> ParticleState:
-    """Advance one step: symplectic-Euler drift, then the exact noise factor.
+) -> list[ParticleState]:
+    """Advance a sweep of particle systems, ``states`` with ``kernels``, one step on one increment.
 
+    Each system takes a symplectic-Euler drift, then the exact noise factor.
     The noise coefficient is evaluated at the post-drift positions (the
-    frozen-position justification of the exact factor); positions re-wrap
-    into the torus.
+    frozen-position justification of the exact factor); positions re-wrap into
+    the torus.  The direct force is summed system by system, the particle-mesh
+    force in one pass; the rest runs once on the systems' joined rows, row by
+    row, so each system steps exactly as a sweep of one.  Returns the stepped
+    systems in order, views into the joined arrays.
+
+    Raises
+    ------
+    ValueError
+        For an empty sweep, unequal numbers of states and kernels, or systems of different dim.
+    NonFiniteState
+        Naming the N of the first system whose state became non-finite.
     """
-    forces = compute_force(state, kernel, period, method, grid, deposit_scheme)
-    vel = state.velocities + forces * dt
-    pos = wrap_positions(state.positions + vel * dt, period)
-    factors = np.exp(sigma.values(pos) * np.asarray(dB)[None, :])
-    vel = vel * factors
+    if not states:
+        raise ValueError("a particle step needs at least one system")
+    if len(states) != len(kernels):
+        raise ValueError(f"{len(states)} particle systems but {len(kernels)} kernels")
+    if len({state.dim for state in states}) != 1:
+        raise ValueError(f"particle systems of different dim: {[state.dim for state in states]}")
+    if method == "direct":
+        forces = _joined([force_direct(state, kernel, period) for state, kernel in zip(states, kernels)])
+    elif method == "particle_mesh":
+        if grid is None:
+            raise ValueError("particle_mesh force needs a grid")
+        forces = force_particle_mesh(states, kernels, grid, deposit_scheme)
+    else:
+        raise ValueError(f"unknown force method {method!r}")
+    # in place, to the same bits: on a sweep every temporary holds 8 bytes per particle and component
+    forces *= dt
+    vel = _joined([state.velocities for state in states]) + forces
+    pos = vel * dt
+    pos += _joined([state.positions for state in states])
+    pos = wrap_positions(pos, period)
+    factors = sigma.values(pos)
+    factors *= np.asarray(dB)
+    vel *= np.exp(factors, out=factors)
+    bounds = _bounds(states)
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-        raise NonFiniteState(f"particle state became non-finite ({context})")
-    return ParticleState(pos, vel, state.time + dt)
+        n = next(
+            stop - start
+            for start, stop in bounds
+            if not (np.all(np.isfinite(pos[start:stop])) and np.all(np.isfinite(vel[start:stop])))
+        )
+        raise NonFiniteState(f"particle state of N = {n} became non-finite ({context})")
+    return [ParticleState(pos[a:b], vel[a:b], state.time + dt) for state, (a, b) in zip(states, bounds)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import mfeuler.coupling as coupling_mod
 import mfeuler.fluid as fluid_mod
+import mfeuler.particles as particles_mod
 from mfeuler.config import RunConfig, validate
 from mfeuler.coupling import (
     build_run,
@@ -131,15 +132,12 @@ def test_coupled_step_deterministic():
 def test_zero_sigma_decouples():
     cfg = tiny_config(**{"sigma.base": 0.0, "sigma.family": "constant"})
     run = build_run(cfg)
-    import mfeuler.fluid as fluid_mod
-    import mfeuler.particles as particles_mod
-
     p_ref = run.particles
     f_ref = run.fluid
     for i in range(10):
         run = coupled_step(run)
-        p_ref = particles_mod.step(
-            p_ref, np.zeros(1), cfg.integrator.dt, run.kernel, run.sigma, run.grid.period,
+        (p_ref,) = particles_mod.step(
+            [p_ref], np.zeros(1), cfg.integrator.dt, [run.kernel], run.sigma, run.grid.period,
             method=run.force_method, grid=run.grid, deposit_scheme=run.deposit_scheme,
         )
         f_ref = fluid_mod.step(f_ref, np.zeros(1), run.sigma, run.euler_config)
@@ -179,19 +177,33 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
     n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
 
     fluid_steps = []
+    particle_steps = []  # the particle counts of each particles.step call
+    force_sweeps = []  # and of each force_particle_mesh call
     final_runs = []
     fluid_step = fluid_mod.step
+    particle_step = particles_mod.step
+    force = particles_mod.force_particle_mesh
     distances = coupling_mod.mean_field_distances
 
     def counted_step(state, *args):
         fluid_steps.append(state.step_index)
         return fluid_step(state, *args)
 
+    def counted_particle_step(states, *args, **kwargs):
+        particle_steps.append([state.n_particles for state in states])
+        return particle_step(states, *args, **kwargs)
+
+    def counted_force(states, *args):
+        force_sweeps.append([state.n_particles for state in states])
+        return force(states, *args)
+
     def recorded_distances(run, *args):
         final_runs.append(run)
         return distances(run, *args)
 
     monkeypatch.setattr(fluid_mod, "step", counted_step)
+    monkeypatch.setattr(particles_mod, "step", counted_particle_step)
+    monkeypatch.setattr(particles_mod, "force_particle_mesh", counted_force)
     monkeypatch.setattr(coupling_mod, "mean_field_distances", recorded_distances)
     table, censored = _run_sample(cfg, 1, cfg.grid.points_per_dim // 2)
     monkeypatch.undo()
@@ -202,8 +214,9 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
     else:
         stop_step = n_steps
         assert not censored
-    # the shared fluid steps once per increment, for all N together
+    # the shared fluid steps once per increment, and so does the particle-mesh pass, for all N together
     assert fluid_steps == list(range(stop_step))
+    assert particle_steps == force_sweeps == [list(cfg.study.n_values)] * stop_step
     for j, n in enumerate(cfg.study.n_values):
         solo = build_run(cfg, 1, n_particles=n)
         for _ in range(n_steps):
