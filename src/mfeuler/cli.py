@@ -203,7 +203,7 @@ def _self_test_checks(cfg):
         path = noise.NoisePath.generate(7, 0, 200, 1, 1e-2)
         state = particles.ParticleState(np.array([[3.0]]), np.array([[1.0]]))
         for dB in path.increments:
-            (state,) = particles.step([state], dB, path.dt, [kern], sig, 2 * math.pi, method="direct")
+            state = particles.step(state, dB, path.dt, [kern], sig, 2 * math.pi, method="direct")
         exact = np.exp(0.3 * path.terminal()[0])
         assert abs(state.velocities[0, 0] - exact) < 1e-12 * abs(exact), "noise factor"
 
@@ -214,7 +214,7 @@ def _self_test_checks(cfg):
         rng = np.random.default_rng(3)
         state = particles.ParticleState(rng.random((64, 1)) * 2 * math.pi, np.zeros((64, 1)))
         fd = particles.force_direct(state, kern, grid.period)
-        fp = particles.force_particle_mesh([state], [kern], grid)
+        fp = particles.force_particle_mesh(state, [kern], grid)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(fd - fp)) < 5e-3 * scale, "pm force"
 

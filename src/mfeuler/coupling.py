@@ -11,8 +11,8 @@ and the study sweeps the particle count N, averaging Q(T) and the
 negative-Sobolev distances over independent noise samples.  Common random
 numbers: the noise path of sample m depends only on (master_seed, m), never
 on N, so every N in the sweep sees identical path bytes.  The fluid state
-does not depend on the particles at all, so one fluid solve per sample drives
-the whole N sweep.
+does not depend on the particles at all, so one run per sample, one fluid
+solve and one particle state holding every N, drives the whole N sweep.
 """
 
 from __future__ import annotations
@@ -47,24 +47,6 @@ def make_kernel(cfg: RunConfig, n_particles: int) -> ScaledKernel:
     return ScaledKernel(spec, n_particles, cfg.kernel.beta)
 
 
-def make_sigma(cfg: RunConfig) -> SigmaField:
-    return SigmaField(cfg.sigma.family, cfg.sigma.base, cfg.sigma.modulation, cfg.grid.period)
-
-
-def make_profiles(cfg: RunConfig):
-    i = cfg.init
-    density = DensityProfile(
-        i.density_family,
-        i.density_amplitude,
-        i.density_concentration,
-        cfg.grid.period,
-        cfg.grid.dim,
-        i.normalize,
-    )
-    velocity = VelocityProfile(i.velocity_family, i.velocity_amplitude, cfg.grid.period)
-    return density, velocity
-
-
 def check_kernel_fits(cfg: RunConfig, key: str):
     """Reject, naming the keys, a force kernel that a particle step would refuse at some N of ``key``.
 
@@ -90,18 +72,6 @@ def check_kernel_fits(cfg: RunConfig, key: str):
             ) from None
 
 
-def make_euler_config(cfg: RunConfig) -> fluid_mod.EulerConfig:
-    e = cfg.euler
-    return fluid_mod.EulerConfig(
-        dt=cfg.integrator.dt,
-        dealias_fraction=e.dealias_fraction,
-        hyperviscosity_nu=e.hyperviscosity_nu,
-        hyperviscosity_order=e.hyperviscosity_order,
-        guard_s=e.guard_s,
-        guard_m=e.guard_m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Coupled run
 # ---------------------------------------------------------------------------
@@ -118,10 +88,12 @@ class QRecord:
 
 @dataclass
 class CoupledRun:
+    """A sweep of particle systems, one state holding every N, and the fluid, path and settings they share."""
+
     particles: particles_mod.ParticleState
     fluid: fluid_mod.FluidState
     path: NoisePath
-    kernel: ScaledKernel
+    kernels: tuple  # one per system, in the order of particles.sizes
     sigma: SigmaField
     euler_config: fluid_mod.EulerConfig
     force_method: str = "particle_mesh"
@@ -140,83 +112,98 @@ class CoupledRun:
     def dt(self):
         return self.euler_config.dt
 
+    @property
+    def kernel(self) -> ScaledKernel:
+        """The force kernel of a one-system run; a sweep has one per system, read through ``systems()``."""
+        if len(self.kernels) != 1:
+            raise ValueError(f"a run of {len(self.kernels)} particle systems has no one kernel; read run.systems()")
+        return self.kernels[0]
 
-def build_runs(cfg: RunConfig, sample_index: int, n_values) -> list[CoupledRun]:
-    """Assemble one fluid and noise path of t_final / dt steps plus one particle system per N in ``n_values``.
+    def systems(self) -> list[CoupledRun]:
+        """One one-system run per system, in order: views of its particles with its kernel, sharing the rest."""
+        return [replace(self, particles=p, kernels=(k,)) for p, k in zip(self.particles.systems(), self.kernels)]
 
-    The runs share the grid, sigma, noise path and guarded fluid state; only
+
+def build_run(cfg: RunConfig, sample_index: int = 0, n_values=None) -> CoupledRun:
+    """Assemble a fluid and noise path of t_final / dt steps plus one particle system per N in ``n_values``.
+
+    ``n_values`` defaults to ``(particles.n,)``, a run of one system.  The
+    systems share the grid, sigma, noise path and guarded fluid state; only
     the kernel and the particles depend on N.
     """
+    n_values = (cfg.particles.n,) if n_values is None else tuple(map(int, n_values))
     grid = make_grid(cfg)
-    sigma = make_sigma(cfg)
-    density, velocity = make_profiles(cfg)
-    euler_cfg = make_euler_config(cfg)
+    i, e = cfg.init, cfg.euler
+    density = DensityProfile(
+        i.density_family, i.density_amplitude, i.density_concentration, grid.period, grid.dim, i.normalize
+    )
+    velocity = VelocityProfile(i.velocity_family, i.velocity_amplitude, grid.period)
+    euler_cfg = fluid_mod.EulerConfig(
+        dt=cfg.integrator.dt,
+        dealias_fraction=e.dealias_fraction,
+        hyperviscosity_nu=e.hyperviscosity_nu,
+        hyperviscosity_order=e.hyperviscosity_order,
+        guard_s=e.guard_s,
+        guard_m=e.guard_m,
+    )
     euler_cfg.validate_guard_order(grid.dim)
     n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
     path = NoisePath.generate(cfg.run.master_seed, sample_index, n_steps, grid.dim, cfg.integrator.dt)
     fl = fluid_mod.stopping_guard(fluid_mod.make_fluid_state(grid, density, velocity), euler_cfg)
-    return [
-        CoupledRun(
-            particles=particles_mod.init_well_prepared(
-                density,
-                velocity,
-                n,
-                scheme=cfg.particles.init_scheme,
-                master_seed=cfg.run.master_seed,
-                seed_tags=(int(sample_index), n),
-            ),
-            fluid=fl,
-            path=path,
-            kernel=make_kernel(cfg, n),
-            sigma=sigma,
-            euler_config=euler_cfg,
-            force_method=cfg.integrator.force_method,
-            deposit_scheme=cfg.integrator.deposit_scheme,
-            velocity_interpolation=cfg.euler.velocity_interpolation,
+    systems = [
+        particles_mod.init_well_prepared(
+            density,
+            velocity,
+            n,
+            scheme=cfg.particles.init_scheme,
+            master_seed=cfg.run.master_seed,
+            seed_tags=(int(sample_index), n),
         )
-        for n in map(int, n_values)
+        for n in n_values
     ]
-
-
-def step_runs(runs: list[CoupledRun]) -> list[CoupledRun]:
-    """Advance runs that share one fluid and path by one Brownian increment.
-
-    Every particle system steps on the increment in one ``particles.step``
-    call, with the first run's dt, sigma, grid, force method and deposit
-    scheme, then the shared fluid steps once.  Once the fluid guard has fired,
-    the runs are frozen: both clocks stay at the stopping time and the states
-    are returned unchanged.
-    """
-    head = runs[0]
-    if head.fluid.stopped:
-        return runs
-    if head.step_index >= head.path.n_steps:
-        raise IndexError("noise path exhausted")
-    dB = head.path.increments[head.step_index]
-    stepped = particles_mod.step(
-        [run.particles for run in runs],
-        dB,
-        head.dt,
-        [run.kernel for run in runs],
-        head.sigma,
-        head.grid.period,
-        method=head.force_method,
-        grid=head.grid,
-        deposit_scheme=head.deposit_scheme,
-        context=f"seed={head.path.master_seed} sample={head.path.sample_index} step={head.step_index}",
+    particles = particles_mod.ParticleState(
+        np.concatenate([p.positions for p in systems]), np.concatenate([p.velocities for p in systems]), 0.0, n_values
     )
-    fl = fluid_mod.step(head.fluid, dB, head.sigma, head.euler_config)
-    return [replace(run, particles=p, fluid=fl) for run, p in zip(runs, stepped)]
-
-
-def build_run(cfg: RunConfig, sample_index: int = 0, n_particles=None) -> CoupledRun:
-    """Assemble a one-system coupled run from a validated configuration."""
-    return build_runs(cfg, sample_index, [cfg.particles.n if n_particles is None else n_particles])[0]
+    return CoupledRun(
+        particles=particles,
+        fluid=fl,
+        path=path,
+        kernels=tuple(make_kernel(cfg, n) for n in n_values),
+        sigma=SigmaField(cfg.sigma.family, cfg.sigma.base, cfg.sigma.modulation, grid.period),
+        euler_config=euler_cfg,
+        force_method=cfg.integrator.force_method,
+        deposit_scheme=cfg.integrator.deposit_scheme,
+        velocity_interpolation=cfg.euler.velocity_interpolation,
+    )
 
 
 def coupled_step(run: CoupledRun) -> CoupledRun:
-    """Advance both subsystems of a one-system run by one shared Brownian increment."""
-    return step_runs([run])[0]
+    """Advance the particles of every system and the shared fluid by one shared Brownian increment.
+
+    Every particle system steps on the increment in one ``particles.step``
+    call, then the fluid steps once.  Once the fluid guard has fired, the run
+    is frozen: both clocks stay at the stopping time and the run is returned
+    unchanged.
+    """
+    if run.fluid.stopped:
+        return run
+    if run.step_index >= run.path.n_steps:
+        raise IndexError("noise path exhausted")
+    dB = run.path.increments[run.step_index]
+    particles = particles_mod.step(
+        run.particles,
+        dB,
+        run.dt,
+        run.kernels,
+        run.sigma,
+        run.grid.period,
+        method=run.force_method,
+        grid=run.grid,
+        deposit_scheme=run.deposit_scheme,
+        context=f"seed={run.path.master_seed} sample={run.path.sample_index} step={run.step_index}",
+    )
+    fl = fluid_mod.step(run.fluid, dB, run.sigma, run.euler_config)
+    return replace(run, particles=particles, fluid=fl)
 
 
 def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, scheme="linear") -> GridField:
@@ -239,27 +226,28 @@ def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, schem
 
 
 def q_functional(run: CoupledRun) -> QRecord:
-    """Evaluate the convergence gauge on the current (possibly frozen) states."""
+    """Evaluate the convergence gauge of a one-system run on the current (possibly frozen) states."""
+    kernel = run.kernel  # a sweep's run raises ValueError: its gauges are those of run.systems()
     if abs(run.particles.time - run.fluid.time) > 1e-9 * max(1.0, run.fluid.time):
         raise ValueError("particle and fluid clocks are not aligned")
     vel_at = fluid_mod.sample_velocity(run.fluid, run.particles.positions, run.velocity_interpolation)
     mismatch = run.particles.velocities - vel_at
     kinetic = float(np.mean(np.sum(mismatch * mismatch, axis=1)))
-    mol = mollified_density(run.particles.positions, run.kernel, run.grid, run.deposit_scheme)
+    mol = mollified_density(run.particles.positions, kernel, run.grid, run.deposit_scheme)
     diff = mol.values - run.fluid.u[0]
     density = float(np.sum(diff * diff) * run.grid.cell_volume)
     return QRecord(run.fluid.time, kinetic, density, kinetic + density, run.fluid.stopped)
 
 
 def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
-    """Squared negative-Sobolev distances of the empirical measures to the fluid.
+    """Squared negative-Sobolev distances of the empirical measures of a one-system run to the fluid.
 
     Returns (||S - rho||^2, ||V - rho v||^2) evaluated at the current time
     (frozen at the stopping time if the guard fired), the two quantities the
     mean-field bound controls.
     """
     pos = run.particles.positions
-    n = run.particles.n_particles
+    n = run.kernel.n_particles  # a sweep's run raises ValueError: its distances are those of run.systems()
     s_measure = EmpiricalMeasure(pos)
     dist_s = neg_sobolev_distance(s_measure, run.fluid.rho, alpha, freq_cutoff)
 
@@ -327,14 +315,15 @@ SAMPLE_COLUMNS = ("q0", "q", "dist_s", "dist_v")  # the columns of a sample's ta
 
 def _run_sample(cfg: RunConfig, sample_index: int, cutoff: int):
     """One sample's table, a row per N in the columns ``SAMPLE_COLUMNS``, and whether the guard stopped it early."""
-    runs = build_runs(cfg, sample_index, cfg.study.n_values)
-    q0 = [q_functional(run).q_total for run in runs]
-    for _ in range(runs[0].path.n_steps):
-        runs = step_runs(runs)
-    qT = [q_functional(run).q_total for run in runs]
-    dists = [mean_field_distances(run, cfg.study.alpha, cutoff) for run in runs]  # after every Q: lower peak RSS
+    run = build_run(cfg, sample_index, cfg.study.n_values)
+    q0 = [q_functional(system).q_total for system in run.systems()]
+    for _ in range(run.path.n_steps):
+        run = coupled_step(run)
+    systems = run.systems()
+    qT = [q_functional(system).q_total for system in systems]
+    dists = [mean_field_distances(s, cfg.study.alpha, cutoff) for s in systems]  # after every Q: lower peak RSS
     table = np.column_stack([q0, qT, *zip(*dists)])
-    fl = runs[0].fluid
+    fl = run.fluid
     return table, bool(fl.stopped and fl.stopping.time < cfg.study.t_final - 1e-12)
 
 

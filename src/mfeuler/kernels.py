@@ -80,14 +80,20 @@ def _convolve(points, g, density, radius, n, dim, reach=math.inf):
     """sum_j g(p - y_j) density(y_j) w_j on the (radius, n, dim) lattice, for every row p of ``points``.
 
     ``g`` maps displacements (m, dim) to values (..., m), component axis first.  The sum is taken
-    as exactly zero at rows p with |p| > ``reach`` (see ``_blocked``).
+    as exactly zero at rows p with |p| > ``reach`` (see ``_blocked``).  The lattice is a product, so
+    the sum contracts one axis at a time with the axis weights: in 2-d an (n + 1, n + 1) product per
+    row, not one over all (n + 1)**2 nodes, whose split across BLAS threads would change the rounding.
     """
-    nodes, weights = _quad_lattice(radius, n, dim)
-    dens = density(nodes)
+    axis, weights = _quad_lattice(radius, n, 1)
+    nodes = _lattice(axis[:, 0], dim)
+    dens = density(nodes).reshape((n + 1,) * dim)
 
     def weighted_sum(block):
         vals = g((block[:, None, :] - nodes).reshape(-1, dim))
-        return (vals.reshape(vals.shape[:-1] + (len(block), len(nodes))) * dens) @ weights
+        out = vals.reshape(vals.shape[:-1] + (len(block),) + dens.shape) * dens
+        for _ in range(dim):
+            out = out @ weights
+        return out
 
     return _blocked(points, weighted_sum, len(nodes), reach)
 

@@ -10,20 +10,22 @@ symplectic-Euler drift and an exact noise map: freezing X, the noise-only
 equation dV_q = sigma_q V_q o dB_q has pathwise solution
 V_q * exp(sigma_q(X) dB_q), so the noise substep carries no time-discretization
 error.  A step advances a sweep of systems, each with its own N and kernel,
-on one shared increment; one system is the sweep of one.  Forces come either
-from the exact O(N^2) pair sum, system by system, or from one fused
-particle-mesh pass for the whole sweep: the particles are placed on two
-interlaced lattices, the nodes and the nodes shifted by half a cell, and each
-of the two assignment stencils serves as the deposit and, by its adjoint, as
-the gather.  Between the two, one ``grid.rfft``/``grid.irfft`` pair and one
-operator cached per (kernel, grid, scheme) convolve with the sampled force
-kernel and divide out the assignment window.
+on one shared increment: one ``ParticleState`` holds the rows of every system
+in order, and one system is the sweep of one.  Forces come either from the
+exact O(N^2) pair sum, system by system, or from one fused particle-mesh pass
+for the whole sweep: the particles are placed on two interlaced lattices,
+the nodes and the nodes shifted by half a cell, and each of the two
+assignment stencils serves as the deposit and, by its adjoint, as the gather.
+Between the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached
+per (kernel, grid, scheme) convolve with the sampled force kernel and divide
+out the assignment window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,15 +40,21 @@ FORCE_METHODS = ("direct", "particle_mesh")
 
 @dataclass
 class ParticleState:
-    positions: np.ndarray  # (N, dim), torus coordinates in [0, period)
-    velocities: np.ndarray  # (N, dim)
+    """A sweep of particle systems on one clock: every system's rows in order, ``sizes`` the N of each."""
+
+    positions: np.ndarray  # (rows, dim), torus coordinates in [0, period)
+    velocities: np.ndarray  # (rows, dim)
     time: float = 0.0
+    sizes: tuple | None = None  # by default one system of all the rows
 
     def __post_init__(self):
         self.positions = as_points(self.positions)
         self.velocities = as_points(self.velocities)
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must share a shape")
+        self.sizes = (self.n_particles,) if self.sizes is None else tuple(map(int, self.sizes))
+        if sum(self.sizes) != self.n_particles or any(n < 0 for n in self.sizes):
+            raise ValueError(f"system sizes {self.sizes} are not counts adding up to the {self.n_particles} rows")
 
     @property
     def n_particles(self):
@@ -55,6 +63,15 @@ class ParticleState:
     @property
     def dim(self):
         return self.positions.shape[1]
+
+    def split(self, rows: np.ndarray) -> list:
+        """``rows``, one per particle, as one view per system, in order."""
+        return np.split(rows, np.cumsum(self.sizes[:-1]))
+
+    def systems(self) -> list:
+        """One one-system state per system, views into this state's rows, in order."""
+        rows = zip(self.split(self.positions), self.split(self.velocities))
+        return [ParticleState(pos, vel, self.time) for pos, vel in rows]
 
 
 def validate_kernel_box(kernel: ScaledKernel, period: float):
@@ -134,24 +151,25 @@ def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) ->
     return read_only(0.5 * m_hat / grid.half(assignment_window(grid, scheme)))
 
 
-def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str, bounds=()) -> tuple:
+def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str, sizes=()) -> tuple:
     """``(flat, weights)`` stencils of the particles at node coordinate u = x/h and at u + 1/2.
 
     The second places the particles on the lattice shifted by half a cell;
-    the stencil's integer wrap folds u + 1/2 back into the torus.  ``bounds``
-    holds the (start, stop) rows of each system of a sweep's joined positions
-    (empty for one system); the node indices of system s are offset by
-    s * M**dim, in place, so that one ``np.bincount`` deposits every system
-    onto a lattice of its own.
+    the stencil's integer wrap folds u + 1/2 back into the torus.  ``sizes``
+    holds the N of each system of a sweep's rows (empty for one system); the
+    node indices of system s are offset by s * M**dim, in place, a row slice
+    at a time, so that one ``np.bincount`` deposits every system onto a
+    lattice of its own.
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
     u = np.asarray(positions) / grid.spacing
     stencils = _stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme)
     size = grid.points_per_dim**grid.dim
+    stops = list(accumulate(sizes))
     for flat, _ in stencils:
-        for system, (start, stop) in enumerate(bounds[1:], 1):
-            flat[..., start:stop] += system * size
+        for system in range(1, len(sizes)):
+            flat[..., stops[system - 1] : stops[system]] += system * size
     return stencils
 
 
@@ -188,41 +206,31 @@ def _sweep_transfer(kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarr
     return read_only(np.stack([force_transfer(kernel, grid, scheme) for kernel in kernels], axis=2))
 
 
-def _joined(arrays) -> np.ndarray:
-    """The systems' rows in one array; a one-system sweep's own array, uncopied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _bounds(states) -> list:
-    """The (start, stop) rows of each system in the joined arrays of a sweep."""
-    bounds, stop = [], 0
-    for state in states:
-        start, stop = stop, stop + state.n_particles
-        bounds.append((start, stop))
-    return bounds
-
-
-def force_particle_mesh(states, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
-    """Particle-mesh forces on a sweep of systems as one fused step, shape (sum of N, dim), in system order.
+def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
+    """Particle-mesh forces on a sweep of systems as one fused step, one row per particle of ``state``.
 
     The interlaced deposit of every system, ``force_transfer`` of its kernel
-    divided by its N, then ``gather``: one stencil pair, one ``np.bincount``
-    per lattice, one ``grid.rfft``/``grid.irfft`` pair and one
-    ``fields.gather`` per lattice for the whole sweep.  Each system's bins and
+    divided by its N in ``state.sizes``, then ``gather``: one stencil pair,
+    one ``np.bincount`` per lattice, one ``grid.rfft``/``grid.irfft`` pair and
+    one ``fields.gather`` per lattice for the whole sweep.  Each system's bins and
     transforms are its own, so its forces are those of a sweep of one.
 
     Raises
     ------
+    ValueError
+        Unless there is one kernel per system.
     GridTooCoarse
         If a kernel breaks a rule of ``validate_kernel_mesh``.
     """
+    if len(kernels) != len(state.sizes):
+        raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     for kernel in kernels:
         validate_kernel_mesh(kernel, grid)
-    bounds = _bounds(states)
-    stencils = interlaced_stencils(_joined([state.positions for state in states]), grid, deposit_scheme, bounds)
-    spectrum = _sweep_transfer(tuple(kernels), grid, deposit_scheme) * deposit_spectrum(stencils, grid, len(states))
-    for system, state in enumerate(states):  # (T * D) / N; a 1/N folded into the cached T would change the bits
-        spectrum[:, :, system] /= state.n_particles
+    stencils = interlaced_stencils(state.positions, grid, deposit_scheme, state.sizes)
+    transfer = _sweep_transfer(tuple(kernels), grid, deposit_scheme)
+    spectrum = transfer * deposit_spectrum(stencils, grid, len(state.sizes))
+    for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
+        spectrum[:, :, system] /= n
     return gather(grid.irfft(spectrum), stencils)
 
 
@@ -237,7 +245,7 @@ def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
 
 
 def step(
-    states,
+    state: ParticleState,
     dB: np.ndarray,
     dt: float,
     kernels,
@@ -247,56 +255,50 @@ def step(
     grid: PeriodicGrid | None = None,
     deposit_scheme: str = "linear",
     context: str = "",
-) -> list[ParticleState]:
-    """Advance a sweep of particle systems, ``states`` with ``kernels``, one step on one increment.
+) -> ParticleState:
+    """Advance a sweep of particle systems, ``state`` with one of ``kernels`` per system, one step on one increment.
 
     Each system takes a symplectic-Euler drift, then the exact noise factor.
     The noise coefficient is evaluated at the post-drift positions (the
     frozen-position justification of the exact factor); positions re-wrap into
     the torus.  The direct force is summed system by system, the particle-mesh
-    force in one pass; the rest runs once on the systems' joined rows, row by
-    row, so each system steps exactly as a sweep of one.  Returns the stepped
-    systems in order, views into the joined arrays.
+    force in one pass; the rest runs once on the sweep's rows, row by row, so
+    each system steps exactly as a sweep of one.  Returns the stepped sweep,
+    with the same ``sizes``.
 
     Raises
     ------
     ValueError
-        For an empty sweep, unequal numbers of states and kernels, or systems of different dim.
+        Unless there is one kernel per system.
     NonFiniteState
         Naming the N of the first system whose state became non-finite.
     """
-    if not states:
-        raise ValueError("a particle step needs at least one system")
-    if len(states) != len(kernels):
-        raise ValueError(f"{len(states)} particle systems but {len(kernels)} kernels")
-    if len({state.dim for state in states}) != 1:
-        raise ValueError(f"particle systems of different dim: {[state.dim for state in states]}")
+    if len(kernels) != len(state.sizes):  # force_particle_mesh checks too; the direct force needs it here
+        raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     if method == "direct":
-        forces = _joined([force_direct(state, kernel, period) for state, kernel in zip(states, kernels)])
+        forces = np.empty_like(state.positions)
+        for rows, system, kernel in zip(state.split(forces), state.systems(), kernels):
+            rows[...] = force_direct(system, kernel, period)
     elif method == "particle_mesh":
         if grid is None:
             raise ValueError("particle_mesh force needs a grid")
-        forces = force_particle_mesh(states, kernels, grid, deposit_scheme)
+        forces = force_particle_mesh(state, kernels, grid, deposit_scheme)
     else:
         raise ValueError(f"unknown force method {method!r}")
     # in place, to the same bits: on a sweep every temporary holds 8 bytes per particle and component
     forces *= dt
-    vel = _joined([state.velocities for state in states]) + forces
+    vel = state.velocities + forces
     pos = vel * dt
-    pos += _joined([state.positions for state in states])
+    pos += state.positions
     pos = wrap_positions(pos, period)
     factors = sigma.values(pos)
     factors *= np.asarray(dB)
     vel *= np.exp(factors, out=factors)
-    bounds = _bounds(states)
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-        n = next(
-            stop - start
-            for start, stop in bounds
-            if not (np.all(np.isfinite(pos[start:stop])) and np.all(np.isfinite(vel[start:stop])))
-        )
+        finite = np.isfinite(pos).all(axis=1) & np.isfinite(vel).all(axis=1)
+        n = next(len(rows) for rows in state.split(finite) if not rows.all())
         raise NonFiniteState(f"particle state of N = {n} became non-finite ({context})")
-    return [ParticleState(pos[a:b], vel[a:b], state.time + dt) for state, (a, b) in zip(states, bounds)]
+    return ParticleState(pos, vel, state.time + dt, state.sizes)
 
 
 # ---------------------------------------------------------------------------

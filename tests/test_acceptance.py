@@ -45,7 +45,7 @@ def test_criterion_1_force_path_equivalence():
     worst = 0.0
     for state in (stratified, uniform):
         fd = force_direct(state, kern, grid.period)
-        fp = force_particle_mesh([state], [kern], grid)
+        fp = force_particle_mesh(state, [kern], grid)
         worst = max(worst, float(np.max(np.abs(fd - fp)) / np.max(np.abs(fd))))
     elapsed = time.time() - t0
     assert worst < 1e-3
@@ -66,7 +66,7 @@ def test_criterion_2_stratonovich_noise_exactness():
         path = NoisePath.generate(31, 0, finest, 1, horizon / finest).coarsen(2 ** (12 - level))
         state = ParticleState(np.array([[1.0]]), np.array([[1.0]]))
         for dB in path.increments:
-            (state,) = particle_step([state], dB, path.dt, [kern], sigma, TWO_PI, method="direct")
+            state = particle_step(state, dB, path.dt, [kern], sigma, TWO_PI, method="direct")
         exact = math.exp(0.3 * path.terminal()[0])
         worst_rel = max(worst_rel, abs(state.velocities[0, 0] - exact) / abs(exact))
     assert worst_rel < 1e-12

@@ -98,7 +98,7 @@ def test_single_particle_q_oracle():
         particles=ParticleState(np.array([[x0]]), np.array([[w]])),
         fluid=fluid_state,
         path=NoisePath.generate(0, 0, 1, 1, 1e-3),
-        kernel=kern,
+        kernels=(kern,),
         sigma=SigmaField("constant", 0.0),
         euler_config=EulerConfig(dt=1e-3),
         velocity_interpolation="spectral",
@@ -136,8 +136,8 @@ def test_zero_sigma_decouples():
     f_ref = run.fluid
     for i in range(10):
         run = coupled_step(run)
-        (p_ref,) = particles_mod.step(
-            [p_ref], np.zeros(1), cfg.integrator.dt, [run.kernel], run.sigma, run.grid.period,
+        p_ref = particles_mod.step(
+            p_ref, np.zeros(1), cfg.integrator.dt, [run.kernel], run.sigma, run.grid.period,
             method=run.force_method, grid=run.grid, deposit_scheme=run.deposit_scheme,
         )
         f_ref = fluid_mod.step(f_ref, np.zeros(1), run.sigma, run.euler_config)
@@ -189,13 +189,13 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
         fluid_steps.append(state.step_index)
         return fluid_step(state, *args)
 
-    def counted_particle_step(states, *args, **kwargs):
-        particle_steps.append([state.n_particles for state in states])
-        return particle_step(states, *args, **kwargs)
+    def counted_particle_step(state, *args, **kwargs):
+        particle_steps.append(list(state.sizes))
+        return particle_step(state, *args, **kwargs)
 
-    def counted_force(states, *args):
-        force_sweeps.append([state.n_particles for state in states])
-        return force(states, *args)
+    def counted_force(state, *args):
+        force_sweeps.append(list(state.sizes))
+        return force(state, *args)
 
     def recorded_distances(run, *args):
         final_runs.append(run)
@@ -218,7 +218,7 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
     assert fluid_steps == list(range(stop_step))
     assert particle_steps == force_sweeps == [list(cfg.study.n_values)] * stop_step
     for j, n in enumerate(cfg.study.n_values):
-        solo = build_run(cfg, 1, n_particles=n)
+        solo = build_run(cfg, 1, (n,))
         for _ in range(n_steps):
             solo = coupled_step(solo)
         inside = final_runs[j]
@@ -233,6 +233,37 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
         else:
             with pytest.raises(IndexError, match="noise path exhausted"):
                 coupled_step(solo)
+
+
+def test_sweep_run_holds_one_state_and_splits_into_one_system_runs():
+    cfg = tiny_config()
+    run = build_run(cfg, 1, cfg.study.n_values)
+    assert run.particles.sizes == cfg.study.n_values
+    assert run.particles.n_particles == sum(cfg.study.n_values)
+    assert [kernel.n_particles for kernel in run.kernels] == list(cfg.study.n_values)
+    systems = run.systems()
+    for system, n in zip(systems, cfg.study.n_values):
+        solo = build_run(cfg, 1, (n,))
+        assert system.kernel == solo.kernel
+        assert system.fluid is run.fluid and system.path is run.path and system.sigma is run.sigma
+        assert np.shares_memory(system.particles.positions, run.particles.positions)
+        np.testing.assert_array_equal(system.particles.positions, solo.particles.positions)
+        np.testing.assert_array_equal(system.particles.velocities, solo.particles.velocities)
+    assert build_run(cfg).particles.sizes == (cfg.particles.n,)
+
+
+@pytest.mark.parametrize(
+    "diagnostic", [q_functional, lambda run: mean_field_distances(run, 2.0)], ids=["q_functional", "distances"]
+)
+def test_one_system_diagnostics_refuse_a_sweep(diagnostic):
+    # a sweep's rows read as one system would mix every N into one empirical measure
+    run = build_run(tiny_config(), 0, (64, 128))
+    with pytest.raises(ValueError, match="run of 2 particle systems"):
+        diagnostic(run)
+    with pytest.raises(ValueError, match="run of 2 particle systems"):
+        diagnostic(coupled_step(run))
+    for system in run.systems():
+        diagnostic(system)
 
 
 def test_mean_field_distances_permutation_invariant():
@@ -388,7 +419,7 @@ def test_study_evaluates_density_once_on_its_lattice(monkeypatch, dim):
 
     monkeypatch.setattr(profiles.DensityProfile, "shape_values", counted)
     for sample in (0, 1):
-        coupling_mod.build_runs(cfg, sample, (256, 1024, 2048))
+        coupling_mod.build_run(cfg, sample, (256, 1024, 2048))
     assert sizes.count({1: 2**13, 2: 2**18}[dim]) == 1
 
 

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mfeuler
 from mfeuler import kernels
 from mfeuler.config import RunConfig
 from mfeuler.coupling import make_kernel
@@ -520,3 +524,26 @@ def test_mollification_ratio_matches_one_dimensional_reference(f, noise):
         scale = np.max(np.abs(f(probes))) / kern.smoothing_length
         got = mollification_error_ratio(kern, f, 1.0, probes)
         assert got == pytest.approx(ref, rel=1e-13, abs=noise * scale), n
+
+
+_RATIO_2D = """
+import numpy as np
+from mfeuler.kernels import MollifierSpec, ScaledKernel, mollification_error_ratio
+
+probes = np.linspace(0.0, 2.0 * np.pi, 65)
+probes = np.stack([probes, np.zeros_like(probes)], axis=-1)
+kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 2), 16, 0.5)
+print(repr(mollification_error_ratio(kern, lambda x: np.sin(x[:, 0]), 1.0, probes)))
+"""
+
+
+def test_2d_mollification_ratio_identical_across_blas_thread_counts():
+    # the 2-d quadrature sums over 513**2 lattice nodes run inside BLAS products
+    src = os.path.dirname(os.path.dirname(mfeuler.__file__))
+    ratios = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _RATIO_2D], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ratios.add(proc.stdout.strip())
+    assert len(ratios) == 1, ratios

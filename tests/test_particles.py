@@ -83,7 +83,7 @@ def test_particle_mesh_single_particle_small():
     grid = PeriodicGrid(1, 128, TWO_PI)
     kern = gaussian_kernel(16, width=1.0)
     st = ParticleState(np.array([[2.13]]), np.zeros((1, 1)))
-    f = force_particle_mesh([st], [kern], grid)
+    f = force_particle_mesh(st, [kern], grid)
     # direct answer is exactly zero; PM noise stays at interpolation-error level
     peak = float(np.max(np.abs(kern.potential_gradient(np.linspace(-1, 1, 101)[:, None]))))
     assert np.max(np.abs(f)) < 1e-3 * peak
@@ -96,7 +96,7 @@ def test_particle_mesh_matches_direct():
     pos = rng.random((1024, 1)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
     fd = force_direct(st, kern, TWO_PI)
-    fp = force_particle_mesh([st], [kern], grid)
+    fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 1e-3 * np.max(np.abs(fd))
 
 
@@ -108,7 +108,7 @@ def test_particle_mesh_refinement_halves_error():
     fd = force_direct(st, kern, TWO_PI)
     devs = []
     for m in (128, 256, 512):
-        fp = force_particle_mesh([st], [kern], PeriodicGrid(1, m, TWO_PI))
+        fp = force_particle_mesh(st, [kern], PeriodicGrid(1, m, TWO_PI))
         devs.append(np.max(np.abs(fd - fp)))
     assert devs[0] >= 2.0 * devs[1]
     assert devs[1] >= 2.0 * devs[2]
@@ -121,7 +121,7 @@ def test_particle_mesh_2d_matches_direct():
     pos = rng.random((256, 2)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
     fd = force_direct(st, kern, TWO_PI)
-    fp = force_particle_mesh([st], [kern], grid)
+    fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 5e-3 * np.max(np.abs(fd))
 
 
@@ -132,14 +132,14 @@ def test_particle_mesh_bump_matches_direct_with_operators_built_once(monkeypatch
     pos = rng.random((64, 1)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
     fd = force_direct(st, kern, TWO_PI)
-    fp = force_particle_mesh([st], [kern], grid)
+    fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 1e-3 * np.max(np.abs(fd))
 
     def resample(*args):
         raise AssertionError("force kernel sampled again for the same (kernel, grid)")
 
     monkeypatch.setattr(particles_mod, "sample_kernel", resample)
-    np.testing.assert_array_equal(force_particle_mesh([st], [kern], grid), fp)
+    np.testing.assert_array_equal(force_particle_mesh(st, [kern], grid), fp)
     monkeypatch.undo()
     operators = [
         force_transfer(kern, grid, "linear"),
@@ -229,7 +229,7 @@ def test_fused_force_matches_parent_pipeline(dim, scheme, n):
     grid, kern, peak = _pm_case(dim)
     for pos in _particle_sets(n, dim, grid, on_nodes=scheme == "linear"):
         st = ParticleState(pos, np.zeros_like(pos))
-        fused = force_particle_mesh([st], [kern], grid, scheme)
+        fused = force_particle_mesh(st, [kern], grid, scheme)
         parent = _parent_force(pos, kern, grid, scheme)
         scale = max(float(np.max(np.abs(parent))), peak / n)
         assert np.max(np.abs(fused - parent)) <= 1e-12 * scale
@@ -270,10 +270,10 @@ def test_nearest_particles_on_nodes_feel_no_self_force_and_conserve_momentum(dim
     # different nodes (a self-force of 0.11 and 0.22 of the peak in 1-d and 2-d).
     grid, kern, peak = _pm_case(dim)
     for pos in (np.zeros((1, dim)), np.full((1, dim), 5 * grid.spacing)):
-        f = force_particle_mesh([ParticleState(pos, np.zeros_like(pos))], [kern], grid, "nearest")
+        f = force_particle_mesh(ParticleState(pos, np.zeros_like(pos)), [kern], grid, "nearest")
         assert np.max(np.abs(f)) <= 1e-12 * peak
     (crowd,) = _particle_sets(8192, dim, grid, on_nodes=True)
-    f = force_particle_mesh([ParticleState(crowd, np.zeros_like(crowd))], [kern], grid, "nearest")
+    f = force_particle_mesh(ParticleState(crowd, np.zeros_like(crowd)), [kern], grid, "nearest")
     assert np.max(np.abs(f.sum(axis=0))) <= 1e-12 * len(crowd) * np.max(np.abs(f))
 
 
@@ -314,7 +314,7 @@ def test_position_wrap_matches_np_mod_bit_for_bit(start, move):
     move = np.array(move)[:, None]
     kern = gaussian_kernel(len(start), width=0.05)
     st = ParticleState(start, move)
-    (out,) = step([st], np.zeros(1), 1.0, [kern], SigmaField("constant", 0.0), TWO_PI, method="direct")
+    out = step(st, np.zeros(1), 1.0, [kern], SigmaField("constant", 0.0), TWO_PI, method="direct")
     vel = st.velocities + force_direct(st, kern, TWO_PI) * 1.0
     expected = np.mod(st.positions + vel * 1.0, TWO_PI)
     assert out.positions.tobytes() == expected.tobytes()
@@ -325,7 +325,7 @@ def test_grid_too_coarse_raises():
     kern = gaussian_kernel(4096, width=1.0)
     st = ParticleState(np.array([[1.0]]), np.zeros((1, 1)))
     with pytest.raises(GridTooCoarse):
-        force_particle_mesh([st], [kern], grid)
+        force_particle_mesh(st, [kern], grid)
 
 
 def test_kernel_support_must_fit_half_box():
@@ -342,7 +342,7 @@ def test_free_motion_exact():
     st = ParticleState(np.array([[0.5], [2.0]]), np.array([[0.3], [-0.1]]))
     dt = 0.25
     for _ in range(8):
-        (st,) = step([st], np.zeros(1), dt, [kern], sigma, TWO_PI, method="direct")
+        st = step(st, np.zeros(1), dt, [kern], sigma, TWO_PI, method="direct")
     assert st.time == pytest.approx(2.0)
     np.testing.assert_allclose(st.velocities, [[0.3], [-0.1]], atol=1e-12)
     np.testing.assert_allclose(
@@ -356,7 +356,7 @@ def test_noise_exactness_constant_sigma():
     path = NoisePath.generate(42, 0, 500, 1, 1e-2)
     st = ParticleState(np.array([[1.0]]), np.array([[0.7]]))
     for dB in path.increments:
-        (st,) = step([st], dB, path.dt, [kern], sigma, TWO_PI, method="direct")
+        st = step(st, dB, path.dt, [kern], sigma, TWO_PI, method="direct")
     exact = 0.7 * math.exp(0.3 * path.terminal()[0])
     assert abs(st.velocities[0, 0] - exact) <= 1e-12 * abs(exact)
 
@@ -369,7 +369,7 @@ def test_common_noise_ratio_dt_independent():
         path = NoisePath.generate(9, 0, n_steps, 1, 1.0 / n_steps)
         st = ParticleState(np.array([[1.0], [4.0]]), np.array([[0.5], [0.2]]))
         for dB in path.increments:
-            (st,) = step([st], dB, path.dt, [kern], sigma, TWO_PI, method="direct")
+            st = step(st, dB, path.dt, [kern], sigma, TWO_PI, method="direct")
         return st.velocities[0, 0] / st.velocities[1, 0]
 
     assert ratio(64) == pytest.approx(0.5 / 0.2, rel=1e-12)
@@ -387,7 +387,7 @@ def test_determinism_same_seed():
         st = init_well_prepared(dens, vel, 64, scheme="stratified")
         grid = PeriodicGrid(1, 128, TWO_PI)
         for dB in path.increments:
-            (st,) = step([st], dB, path.dt, [kern], sigma, TWO_PI, method="particle_mesh", grid=grid)
+            st = step(st, dB, path.dt, [kern], sigma, TWO_PI, method="particle_mesh", grid=grid)
         cfgs.append(st)
     np.testing.assert_array_equal(cfgs[0].positions, cfgs[1].positions)
     np.testing.assert_array_equal(cfgs[0].velocities, cfgs[1].velocities)
@@ -398,7 +398,7 @@ def test_non_finite_state_raises():
     kern = gaussian_kernel(1, width=0.2)
     st = ParticleState(np.array([[1.0]]), np.array([[1.0]]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="seed=1"):
-        step([st], np.array([5.0]), 1e-2, [kern], sigma, TWO_PI, method="direct", context="seed=1 step=0")
+        step(st, np.array([5.0]), 1e-2, [kern], sigma, TWO_PI, method="direct", context="seed=1 step=0")
 
 
 def test_non_finite_state_names_the_first_failing_system():
@@ -407,29 +407,59 @@ def test_non_finite_state_names_the_first_failing_system():
     sigma = SigmaField("sinusoidal", 1.0, 2.0, TWO_PI)
     kern = gaussian_kernel(1, width=0.05)
     starts = ((1, 1.5 * math.pi), (2, 0.5 * math.pi), (3, 0.5 * math.pi))
-    states = [ParticleState(np.full((n, 1), x), np.ones((n, 1))) for n, x in starts]
+    pos = np.concatenate([np.full((n, 1), x) for n, x in starts])
+    sweep = ParticleState(pos, np.ones_like(pos), 0.0, [n for n, _ in starts])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"N = 2 became non-finite \(seed=1 step=0\)"):
-        step(states, np.array([1e3]), 1e-2, [kern] * 3, sigma, TWO_PI, method="direct", context="seed=1 step=0")
-    (alone,) = step(states[:1], np.array([1e3]), 1e-2, [kern], sigma, TWO_PI, method="direct")
+        step(sweep, np.array([1e3]), 1e-2, [kern] * 3, sigma, TWO_PI, method="direct", context="seed=1 step=0")
+    alone = step(sweep.systems()[0], np.array([1e3]), 1e-2, [kern], sigma, TWO_PI, method="direct")
     assert np.all(alone.velocities == 0.0)
 
 
 @pytest.mark.parametrize(
-    "states,kernels,message",
+    "sizes,kernels,message",
     [
-        ([], [], "at least one system"),
-        ([ParticleState(np.ones((2, 1)), np.ones((2, 1)))], [], "1 particle systems but 0 kernels"),
-        (
-            [ParticleState(np.ones((2, 1)), np.ones((2, 1))), ParticleState(np.ones((2, 2)), np.ones((2, 2)))],
-            [gaussian_kernel(2, width=0.05), gaussian_kernel(2, width=0.05, dim=2)],
-            "different dim",
-        ),
+        ((2,), 0, "1 particle systems but 0 kernels"),
+        ((1, 1), 1, "2 particle systems but 1 kernels"),
+        ((2,), 2, "1 particle systems but 2 kernels"),
     ],
-    ids=["empty", "unequal_counts", "mixed_dim"],
+    ids=["unequal_counts", "fewer_kernels", "more_kernels"],
 )
-def test_step_rejects_a_bad_sweep(states, kernels, message):
+def test_step_rejects_a_bad_sweep(sizes, kernels, message):
+    # a sweep needs one kernel per system, in step and in the particle-mesh force alike
+    state = ParticleState(np.ones((2, 1)), np.ones((2, 1)), 0.0, sizes)
+    kernels = [gaussian_kernel(2, width=0.05)] * kernels
+    for method in ("direct", "particle_mesh"):
+        with pytest.raises(ValueError, match=message):
+            step(state, np.zeros(1), 1e-2, kernels, SigmaField("constant", 0.0), TWO_PI, method, PeriodicGrid(1, 512))
     with pytest.raises(ValueError, match=message):
-        step(states, np.zeros(1), 1e-2, kernels, SigmaField("constant", 0.0), TWO_PI, method="direct")
+        force_particle_mesh(state, kernels, PeriodicGrid(1, 512))
+
+
+def test_sweep_systems_are_views_of_its_rows_in_order():
+    pos = np.arange(12.0).reshape(6, 2)
+    vel = -pos
+    sweep = ParticleState(pos, vel, 0.5, [1, 3, 2])
+    systems = sweep.systems()
+    assert [system.n_particles for system in systems] == [1, 3, 2]
+    assert all(system.sizes == (system.n_particles,) and system.time == 0.5 for system in systems)
+    np.testing.assert_array_equal(np.concatenate([system.positions for system in systems]), pos)
+    np.testing.assert_array_equal(np.concatenate([system.velocities for system in systems]), vel)
+    for system in systems:
+        assert np.shares_memory(system.positions, sweep.positions)
+        assert np.shares_memory(system.velocities, sweep.velocities)
+    systems[1].positions[0] = 99.0  # a view: the sweep's row 1 changes with it
+    assert np.all(sweep.positions[1] == 99.0)
+    assert ParticleState(pos, vel).sizes == (6,)
+    (alone,) = ParticleState(pos, vel).systems()
+    assert np.shares_memory(alone.positions, pos) and alone.n_particles == 6
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 3), (7,), (3, 3, 1), (), (7, -1)], ids=["short", "long_one", "long", "none", "negative"]
+)
+def test_sweep_sizes_must_add_up_to_its_rows(sizes):
+    with pytest.raises(ValueError, match=r"are not counts adding up to the 6 rows"):
+        ParticleState(np.zeros((6, 1)), np.zeros((6, 1)), 0.0, sizes)
 
 
 @pytest.mark.parametrize("sigma_family", ["constant", "sinusoidal"])
@@ -443,15 +473,19 @@ def test_sweep_step_equals_each_system_stepped_alone(dim, method, scheme, sigma_
     sizes = (1, 7, 256)
     kernels = [ScaledKernel(MollifierSpec("gaussian", 0.5 * dim, dim), n, 0.5) for n in sizes]
     states = [ParticleState(rng.random((n, dim)) * grid.period, rng.standard_normal((n, dim))) for n in sizes]
+    pos = np.concatenate([state.positions for state in states])
+    vel = np.concatenate([state.velocities for state in states])
+    sweep = ParticleState(pos, vel, 0.0, sizes)
     path = NoisePath.generate(9, 0, 3, dim, 1e-2)
     for dB in path.increments:
-        swept = step(states, dB, path.dt, kernels, sigma, grid.period, method, grid, scheme)
-        for state, kernel, together in zip(states, kernels, swept):
-            (alone,) = step([state], dB, path.dt, [kernel], sigma, grid.period, method, grid, scheme)
+        swept = step(sweep, dB, path.dt, kernels, sigma, grid.period, method, grid, scheme)
+        assert swept.sizes == sizes
+        for state, kernel, together in zip(sweep.systems(), kernels, swept.systems()):
+            alone = step(state, dB, path.dt, [kernel], sigma, grid.period, method, grid, scheme)
             assert np.array_equal(together.positions, alone.positions)
             assert np.array_equal(together.velocities, alone.velocities)
             assert together.time == alone.time
-        states = swept
+        sweep = swept
 
 
 def test_stratified_uniform_subinterval_quantiles():
