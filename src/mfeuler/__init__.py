@@ -42,7 +42,6 @@ from .fields import (
     interpolate,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
-    sobolev_norm,
 )
 from .fluid import EulerConfig, FluidState, StoppingRecord, make_fluid_state, sample_velocity, state_norm, stopping_guard
 from .kernels import (

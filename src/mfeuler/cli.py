@@ -48,7 +48,7 @@ def cmd_run_coupled(args) -> int:
     out = _outdir(cfg)
     run = coupling.build_run(cfg, sample_index=0)
     n_steps = run.path.n_steps
-    records = [coupling.q_functional(run)]
+    records = coupling.q_functional(run)
     mass_rows = [(0, run.fluid.time, run.fluid.mass(), run.fluid.min_density())]
     stride = cfg.output.q_stride
     snap_stride = cfg.output.snapshot_stride
@@ -56,7 +56,7 @@ def cmd_run_coupled(args) -> int:
         run = coupling.coupled_step(run)
         mass_rows.append((i, run.fluid.time, run.fluid.mass(), run.fluid.min_density()))
         if i % stride == 0 or i == n_steps:
-            records.append(coupling.q_functional(run))
+            records += coupling.q_functional(run)
         if snap_stride and i % snap_stride == 0:
             _write_snapshot(out, f"step{i:06d}", run)
     _write_snapshot(out, "final", run)
@@ -213,7 +213,7 @@ def _self_test_checks(cfg):
         kern = kernels.ScaledKernel(spec, 64, 0.5)
         rng = np.random.default_rng(3)
         state = particles.ParticleState(rng.random((64, 1)) * 2 * math.pi, np.zeros((64, 1)))
-        fd = particles.force_direct(state, kern, grid.period)
+        fd = particles.force_direct(state.positions, kern, grid.period)
         fp = particles.force_particle_mesh(state, [kern], grid)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(fd - fp)) < 5e-3 * scale, "pm force"

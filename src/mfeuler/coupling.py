@@ -12,7 +12,9 @@ negative-Sobolev distances over independent noise samples.  Common random
 numbers: the noise path of sample m depends only on (master_seed, m), never
 on N, so every N in the sweep sees identical path bytes.  The fluid state
 does not depend on the particles at all, so one run per sample, one fluid
-solve and one particle state holding every N, drives the whole N sweep.
+solve and one particle state holding every N, drives the whole N sweep.  The
+diagnostics read that sweep as it is: ``q_functional`` returns one record and
+``mean_field_distances`` one value per system, in the order of its N.
 """
 
 from __future__ import annotations
@@ -112,17 +114,6 @@ class CoupledRun:
     def dt(self):
         return self.euler_config.dt
 
-    @property
-    def kernel(self) -> ScaledKernel:
-        """The force kernel of a one-system run; a sweep has one per system, read through ``systems()``."""
-        if len(self.kernels) != 1:
-            raise ValueError(f"a run of {len(self.kernels)} particle systems has no one kernel; read run.systems()")
-        return self.kernels[0]
-
-    def systems(self) -> list[CoupledRun]:
-        """One one-system run per system, in order: views of its particles with its kernel, sharing the rest."""
-        return [replace(self, particles=p, kernels=(k,)) for p, k in zip(self.particles.systems(), self.kernels)]
-
 
 def build_run(cfg: RunConfig, sample_index: int = 0, n_values=None) -> CoupledRun:
     """Assemble a fluid and noise path of t_final / dt steps plus one particle system per N in ``n_values``.
@@ -206,56 +197,65 @@ def coupled_step(run: CoupledRun) -> CoupledRun:
     return replace(run, particles=particles, fluid=fl)
 
 
-def mollified_density(positions, kernel: ScaledKernel, grid: PeriodicGrid, scheme="linear") -> GridField:
-    """Lattice samples of the mollified empirical density (deposit then convolve).
+def mollified_density(particles: particles_mod.ParticleState, kernels, grid: PeriodicGrid, scheme="linear"):
+    """Lattice samples of each system's mollified empirical density, shape (systems,) + grid.shape.
 
-    The interlaced deposit spectrum goes through one cached operator that
-    divides out the assignment window and convolves with the sampled
-    mollifier, which keeps the result on the direct particle sum
-    (1/N) sum_j density(x - X_j) up to residual deposit aliasing.  Warns
-    (``KernelAliasingWarning``) when over 1e-6 of the kernel's mass wraps around.
+    One interlaced deposit of the whole sweep goes through the cached
+    operator of each system's kernel, which divides out the assignment window
+    and convolves with the sampled mollifier; that keeps each row on the
+    direct particle sum (1/N) sum_j density(x - X_j) up to residual deposit
+    aliasing.  Warns (``KernelAliasingWarning``) for each kernel with over
+    1e-6 of its mass wrapping around.
     """
-    wrapped = kernel.mass_outside(grid.period / 2.0)
-    if wrapped > 1e-6:
-        warnings.warn(
-            f"kernel mass {wrapped:.3e} outside the half-period box wraps around", KernelAliasingWarning, stacklevel=2
-        )
-    (spectrum,) = particles_mod.deposit_spectrum(particles_mod.interlaced_stencils(positions, grid, scheme), grid)
-    transfer = particles_mod.mollifier_transfer(kernel, grid, scheme)
-    return GridField(grid, grid.irfft(transfer * spectrum) / len(positions))
+    for kernel in kernels:
+        wrapped = kernel.mass_outside(grid.period / 2.0)
+        if wrapped > 1e-6:
+            message = f"kernel mass {wrapped:.3e} outside the half-period box wraps around"
+            warnings.warn(message, KernelAliasingWarning, stacklevel=2)
+    sizes = particles.sizes
+    stencils = particles_mod.interlaced_stencils(particles.positions, grid, scheme, sizes)
+    spectrum = particles_mod.deposit_spectrum(stencils, grid, len(sizes))
+    transfer = particles_mod._sweep_transfer(particles_mod.mollifier_transfer, tuple(kernels), grid, scheme)
+    density = grid.irfft(transfer * spectrum)
+    for row, n in zip(density, sizes):
+        row /= n
+    return density
 
 
-def q_functional(run: CoupledRun) -> QRecord:
-    """Evaluate the convergence gauge of a one-system run on the current (possibly frozen) states."""
-    kernel = run.kernel  # a sweep's run raises ValueError: its gauges are those of run.systems()
-    if abs(run.particles.time - run.fluid.time) > 1e-9 * max(1.0, run.fluid.time):
+def q_functional(run: CoupledRun) -> list[QRecord]:
+    """The convergence gauge of each system, in the order of ``sizes``, on the current (possibly frozen) states."""
+    particles, fl = run.particles, run.fluid
+    if abs(particles.time - fl.time) > 1e-9 * max(1.0, fl.time):
         raise ValueError("particle and fluid clocks are not aligned")
-    vel_at = fluid_mod.sample_velocity(run.fluid, run.particles.positions, run.velocity_interpolation)
-    mismatch = run.particles.velocities - vel_at
-    kinetic = float(np.mean(np.sum(mismatch * mismatch, axis=1)))
-    mol = mollified_density(run.particles.positions, kernel, run.grid, run.deposit_scheme)
-    diff = mol.values - run.fluid.u[0]
-    density = float(np.sum(diff * diff) * run.grid.cell_volume)
-    return QRecord(run.fluid.time, kinetic, density, kinetic + density, run.fluid.stopped)
+    mismatch = particles.velocities - fluid_mod.sample_velocity(fl, particles.positions, run.velocity_interpolation)
+    squares = particles.split(np.sum(mismatch * mismatch, axis=1))
+    records = []
+    for rows, mol in zip(squares, mollified_density(particles, run.kernels, run.grid, run.deposit_scheme)):
+        diff = mol - fl.u[0]
+        kinetic = float(np.mean(rows))
+        density = float(np.sum(diff * diff) * run.grid.cell_volume)
+        records.append(QRecord(fl.time, kinetic, density, kinetic + density, fl.stopped))
+    return records
 
 
 def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
-    """Squared negative-Sobolev distances of the empirical measures of a one-system run to the fluid.
+    """Squared negative-Sobolev distances of each system's empirical measures to the fluid.
 
-    Returns (||S - rho||^2, ||V - rho v||^2) evaluated at the current time
-    (frozen at the stopping time if the guard fired), the two quantities the
-    mean-field bound controls.
+    Returns two arrays, ||S - rho||^2 and ||V - rho v||^2, one value per
+    system in the order of its sizes, evaluated at the current time (frozen at
+    the stopping time if the guard fired): the two quantities the mean-field
+    bound controls.  The systems are summed one at a time, so the phase
+    tables never span more than one system's rows.
     """
-    pos = run.particles.positions
-    n = run.kernel.n_particles  # a sweep's run raises ValueError: its distances are those of run.systems()
-    s_measure = EmpiricalMeasure(pos)
-    dist_s = neg_sobolev_distance(s_measure, run.fluid.rho, alpha, freq_cutoff)
-
-    v_measure = EmpiricalMeasure(pos, run.particles.velocities / n)
+    p = run.particles
+    rho = run.fluid.rho
     u = run.fluid.u
     momentum_fields = [GridField(run.grid, m) for m in u[0] * u[1:]]
-    dist_v = neg_sobolev_distance(v_measure, momentum_fields, alpha, freq_cutoff)
-    return dist_s**2, dist_v**2
+    dist_s, dist_v = [], []
+    for pos, vel, n in zip(p.split(p.positions), p.split(p.velocities), p.sizes):
+        dist_s.append(neg_sobolev_distance(EmpiricalMeasure(pos), rho, alpha, freq_cutoff) ** 2)
+        dist_v.append(neg_sobolev_distance(EmpiricalMeasure(pos, vel / n), momentum_fields, alpha, freq_cutoff) ** 2)
+    return np.array(dist_s), np.array(dist_v)
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +316,22 @@ SAMPLE_COLUMNS = ("q0", "q", "dist_s", "dist_v")  # the columns of a sample's ta
 def _run_sample(cfg: RunConfig, sample_index: int, cutoff: int):
     """One sample's table, a row per N in the columns ``SAMPLE_COLUMNS``, and whether the guard stopped it early."""
     run = build_run(cfg, sample_index, cfg.study.n_values)
-    q0 = [q_functional(system).q_total for system in run.systems()]
+    q0 = [record.q_total for record in q_functional(run)]
     for _ in range(run.path.n_steps):
         run = coupled_step(run)
-    systems = run.systems()
-    qT = [q_functional(system).q_total for system in systems]
-    dists = [mean_field_distances(s, cfg.study.alpha, cutoff) for s in systems]  # after every Q: lower peak RSS
-    table = np.column_stack([q0, qT, *zip(*dists)])
+    qT = [record.q_total for record in q_functional(run)]
+    table = np.column_stack([q0, qT, *mean_field_distances(run, cfg.study.alpha, cutoff)])
     fl = run.fluid
     return table, bool(fl.stopped and fl.stopping.time < cfg.study.t_final - 1e-12)
 
 
-def monte_carlo_rate(cfg: RunConfig, threads: int | None = None) -> RateResult:
+def monte_carlo_rate(cfg: RunConfig) -> RateResult:
     """Average the convergence gauge over noise samples and fit log-log slopes.
 
     Samples run in order; sample m draws its noise path from (master_seed, m)
-    only.  ``threads`` must be >= 1 and changes no output (it is reserved for
-    a sample-batch size).  Rows containing guard-stopped samples are marked
-    censored and excluded from the fits.
+    only.  Rows containing guard-stopped samples are marked censored and
+    excluded from the fits.
     """
-    if threads is not None and int(threads) < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
     grid = make_grid(cfg)
     cutoff = cfg.study.freq_cutoff or grid.points_per_dim // 2  # 0 is M/2, for the distances and the tail bound
     tables, censored = zip(*(_run_sample(cfg, m, cutoff) for m in range(cfg.study.samples)))

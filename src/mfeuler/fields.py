@@ -169,12 +169,6 @@ def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
     return read_only((1.0 + norm_sq) ** s * _column_multiplicity(grid) * norm)
 
 
-def sobolev_norm(field: GridField, s: float) -> float:
-    """Bessel-type Sobolev norm on the torus; s = 0 is the lattice L2 norm."""
-    coeffs = field.grid.rfft(field.values)
-    return float(np.sqrt(np.sum(sobolev_weight(field.grid, s) * np.abs(coeffs) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # Empirical measures: deposits and negative-Sobolev distances
 # ---------------------------------------------------------------------------

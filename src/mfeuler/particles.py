@@ -18,7 +18,9 @@ the nodes and the nodes shifted by half a cell, and each of the two
 assignment stencils serves as the deposit and, by its adjoint, as the gather.
 Between the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached
 per (kernel, grid, scheme) convolve with the sampled force kernel and divide
-out the assignment window.
+out the assignment window.  The same stencils and deposit of a whole sweep,
+through the stacked ``mollifier_transfer``, give the mollified densities of
+the convergence gauge.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ class ParticleState:
         """``rows``, one per particle, as one view per system, in order."""
         return np.split(rows, np.cumsum(self.sizes[:-1]))
 
-    def systems(self) -> list:
-        """One one-system state per system, views into this state's rows, in order."""
-        rows = zip(self.split(self.positions), self.split(self.velocities))
-        return [ParticleState(pos, vel, self.time) for pos, vel in rows]
-
 
 def validate_kernel_box(kernel: ScaledKernel, period: float):
     """The kernel's effective support must fit inside half the torus."""
@@ -98,21 +95,20 @@ def min_image(disp: np.ndarray, period: float) -> np.ndarray:
     return disp - period * np.round(disp / period)
 
 
-def force_direct(state: ParticleState, kernel: ScaledKernel, period: float):
-    """Exact pair-sum force -(1/N) sum_l grad potential(X_k - X_l), minimum image.
+def force_direct(positions: np.ndarray, kernel: ScaledKernel, period: float):
+    """Exact pair-sum force -(1/N) sum_l grad potential(X_k - X_l), minimum image, on one system's (N, dim) rows.
 
     The self term vanishes because the potential gradient of a symmetric C^1
     kernel is zero at the origin; no special-casing of l = k is needed.
     """
     validate_kernel_box(kernel, period)
     block = 1024  # particles per chunk: a chunk's displacements are block * N rows
-    pos = state.positions
-    n = state.n_particles
-    forces = np.empty_like(pos)
+    n, dim = positions.shape
+    forces = np.empty_like(positions)
     for start in range(0, n, block):
-        chunk = pos[start : start + block]
-        disp = min_image(chunk[:, None, :] - pos[None, :, :], period)
-        grads = kernel.potential_gradient(disp.reshape(-1, state.dim))
+        chunk = positions[start : start + block]
+        disp = min_image(chunk[:, None, :] - positions[None, :, :], period)
+        grads = kernel.potential_gradient(disp.reshape(-1, dim))
         forces[start : start + block] = -grads.reshape(disp.shape).sum(axis=1) / n
     return forces
 
@@ -198,12 +194,14 @@ def gather(values, stencils) -> np.ndarray:
 
 
 @cache
-def _sweep_transfer(kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarray:
-    """The ``force_transfer`` of each kernel of a sweep stacked as (dim, 2, systems) + the half spectrum,
-    built once per tuple of kernels.  In this layout the inverse transform of the product holds, per
-    component and lattice, the fields of all systems as one run of systems * M**dim values, which
-    ``fields.gather`` reads at the offset node indices of ``interlaced_stencils``."""
-    return read_only(np.stack([force_transfer(kernel, grid, scheme) for kernel in kernels], axis=2))
+def _sweep_transfer(operator, kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarray:
+    """The transfer ``operator`` of each kernel of a sweep stacked on a systems axis just before the half
+    spectrum, built once per (operator, tuple of kernels): (dim, 2, systems) + the half spectrum for
+    ``force_transfer``, (systems,) + the half spectrum for ``mollifier_transfer``.  In this layout the
+    inverse transform of the product holds the fields of all systems as one run of systems * M**dim
+    values, which ``fields.gather`` reads at the offset node indices of ``interlaced_stencils``."""
+    stack = [operator(kernel, grid, scheme) for kernel in kernels]
+    return read_only(np.stack(stack, axis=-1 - grid.dim))
 
 
 def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
@@ -227,7 +225,7 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
     for kernel in kernels:
         validate_kernel_mesh(kernel, grid)
     stencils = interlaced_stencils(state.positions, grid, deposit_scheme, state.sizes)
-    transfer = _sweep_transfer(tuple(kernels), grid, deposit_scheme)
+    transfer = _sweep_transfer(force_transfer, tuple(kernels), grid, deposit_scheme)
     spectrum = transfer * deposit_spectrum(stencils, grid, len(state.sizes))
     for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
         spectrum[:, :, system] /= n
@@ -277,8 +275,8 @@ def step(
         raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     if method == "direct":
         forces = np.empty_like(state.positions)
-        for rows, system, kernel in zip(state.split(forces), state.systems(), kernels):
-            rows[...] = force_direct(system, kernel, period)
+        for rows, positions, kernel in zip(state.split(forces), state.split(state.positions), kernels):
+            rows[...] = force_direct(positions, kernel, period)
     elif method == "particle_mesh":
         if grid is None:
             raise ValueError("particle_mesh force needs a grid")

@@ -44,7 +44,7 @@ def test_criterion_1_force_path_equivalence():
     uniform = ParticleState(rng.random((1024, 1)) * TWO_PI, np.zeros((1024, 1)))
     worst = 0.0
     for state in (stratified, uniform):
-        fd = force_direct(state, kern, grid.period)
+        fd = force_direct(state.positions, kern, grid.period)
         fp = force_particle_mesh(state, [kern], grid)
         worst = max(worst, float(np.max(np.abs(fd - fp)) / np.max(np.abs(fd))))
     elapsed = time.time() - t0
@@ -225,7 +225,7 @@ def test_criterion_7_rate_study():
     assert cfg.study.samples == 32
     assert cfg.kernel.beta == 0.5 and cfg.study.alpha == 2.0
     assert cfg.study.t_final == 0.2 and cfg.integrator.dt == 1e-3
-    result = monte_carlo_rate(cfg, threads=4)
+    result = monte_carlo_rate(cfg)
     elapsed = time.time() - t0
     assert int(result.censored_counts.max()) == 0
     assert result.slope_q is not None and result.slope_q < 0.0

@@ -46,6 +46,8 @@ def test_bad_values_name_the_key():
         RunConfig.from_text("[particles]\nn = lots\n")
     with pytest.raises(ConfigError, match="particles.init_scheme"):
         RunConfig.from_text("[grid]\ndim = 2\n[study]\nalpha = 2.5\n")
+    with pytest.raises(ConfigError, match="run.threads"):
+        RunConfig.from_text("[run]\nthreads = 0\n")
     # the density profile must stay positive: |a| < 1 for sine, a > -1 for bump
     for family, amplitude in (("sine", 1.5), ("sine", -1.0), ("bump", -1.0), ("bump", -2.5)):
         with pytest.raises(ConfigError, match="init.density_amplitude"):
@@ -171,6 +173,16 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert main(["run-coupled", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "integrator.dt" in err
+
+
+def test_cli_threads_below_one_exits_2(tmp_path, capsys):
+    # --threads sets run.threads, which the config check refuses below 1, before any output is written
+    cfg_path = _tiny_run_config(tmp_path)
+    for command in ("run-coupled", "rate-study"):
+        assert main([command, "--config", str(cfg_path), "--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "run.threads" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_non_positive_density_amplitude_exits_2(tmp_path, capsys):

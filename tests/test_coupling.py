@@ -45,7 +45,7 @@ def tiny_config(**overrides):
 def test_q_additivity_bit_exact():
     cfg = tiny_config()
     run = build_run(cfg)
-    rec = q_functional(run)
+    (rec,) = q_functional(run)
     assert rec.q_total == rec.kinetic_term + rec.density_term
     assert rec.kinetic_term >= 0 and rec.density_term >= 0
 
@@ -54,7 +54,7 @@ def test_well_prepared_kinetic_term_zero_at_start():
     cfg = tiny_config()
     cfg.euler.velocity_interpolation = "spectral"
     run = build_run(cfg)
-    rec = q_functional(run)
+    (rec,) = q_functional(run)
     # velocities sampled exactly from the profile; spectral reads are exact
     # for the band-limited initial velocity
     assert rec.kinetic_term < 1e-25
@@ -103,7 +103,7 @@ def test_single_particle_q_oracle():
         euler_config=EulerConfig(dt=1e-3),
         velocity_interpolation="spectral",
     )
-    rec = q_functional(run)
+    (rec,) = q_functional(run)
     # spectral reads of a single-mode velocity are exact
     v_at = 0.1 * math.sin(x0)
     assert rec.kinetic_term == pytest.approx((w - v_at) ** 2, rel=1e-9)
@@ -137,7 +137,7 @@ def test_zero_sigma_decouples():
     for i in range(10):
         run = coupled_step(run)
         p_ref = particles_mod.step(
-            p_ref, np.zeros(1), cfg.integrator.dt, [run.kernel], run.sigma, run.grid.period,
+            p_ref, np.zeros(1), cfg.integrator.dt, run.kernels, run.sigma, run.grid.period,
             method=run.force_method, grid=run.grid, deposit_scheme=run.deposit_scheme,
         )
         f_ref = fluid_mod.step(f_ref, np.zeros(1), run.sigma, run.euler_config)
@@ -158,14 +158,20 @@ def test_frozen_run_diagnostics_stable():
     for _ in range(50):
         run = coupled_step(run)
     assert run.fluid.stopped, "guard never fired in the steepening run"
-    frozen_rec = q_functional(run)
+    (frozen_rec,) = q_functional(run)
     frozen_pos = run.particles.positions.copy()
     again = coupled_step(run)
     assert again.fluid.stopping == run.fluid.stopping
     np.testing.assert_array_equal(again.particles.positions, frozen_pos)
-    rec2 = q_functional(again)
+    (rec2,) = q_functional(again)
     assert rec2 == frozen_rec
     assert frozen_rec.stopped
+
+
+def systems_of(run):
+    """The (positions, velocities) rows of each system of a run, in order: views through ``split``."""
+    p = run.particles
+    return list(zip(p.split(p.positions), p.split(p.velocities)))
 
 
 @pytest.mark.parametrize("tight_guard", [False, True], ids=["default_guard", "tight_guard"])
@@ -175,14 +181,17 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
         # threshold just above the initial norm: fires within a few steps
         cfg.euler.guard_m = 1.0002 * state_norm(build_run(cfg).fluid, cfg.euler.guard_s)
     n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
+    cutoff = cfg.grid.points_per_dim // 2
 
     fluid_steps = []
     particle_steps = []  # the particle counts of each particles.step call
     force_sweeps = []  # and of each force_particle_mesh call
-    final_runs = []
+    q_sweeps = []  # and of the run of each q_functional call
+    distance_runs = []  # the run of each mean_field_distances call
     fluid_step = fluid_mod.step
     particle_step = particles_mod.step
     force = particles_mod.force_particle_mesh
+    gauge = coupling_mod.q_functional
     distances = coupling_mod.mean_field_distances
 
     def counted_step(state, *args):
@@ -197,19 +206,25 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
         force_sweeps.append(list(state.sizes))
         return force(state, *args)
 
+    def counted_gauge(run):
+        q_sweeps.append(list(run.particles.sizes))
+        return gauge(run)
+
     def recorded_distances(run, *args):
-        final_runs.append(run)
+        distance_runs.append(run)
         return distances(run, *args)
 
     monkeypatch.setattr(fluid_mod, "step", counted_step)
     monkeypatch.setattr(particles_mod, "step", counted_particle_step)
     monkeypatch.setattr(particles_mod, "force_particle_mesh", counted_force)
+    monkeypatch.setattr(coupling_mod, "q_functional", counted_gauge)
     monkeypatch.setattr(coupling_mod, "mean_field_distances", recorded_distances)
-    table, censored = _run_sample(cfg, 1, cfg.grid.points_per_dim // 2)
+    table, censored = _run_sample(cfg, 1, cutoff)
     monkeypatch.undo()
 
+    (final,) = distance_runs  # one distance call, on every N
     if tight_guard:
-        stop_step = final_runs[0].fluid.stopping.step_index
+        stop_step = final.fluid.stopping.step_index
         assert censored and 0 < stop_step < n_steps
     else:
         stop_step = n_steps
@@ -217,15 +232,21 @@ def test_rate_sample_systems_match_solo_runs(monkeypatch, tight_guard):
     # the shared fluid steps once per increment, and so does the particle-mesh pass, for all N together
     assert fluid_steps == list(range(stop_step))
     assert particle_steps == force_sweeps == [list(cfg.study.n_values)] * stop_step
-    for j, n in enumerate(cfg.study.n_values):
+    # the gauge reads every N at once, at t = 0 and at the end
+    assert q_sweeps == [list(cfg.study.n_values)] * 2
+    assert final.particles.sizes == cfg.study.n_values
+    for j, (n, (pos, vel)) in enumerate(zip(cfg.study.n_values, systems_of(final))):
         solo = build_run(cfg, 1, (n,))
+        (start,) = q_functional(solo)
         for _ in range(n_steps):
             solo = coupled_step(solo)
-        inside = final_runs[j]
-        assert inside.particles.n_particles == n
-        np.testing.assert_array_equal(inside.particles.positions, solo.particles.positions)
-        np.testing.assert_array_equal(inside.particles.velocities, solo.particles.velocities)
-        assert table[j, SAMPLE_COLUMNS.index("q")] == q_functional(solo).q_total
+        assert len(pos) == n
+        np.testing.assert_array_equal(pos, solo.particles.positions)
+        np.testing.assert_array_equal(vel, solo.particles.velocities)
+        (end,) = q_functional(solo)
+        (dist_s,), (dist_v,) = mean_field_distances(solo, cfg.study.alpha, cutoff)
+        expected = {"q0": start.q_total, "q": end.q_total, "dist_s": dist_s, "dist_v": dist_v}
+        assert dict(zip(SAMPLE_COLUMNS, table[j].tolist())) == expected
         assert solo.step_index == stop_step
         if tight_guard:
             # a step after the stop changes nothing
@@ -241,29 +262,48 @@ def test_sweep_run_holds_one_state_and_splits_into_one_system_runs():
     assert run.particles.sizes == cfg.study.n_values
     assert run.particles.n_particles == sum(cfg.study.n_values)
     assert [kernel.n_particles for kernel in run.kernels] == list(cfg.study.n_values)
-    systems = run.systems()
-    for system, n in zip(systems, cfg.study.n_values):
+    for (pos, vel), kernel, n in zip(systems_of(run), run.kernels, cfg.study.n_values):
         solo = build_run(cfg, 1, (n,))
-        assert system.kernel == solo.kernel
-        assert system.fluid is run.fluid and system.path is run.path and system.sigma is run.sigma
-        assert np.shares_memory(system.particles.positions, run.particles.positions)
-        np.testing.assert_array_equal(system.particles.positions, solo.particles.positions)
-        np.testing.assert_array_equal(system.particles.velocities, solo.particles.velocities)
+        assert solo.kernels == (kernel,)
+        assert np.shares_memory(pos, run.particles.positions)
+        np.testing.assert_array_equal(pos, solo.particles.positions)
+        np.testing.assert_array_equal(vel, solo.particles.velocities)
     assert build_run(cfg).particles.sizes == (cfg.particles.n,)
 
 
-@pytest.mark.parametrize(
-    "diagnostic", [q_functional, lambda run: mean_field_distances(run, 2.0)], ids=["q_functional", "distances"]
-)
-def test_one_system_diagnostics_refuse_a_sweep(diagnostic):
-    # a sweep's rows read as one system would mix every N into one empirical measure
-    run = build_run(tiny_config(), 0, (64, 128))
-    with pytest.raises(ValueError, match="run of 2 particle systems"):
-        diagnostic(run)
-    with pytest.raises(ValueError, match="run of 2 particle systems"):
-        diagnostic(coupled_step(run))
-    for system in run.systems():
-        diagnostic(system)
+@pytest.mark.parametrize("velocity_interpolation", ["linear", "nearest", "spectral"])
+@pytest.mark.parametrize("deposit_scheme", ["nearest", "linear"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_gauge_and_distances_equal_each_system_built_alone(dim, deposit_scheme, velocity_interpolation):
+    # one deposit, one transform and one velocity read for every N give each system the bits it has alone
+    edits = {
+        "integrator.deposit_scheme": deposit_scheme,
+        "euler.velocity_interpolation": velocity_interpolation,
+        "study.t_final": 0.003,
+    }
+    if dim == 2:
+        edits.update({
+            "grid.dim": 2,
+            "grid.points_per_dim": 64,
+            "kernel.width": 1.0,
+            "particles.init_scheme": "iid",
+            "study.alpha": 2.5,
+            "study.n_values": (256, 512, 1024),
+        })
+    cfg = tiny_config(**edits)
+    alpha = cfg.study.alpha
+    sweep = build_run(cfg, 2, cfg.study.n_values)
+    solos = [build_run(cfg, 2, (n,)) for n in cfg.study.n_values]
+    for steps in (0, 3):  # at t = 0, then after three steps
+        for _ in range(steps):
+            sweep = coupled_step(sweep)
+            solos = [coupled_step(solo) for solo in solos]
+        assert sweep.step_index == steps
+        alone = [(q_functional(solo), mean_field_distances(solo, alpha)) for solo in solos]
+        assert q_functional(sweep) == [record for (record,), _ in alone]
+        dist_s, dist_v = mean_field_distances(sweep, alpha)
+        assert dist_s.tolist() == [ds for _, ((ds,), _) in alone]
+        assert dist_v.tolist() == [dv for _, (_, (dv,)) in alone]
 
 
 def test_mean_field_distances_permutation_invariant():
@@ -290,7 +330,7 @@ def test_mean_field_distances_initial_sweep_decreases():
     for n in (256, 1024, 4096):
         cfg = tiny_config(**{"particles.n": n, "grid.points_per_dim": 512})
         run = build_run(cfg)
-        ds, dv = mean_field_distances(run, 2.0)
+        (ds,), (dv,) = mean_field_distances(run, 2.0)
         values.append((ds, dv))
     assert values[0][0] > values[1][0] > values[2][0]
     assert values[0][1] > values[1][1] > values[2][1]
@@ -341,17 +381,6 @@ def test_rate_study_common_random_numbers_and_isolation():
     assert res.samples == 2
 
 
-def test_rate_study_thread_count_invariance():
-    cfg = tiny_config(**{"study.samples": 4})
-    res1 = monte_carlo_rate(cfg, threads=1)
-    res4 = monte_carlo_rate(cfg, threads=4)
-    np.testing.assert_array_equal(res1.mean_q, res4.mean_q)
-    np.testing.assert_array_equal(res1.mean_dist_s, res4.mean_dist_s)
-    np.testing.assert_array_equal(res1.mean_dist_v, res4.mean_dist_v)
-    with pytest.raises(ValueError, match="threads"):
-        monte_carlo_rate(cfg, threads=0)
-
-
 def test_rate_study_single_n_degenerate_fit():
     cfg = tiny_config()
     cfg.study.n_values = (128,)
@@ -388,9 +417,9 @@ def test_2d_coupled_run_smoke():
     mass0 = run.fluid.mass()
     for _ in range(10):
         run = coupled_step(run)
-    rec = q_functional(run)
+    (rec,) = q_functional(run)
     assert math.isfinite(rec.q_total) and rec.q_total >= 0
-    ds, dv = mean_field_distances(run, cfg.study.alpha)
+    (ds,), (dv,) = mean_field_distances(run, cfg.study.alpha)
     assert ds > 0 and dv > 0
     assert abs(run.fluid.mass() - mass0) < 1e-10
     assert run.particles.positions.shape == (128, 2)
@@ -428,5 +457,5 @@ def test_mollified_density_unit_mass():
     kern = ScaledKernel(MollifierSpec("gaussian", 2.0, 1), 128, 0.5)
     rng = np.random.default_rng(2)
     pts = rng.random((128, 1)) * TWO_PI
-    mol = mollified_density(pts, kern, grid)
-    assert mol.integral() == pytest.approx(1.0, abs=1e-10)
+    (mol,) = mollified_density(ParticleState(pts, np.zeros_like(pts)), [kern], grid)
+    assert np.sum(mol) * grid.cell_volume == pytest.approx(1.0, abs=1e-10)

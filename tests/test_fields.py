@@ -19,7 +19,6 @@ from mfeuler.fields import (
     measure_mode_coefficients,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
-    sobolev_norm,
     sobolev_weight,
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel, TaylorWeightFamily
@@ -41,6 +40,11 @@ def test_grid_validation():
         PeriodicGrid(1, 100, TWO_PI)
     with pytest.raises(ValueError):
         PeriodicGrid(1, 64, -1.0)
+
+
+def sobolev_norm(f, s):
+    """||f||_s from the half-spectrum weight: sqrt(sum sobolev_weight(grid, s) * |grid.rfft(f)|^2)."""
+    return math.sqrt(np.sum(sobolev_weight(f.grid, s) * np.abs(f.grid.rfft(f.values)) ** 2))
 
 
 def lattice_measure_coefficients(g, f):
@@ -92,7 +96,14 @@ def test_convolve_warns_on_aliasing_mass():
     g = grid1(64, period=2.0)
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 1, 0.5)
     with pytest.warns(KernelAliasingWarning):
-        mollified_density(np.array([[0.3]]), kern, g)
+        mollified_density(ParticleState(np.array([[0.3]]), np.zeros((1, 1))), [kern], g)
+    # the check runs per kernel: of a sweep's two kernels, the one whose mass wraps warns, once
+    narrow = ScaledKernel(MollifierSpec("gaussian", 0.05, 1), 1, 0.5)
+    sweep = ParticleState(np.array([[0.3], [0.7]]), np.zeros((2, 1)), 0.0, (1, 1))
+    mollified_density(sweep, [narrow, narrow], g)  # no warning: the test suite turns warnings into errors
+    with pytest.warns(KernelAliasingWarning, match="wraps around") as caught:
+        mollified_density(sweep, [narrow, kern], g)
+    assert len(caught) == 1
 
 
 def test_deposit_single_particle_nearest():
@@ -486,13 +497,13 @@ def test_mollified_deposit_matches_direct_sum():
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 64, 0.5)
     rng = np.random.default_rng(10)
     pts = rng.random((64, 1)) * g.period
-    mol = mollified_density(pts, kern, g, "linear")
+    (mol,) = mollified_density(ParticleState(pts, np.zeros_like(pts)), [kern], g, "linear")
     wrapped = (g.axis_coords[None, :] - pts[:, 0:1] + g.period / 2) % g.period - g.period / 2
     direct = kern.density(wrapped.reshape(-1, 1)).reshape(wrapped.shape).mean(axis=0)
     # deposit interpolation error bound ~ (h / kernel scale)^2
     scale = float(np.max(direct))
     tol = (g.spacing * kern.compression) ** 2 * scale
-    np.testing.assert_allclose(mol.values, direct, rtol=0, atol=tol)
+    np.testing.assert_allclose(mol, direct, rtol=0, atol=tol)
 
 
 _FLAT = np.linspace(0.1, 0.3, 3)  # three 1-d points in the wrong layout
@@ -525,7 +536,7 @@ _KERN1 = ScaledKernel(_SPEC1, 16, 0.5)
         lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1))),
         lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1)), "spectral"),
         lambda: measure_mode_coefficients(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI), 4),
-        lambda: mollified_density(_FLAT, _KERN1, grid1()),
+        lambda: mollified_density(ParticleState(_FLAT, _FLAT), [_KERN1], grid1()),
         lambda: DensityProfile("uniform")(np.zeros(3)),
         lambda: DensityProfile("bump")(np.zeros(3)),
         lambda: DensityProfile("sine")(np.zeros(3)),

@@ -44,7 +44,7 @@ def gaussian_kernel(n, width=2.0, beta=0.5, dim=1):
 
 def test_single_particle_force_zero():
     st = ParticleState(np.array([[1.0]]), np.array([[0.0]]))
-    f = force_direct(st, gaussian_kernel(1, width=0.2), TWO_PI)
+    f = force_direct(st.positions, gaussian_kernel(1, width=0.2), TWO_PI)
     assert np.all(f == 0.0)
 
 
@@ -53,7 +53,7 @@ def test_two_particles_action_reaction_and_closed_form():
     kern = gaussian_kernel(2, width=1.0)
     r = 0.7
     st = ParticleState(np.array([[5.0 + r], [5.0]]), np.zeros((2, 1)))
-    f = force_direct(st, kern, period)
+    f = force_direct(st.positions, kern, period)
     assert f[0, 0] == -f[1, 0]
     expected = -0.5 * kern.potential_gradient(np.array([[r]]))[0, 0]
     assert f[0, 0] == pytest.approx(expected, rel=1e-14)
@@ -65,9 +65,9 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(0)
     pos = rng.random((128, 1)) * TWO_PI
     kern = gaussian_kernel(128, width=1.0)
-    f = force_direct(ParticleState(pos, np.zeros_like(pos)), kern, TWO_PI)
+    f = force_direct(pos, kern, TWO_PI)
     perm = rng.permutation(128)
-    f_perm = force_direct(ParticleState(pos[perm], np.zeros_like(pos)), kern, TWO_PI)
+    f_perm = force_direct(pos[perm], kern, TWO_PI)
     np.testing.assert_allclose(f[perm], f_perm, rtol=0, atol=1e-14 * np.max(np.abs(f)))
 
 
@@ -75,7 +75,7 @@ def test_momentum_conservation():
     rng = np.random.default_rng(1)
     n = 256
     pos = rng.random((n, 1)) * TWO_PI
-    f = force_direct(ParticleState(pos, np.zeros_like(pos)), gaussian_kernel(n), TWO_PI)
+    f = force_direct(pos, gaussian_kernel(n), TWO_PI)
     assert abs(f.sum()) <= 1e-12 * n * np.max(np.abs(f))
 
 
@@ -95,7 +95,7 @@ def test_particle_mesh_matches_direct():
     rng = np.random.default_rng(2)
     pos = rng.random((1024, 1)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
-    fd = force_direct(st, kern, TWO_PI)
+    fd = force_direct(st.positions, kern, TWO_PI)
     fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 1e-3 * np.max(np.abs(fd))
 
@@ -105,7 +105,7 @@ def test_particle_mesh_refinement_halves_error():
     rng = np.random.default_rng(3)
     pos = rng.random((1024, 1)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
-    fd = force_direct(st, kern, TWO_PI)
+    fd = force_direct(st.positions, kern, TWO_PI)
     devs = []
     for m in (128, 256, 512):
         fp = force_particle_mesh(st, [kern], PeriodicGrid(1, m, TWO_PI))
@@ -120,7 +120,7 @@ def test_particle_mesh_2d_matches_direct():
     rng = np.random.default_rng(4)
     pos = rng.random((256, 2)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
-    fd = force_direct(st, kern, TWO_PI)
+    fd = force_direct(st.positions, kern, TWO_PI)
     fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 5e-3 * np.max(np.abs(fd))
 
@@ -131,7 +131,7 @@ def test_particle_mesh_bump_matches_direct_with_operators_built_once(monkeypatch
     rng = np.random.default_rng(0)
     pos = rng.random((64, 1)) * TWO_PI
     st = ParticleState(pos, np.zeros_like(pos))
-    fd = force_direct(st, kern, TWO_PI)
+    fd = force_direct(st.positions, kern, TWO_PI)
     fp = force_particle_mesh(st, [kern], grid)
     assert np.max(np.abs(fd - fp)) < 1e-3 * np.max(np.abs(fd))
 
@@ -257,7 +257,7 @@ def test_mollified_density_matches_parent_composition(dim, scheme):
     dens = np.fft.ifftn(0.5 * (direct_hat + phase * shifted_hat) / assignment_window(grid, scheme)).real
     kvals = sample_kernel(grid, kern.density)
     parent = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(kvals)).real * grid.cell_volume  # circular convolution
-    fused = mollified_density(pos, kern, grid, scheme).values
+    (fused,) = mollified_density(ParticleState(pos, np.zeros_like(pos)), [kern], grid, scheme)
     assert np.max(np.abs(fused - parent)) <= 1e-12 * np.max(np.abs(parent))
 
 
@@ -315,7 +315,7 @@ def test_position_wrap_matches_np_mod_bit_for_bit(start, move):
     kern = gaussian_kernel(len(start), width=0.05)
     st = ParticleState(start, move)
     out = step(st, np.zeros(1), 1.0, [kern], SigmaField("constant", 0.0), TWO_PI, method="direct")
-    vel = st.velocities + force_direct(st, kern, TWO_PI) * 1.0
+    vel = st.velocities + force_direct(st.positions, kern, TWO_PI) * 1.0
     expected = np.mod(st.positions + vel * 1.0, TWO_PI)
     assert out.positions.tobytes() == expected.tobytes()
 
@@ -332,7 +332,7 @@ def test_kernel_support_must_fit_half_box():
     kern = gaussian_kernel(2, width=2.0)  # support ~ 16 at N=2
     st = ParticleState(np.array([[0.0], [1.0]]), np.zeros((2, 1)))
     with pytest.raises(GridTooCoarse):
-        force_direct(st, kern, TWO_PI)
+        force_direct(st.positions, kern, TWO_PI)
 
 
 def test_free_motion_exact():
@@ -411,7 +411,8 @@ def test_non_finite_state_names_the_first_failing_system():
     sweep = ParticleState(pos, np.ones_like(pos), 0.0, [n for n, _ in starts])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"N = 2 became non-finite \(seed=1 step=0\)"):
         step(sweep, np.array([1e3]), 1e-2, [kern] * 3, sigma, TWO_PI, method="direct", context="seed=1 step=0")
-    alone = step(sweep.systems()[0], np.array([1e3]), 1e-2, [kern], sigma, TWO_PI, method="direct")
+    first = ParticleState(pos[:1], np.ones((1, 1)))
+    alone = step(first, np.array([1e3]), 1e-2, [kern], sigma, TWO_PI, method="direct")
     assert np.all(alone.velocities == 0.0)
 
 
@@ -439,19 +440,16 @@ def test_sweep_systems_are_views_of_its_rows_in_order():
     pos = np.arange(12.0).reshape(6, 2)
     vel = -pos
     sweep = ParticleState(pos, vel, 0.5, [1, 3, 2])
-    systems = sweep.systems()
-    assert [system.n_particles for system in systems] == [1, 3, 2]
-    assert all(system.sizes == (system.n_particles,) and system.time == 0.5 for system in systems)
-    np.testing.assert_array_equal(np.concatenate([system.positions for system in systems]), pos)
-    np.testing.assert_array_equal(np.concatenate([system.velocities for system in systems]), vel)
-    for system in systems:
-        assert np.shares_memory(system.positions, sweep.positions)
-        assert np.shares_memory(system.velocities, sweep.velocities)
-    systems[1].positions[0] = 99.0  # a view: the sweep's row 1 changes with it
+    systems = sweep.split(sweep.positions)
+    assert [len(rows) for rows in systems] == [1, 3, 2]
+    np.testing.assert_array_equal(np.concatenate(systems), pos)
+    np.testing.assert_array_equal(np.concatenate(sweep.split(sweep.velocities)), vel)
+    assert all(np.shares_memory(rows, sweep.positions) for rows in systems)
+    systems[1][0] = 99.0  # a view: the sweep's row 1 changes with it
     assert np.all(sweep.positions[1] == 99.0)
     assert ParticleState(pos, vel).sizes == (6,)
-    (alone,) = ParticleState(pos, vel).systems()
-    assert np.shares_memory(alone.positions, pos) and alone.n_particles == 6
+    (alone,) = ParticleState(pos, vel).split(pos)
+    assert np.shares_memory(alone, pos) and len(alone) == 6
 
 
 @pytest.mark.parametrize(
@@ -460,6 +458,12 @@ def test_sweep_systems_are_views_of_its_rows_in_order():
 def test_sweep_sizes_must_add_up_to_its_rows(sizes):
     with pytest.raises(ValueError, match=r"are not counts adding up to the 6 rows"):
         ParticleState(np.zeros((6, 1)), np.zeros((6, 1)), 0.0, sizes)
+
+
+def systems_of(sweep):
+    """One one-system state per system of a sweep, in order, over views of its rows through ``split``."""
+    rows = zip(sweep.split(sweep.positions), sweep.split(sweep.velocities))
+    return [ParticleState(pos, vel, sweep.time) for pos, vel in rows]
 
 
 @pytest.mark.parametrize("sigma_family", ["constant", "sinusoidal"])
@@ -480,7 +484,7 @@ def test_sweep_step_equals_each_system_stepped_alone(dim, method, scheme, sigma_
     for dB in path.increments:
         swept = step(sweep, dB, path.dt, kernels, sigma, grid.period, method, grid, scheme)
         assert swept.sizes == sizes
-        for state, kernel, together in zip(sweep.systems(), kernels, swept.systems()):
+        for state, kernel, together in zip(systems_of(sweep), kernels, systems_of(swept)):
             alone = step(state, dB, path.dt, [kernel], sigma, grid.period, method, grid, scheme)
             assert np.array_equal(together.positions, alone.positions)
             assert np.array_equal(together.velocities, alone.velocities)
@@ -638,8 +642,8 @@ def test_stratified_density_term_decreases_with_n():
         n = 2**j
         st = init_well_prepared(dens, vel, n, scheme="stratified")
         kern = gaussian_kernel(n)
-        mol = mollified_density(st.positions, kern, grid)
-        errs.append(float(np.sum((mol.values - rho.values) ** 2) * grid.cell_volume))
+        (mol,) = mollified_density(st, [kern], grid)
+        errs.append(float(np.sum((mol - rho.values) ** 2) * grid.cell_volume))
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
