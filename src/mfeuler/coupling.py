@@ -212,12 +212,11 @@ def mollified_density(particles: particles_mod.ParticleState, kernels, grid: Per
         if wrapped > 1e-6:
             message = f"kernel mass {wrapped:.3e} outside the half-period box wraps around"
             warnings.warn(message, KernelAliasingWarning, stacklevel=2)
-    sizes = particles.sizes
-    stencils = particles_mod.interlaced_stencils(particles.positions, grid, scheme, sizes)
-    spectrum = particles_mod.deposit_spectrum(stencils, grid, len(sizes))
+    stencils = particles_mod.interlaced_stencils(particles, grid, scheme)
+    spectrum = particles_mod.deposit_spectrum(stencils, grid, len(particles.sizes))
     transfer = particles_mod._sweep_transfer(particles_mod.mollifier_transfer, tuple(kernels), grid, scheme)
     density = grid.irfft(transfer * spectrum)
-    for row, n in zip(density, sizes):
+    for row, n in zip(density, particles.sizes):
         row /= n
     return density
 
@@ -269,7 +268,8 @@ def fit_loglog(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:
         raise DegenerateFit(f"log-log fit needs at least 3 points, got {xs.size}")
-    if np.unique(xs).size != xs.size:
+    ordered = np.sort(xs)  # not np.unique, which imports numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise DegenerateFit("log-log fit needs distinct x values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateFit("log-log fit needs strictly positive values")

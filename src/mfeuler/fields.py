@@ -5,7 +5,8 @@ equispaced nodes per axis (a power of two), with lattice frequencies
 lambda_k = 2 pi k / period.  The grid owns the package's one Fourier layout,
 the ``rfftn`` half spectrum over the trailing lattice axes of any stack of
 real fields: ``PeriodicGrid.rfft``/``irfft`` transform to and from it (no
-other module calls ``np.fft``) and ``PeriodicGrid.half`` cuts a full
+other module calls ``np.fft``), with the one-axis transforms that ``rfftn``
+is made of and so to its bits, and ``PeriodicGrid.half`` cuts a full
 FFT-order array to it.  The leading axes keep all their modes, the last axis
 its columns 0..M/2, and each interior column stands for itself and its
 conjugate partner.  ``sobolev_weight`` carries the Bessel factor
@@ -20,7 +21,9 @@ leading axis's Nyquist row counts as -M/2 on the half-spectrum columns and as
 +M/2 through their conjugate partners; on the lattice nodes the two agree.
 The torus is a computational truncation of free space: initial data is
 expected to sit well inside the box, and circular convolutions are exact in
-that regime.
+that regime.  The one assignment stencil ``_stencil`` and its adjoint
+``gather`` fill arrays their caller hands in, if it does, in place of new
+ones: the particle-mesh force hands in the arrays its sweep's state owns.
 """
 
 from __future__ import annotations
@@ -114,12 +117,20 @@ class PeriodicGrid:
         return (self.points() + half) % self.period - half
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a stack of real fields, shape (...) + grid.shape: ``rfftn`` over the lattice axes."""
-        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
+        """Half spectrum of a stack of real fields, shape (...) + grid.shape: ``rfftn`` over the lattice axes.
+
+        ``rfftn`` is this composition, one-axis ``rfft`` over the last axis then ``fft`` over the one before
+        it in 2-d, so the bits are its bits; the one-axis calls skip its argument handling.
+        """
+        spectrum = np.fft.rfft(values)
+        return spectrum if self.dim == 1 else np.fft.fft(spectrum, axis=-2)
 
     def irfft(self, spectrum: np.ndarray) -> np.ndarray:
-        """The real fields, shape (...) + grid.shape, of a stack of half spectra: the inverse of ``rfft``."""
-        return np.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(-self.dim, 0)))
+        """The real fields, shape (...) + grid.shape, of a stack of half spectra: the inverse of ``rfft``,
+        ``ifft`` over axis -2 in 2-d then ``irfft`` to M points over the last axis, as ``irfftn`` does."""
+        if self.dim == 2:
+            spectrum = np.fft.ifft(spectrum, axis=-2)
+        return np.fft.irfft(spectrum, self.points_per_dim)
 
     def half(self, array: np.ndarray) -> np.ndarray:
         """Columns 0..M/2 of the last axis of a full FFT-order array: the modes ``rfft`` keeps."""
@@ -205,7 +216,7 @@ class EmpiricalMeasure:
         return self.weights
 
 
-def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
+def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str, out=None):
     """Assignment stencil of points given in node units (position / spacing).
 
     The one stencil behind every particle-lattice transfer: ``deposit``,
@@ -216,43 +227,56 @@ def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str):
     the flat node index of every (corner, point) pair and ``weights`` its
     barycentric weight, the product of the axes' factors in axis order (ones
     for ``nearest``).  Node indices wrap with an integer mask, so a shifted
-    coordinate needs no float wrap.
+    coordinate needs no float wrap.  ``out``, a ``(flat, weights)`` pair of
+    that shape, receives the stencil in place of two new arrays.
     """
     nodes = as_points(nodes, grid.dim)
+    n = nodes.shape[0]
     m = grid.points_per_dim
     wrap = m - 1  # index & wrap == index mod m, as m is a power of two
-    flat = 0
+    corners = 1 if scheme == "nearest" else 2
+    if out is None:
+        shape = (corners,) * (grid.dim if corners == 2 else 1) + (n,)
+        out = np.empty(shape, dtype=int), np.empty(shape)
+    flat, weights = (array.reshape(-1, n) for array in out)  # in row j, axis a's corner is digit a of j in base corners
     for a, u in enumerate(nodes.T):  # one axis at a time
-        if scheme == "nearest":
-            node = np.rint(u).astype(int)[None] & wrap
-            weights = np.ones(node.shape)
+        if a == 0:  # straight into the first rows
+            node, factor = flat[:corners], weights[:corners]
         else:
-            # both filled in place: temporaries of 128 KB and more cost page faults
-            node = np.empty((2, u.size), dtype=int)
-            factor = np.empty((2, u.size))  # (1 - frac, frac), the floor held in factor[0] first
+            node, factor = np.empty((corners, n), dtype=int), np.empty((corners, n))
+        if scheme == "nearest":
+            np.rint(u, out=factor[0])
+            node[0] = factor[0]
+            factor.fill(1.0)
+        else:  # (1 - frac, frac), the floor held in factor[0] first
             np.floor(u, out=factor[0])
             node[0] = factor[0]
             np.add(node[0], 1, out=node[1])
-            node &= wrap
             np.subtract(u, factor[0], out=factor[1])
             np.subtract(1.0, factor[1], out=factor[0])
-            corner_shape = (2,) + (1,) * a + (u.size,)
-            node = node.reshape(corner_shape)
-            factor = factor.reshape(corner_shape)
-            weights = factor if a == 0 else weights * factor
-        flat = node if a == 0 else flat * m + node
-    return flat, weights
+        node &= wrap
+        if a > 0:
+            done = corners**a  # rows filled by the earlier axes; block c is them times m plus corner c, the last first
+            for c in reversed(range(corners)):
+                block = slice(c * done, (c + 1) * done)
+                np.multiply(flat[:done], m, out=flat[block])
+                flat[block] += node[c]
+                np.multiply(weights[:done], factor[c], out=weights[block])
+    return out
 
 
-def gather(values: np.ndarray, stencil) -> np.ndarray:
+def gather(values: np.ndarray, stencil, terms=None) -> np.ndarray:
     """Read lattice fields at the stencil's points, shape (n_points, components): the deposit's adjoint.
 
     ``values`` has shape (components,) + grid.shape.  Each point's value is
-    its corners' weighted node values added in corner order.
+    its corners' weighted node values added in corner order.  ``terms``, an
+    array of shape (components,) + the stencil's shape, holds the weighted
+    node values in place of a new array.
     """
     flat, weights = stencil
     n = flat.shape[-1]
-    terms = np.empty((len(values),) + flat.shape)
+    if terms is None:
+        terms = np.empty((len(values),) + flat.shape)
     np.take(values.reshape(len(values), -1), flat, axis=1, out=terms, mode="clip")  # in range; "clip" skips a copy
     terms *= weights
     return terms.reshape(len(values), -1, n).sum(axis=1).T

@@ -20,12 +20,15 @@ Between the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached
 per (kernel, grid, scheme) convolve with the sampled force kernel and divide
 out the assignment window.  The same stencils and deposit of a whole sweep,
 through the stacked ``mollifier_transfer``, give the mollified densities of
-the convergence gauge.
+the convergence gauge.  The sweep owns the per-row arrays of that pass: the
+first force on a state makes both stencils and the gather's terms, ``step``
+hands them to the state it returns, and every later force and density on the
+sweep fills them again; forces and densities are new arrays every time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 
@@ -48,6 +51,9 @@ class ParticleState:
     velocities: np.ndarray  # (rows, dim)
     time: float = 0.0
     sizes: tuple | None = None  # by default one system of all the rows
+    # per deposit scheme, the particle-mesh arrays of these rows: both interlaced stencils and the gather's
+    # terms, made by the sweep's first force, handed on by ``step`` and overwritten by every force and density
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = as_points(self.positions)
@@ -147,24 +153,27 @@ def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) ->
     return read_only(0.5 * m_hat / grid.half(assignment_window(grid, scheme)))
 
 
-def interlaced_stencils(positions, grid: PeriodicGrid, scheme: str, sizes=()) -> tuple:
-    """``(flat, weights)`` stencils of the particles at node coordinate u = x/h and at u + 1/2.
+def interlaced_stencils(state: ParticleState, grid: PeriodicGrid, scheme: str) -> tuple:
+    """``(flat, weights)`` stencils of the particles of ``state`` at node coordinate u = x/h and at u + 1/2.
 
     The second places the particles on the lattice shifted by half a cell;
-    the stencil's integer wrap folds u + 1/2 back into the torus.  ``sizes``
-    holds the N of each system of a sweep's rows (empty for one system); the
-    node indices of system s are offset by s * M**dim, in place, a row slice
-    at a time, so that one ``np.bincount`` deposits every system onto a
-    lattice of its own.
+    the stencil's integer wrap folds u + 1/2 back into the torus.  The node
+    indices of the sweep's system s are offset by s * M**dim, in place, a
+    row slice at a time, so that one ``np.bincount`` deposits every system
+    onto a lattice of its own.  The stencils are new arrays until the
+    state's first force, and from then on its ``scratch`` arrays.
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
-    u = np.asarray(positions) / grid.spacing
-    stencils = _stencil(u, grid, scheme), _stencil(u + 0.5, grid, scheme)
+    out = state.scratch[scheme][0] if scheme in state.scratch else (None, None)
+    u = state.positions / grid.spacing
+    direct = _stencil(u, grid, scheme, out[0])
+    u += 0.5
+    stencils = direct, _stencil(u, grid, scheme, out[1])
     size = grid.points_per_dim**grid.dim
-    stops = list(accumulate(sizes))
+    stops = list(accumulate(state.sizes))
     for flat, _ in stencils:
-        for system in range(1, len(sizes)):
+        for system in range(1, len(stops)):
             flat[..., stops[system - 1] : stops[system]] += system * size
     return stencils
 
@@ -184,13 +193,16 @@ def deposit_spectrum(stencils, grid: PeriodicGrid, systems: int = 1) -> np.ndarr
     return halves[0] + _half_cell_phase(grid) * halves[1]
 
 
-def gather(values, stencils) -> np.ndarray:
+def gather(values, stencils, terms=None) -> np.ndarray:
     """The interlaced deposit's adjoint, shape (points, components): the sum of one ``fields.gather`` per lattice.
 
     ``values`` has shape (components, 2, ...) + grid.shape: per component, the
-    fields on the lattice and on the shifted lattice, of every system.
+    fields on the lattice and on the shifted lattice, of every system.  Both
+    gathers weigh their node values in ``terms`` if it is given.
     """
-    return fields.gather(values[:, 0], stencils[0]) + fields.gather(values[:, 1], stencils[1])
+    read = fields.gather(values[:, 0], stencils[0], terms)
+    read += fields.gather(values[:, 1], stencils[1], terms)
+    return read
 
 
 @cache
@@ -224,12 +236,14 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
         raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     for kernel in kernels:
         validate_kernel_mesh(kernel, grid)
-    stencils = interlaced_stencils(state.positions, grid, deposit_scheme, state.sizes)
+    stencils = interlaced_stencils(state, grid, deposit_scheme)
+    if deposit_scheme not in state.scratch:  # the first force: these stencils become the sweep's own arrays
+        state.scratch[deposit_scheme] = stencils, np.empty((state.dim,) + stencils[0][0].shape)
     transfer = _sweep_transfer(force_transfer, tuple(kernels), grid, deposit_scheme)
     spectrum = transfer * deposit_spectrum(stencils, grid, len(state.sizes))
     for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
         spectrum[:, :, system] /= n
-    return gather(grid.irfft(spectrum), stencils)
+    return gather(grid.irfft(spectrum), stencils, state.scratch[deposit_scheme][1])
 
 
 def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
@@ -296,7 +310,7 @@ def step(
         finite = np.isfinite(pos).all(axis=1) & np.isfinite(vel).all(axis=1)
         n = next(len(rows) for rows in state.split(finite) if not rows.all())
         raise NonFiniteState(f"particle state of N = {n} became non-finite ({context})")
-    return ParticleState(pos, vel, state.time + dt, state.sizes)
+    return ParticleState(pos, vel, state.time + dt, state.sizes, state.scratch)
 
 
 # ---------------------------------------------------------------------------

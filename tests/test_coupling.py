@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -63,7 +65,7 @@ def test_well_prepared_kinetic_term_zero_at_start():
 def test_lattice_transforms_run_only_in_fields(monkeypatch):
     # the Fourier layout belongs to fields: every other module transforms through grid.rfft / grid.irfft
     callers = set()
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
         def recorded(*args, _original=original, **kwargs):
@@ -354,6 +356,31 @@ def test_fit_loglog_cases():
         fit_loglog([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateFit):
         fit_loglog([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+
+
+_RATE_STUDY_MODULES = """
+import sys
+from mfeuler.config import RunConfig, validate
+from mfeuler.coupling import monte_carlo_rate
+
+cfg = RunConfig()
+cfg.grid.points_per_dim = 128
+cfg.study.t_final = 0.005
+cfg.study.n_values = (64, 128, 256)
+cfg.study.samples = 1
+res = monte_carlo_rate(validate(cfg))
+assert res.slope_q is not None, res.notes
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_rate_study_does_not_import_numpy_ma():
+    # numpy.ma takes about 17 ms to import, inside the wall time of every fresh study process
+    src = os.path.dirname(os.path.dirname(coupling_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _RATE_STUDY_MODULES], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_rate_study_t0_baseline():

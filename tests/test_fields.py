@@ -33,6 +33,18 @@ def grid1(m=64, period=TWO_PI):
     return PeriodicGrid(1, m, period)
 
 
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["field", "stack"])
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_grid_transforms_equal_numpy_nd_transforms(dim, m, lead):
+    # the one-axis calls of grid.rfft/irfft are the composition rfftn/irfftn make, to the bit
+    g = PeriodicGrid(dim, m, TWO_PI)
+    axes = tuple(range(-dim, 0))
+    values = np.random.default_rng(dim).standard_normal(lead + g.shape)
+    spectrum = g.rfft(values)
+    assert np.array_equal(spectrum, np.fft.rfftn(values, axes=axes))
+    assert np.array_equal(g.irfft(spectrum), np.fft.irfftn(spectrum, s=g.shape, axes=axes))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         PeriodicGrid(3, 64, TWO_PI)

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mfeuler.config import RunConfig, validate
+from mfeuler.coupling import build_run, coupled_step, mollified_density, q_functional
 from mfeuler.errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
 from mfeuler.fluid import EulerConfig
 import mfeuler.particles as particles_mod
@@ -286,7 +290,7 @@ def test_interlaced_stencils_deposit_and_gather_are_adjoint(dim, scheme):
     (pos,) = _particle_sets(512, dim, grid, on_nodes=True)
     w = rng.standard_normal(len(pos))
     f = rng.standard_normal(grid.shape)
-    stencils = interlaced_stencils(pos, grid, scheme)
+    stencils = interlaced_stencils(ParticleState(pos, np.zeros_like(pos)), grid, scheme)
     axes = tuple(range(-dim, 0))
     for s in range(2):
         # stencil s first, weighted by w, and the other one weighted by 0: the spectrum of stencil s alone
@@ -490,6 +494,76 @@ def test_sweep_step_equals_each_system_stepped_alone(dim, method, scheme, sigma_
             assert np.array_equal(together.velocities, alone.velocities)
             assert together.time == alone.time
         sweep = swept
+
+
+def _transient_peak(call):
+    """Bytes ``call()`` holds at its peak beyond what was held before it, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_pm_force_and_step_reuse_the_sweeps_arrays():
+    # the default rate study's sweep, 16128 rows: after one force its stencils and gather terms are the sweep's own,
+    # so a force holds about 3 and a step about 5 values per row at its peak (12.8 each when they were new per call)
+    cfg = validate(RunConfig())
+    run = build_run(cfg, 0, cfg.study.n_values)
+    state, rows = run.particles, run.particles.n_particles
+
+    def force(s):
+        return force_particle_mesh(s, run.kernels, run.grid, run.deposit_scheme)
+
+    def advance(s):
+        dB = run.path.increments[0]
+        return step(s, dB, run.dt, run.kernels, run.sigma, run.grid.period, "particle_mesh", run.grid, run.deposit_scheme)
+
+    force(state)
+    assert _transient_peak(lambda: force(state)) < 4 * 8 * rows
+    stepped = advance(state)
+    assert stepped.scratch is state.scratch
+    assert _transient_peak(lambda: advance(stepped)) < 7 * 8 * rows
+
+
+def test_runs_sharing_a_state_stepped_in_alternation_equal_each_run_alone():
+    # two samples from one initial state share its arrays through every step; each must step as if alone
+    cfg = validate(RunConfig())
+    cfg.grid.points_per_dim = 128
+    cfg.study.t_final = 0.02
+    n_values = (64, 256)
+    first = build_run(cfg, 0, n_values)
+    second = replace(build_run(cfg, 1, n_values), particles=first.particles)
+    alone = [build_run(cfg, 0, n_values), build_run(cfg, 1, n_values)]
+    assert np.array_equal(alone[1].particles.positions, first.particles.positions)
+    for _ in range(3):
+        first, second = coupled_step(first), coupled_step(second)
+        alone = [coupled_step(run) for run in alone]
+        assert first.particles.scratch is second.particles.scratch
+        for together, run in zip((first, second), alone):
+            assert np.array_equal(together.particles.positions, run.particles.positions)
+            assert np.array_equal(together.particles.velocities, run.particles.velocities)
+            assert q_functional(together) == q_functional(run)
+
+
+def test_kept_forces_densities_and_stencils_are_not_the_sweeps_arrays():
+    grid, kern, _ = _pm_case(1)
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, grid.period)
+    (pos,) = _particle_sets(4096, 1, grid, on_nodes=False)
+    state = ParticleState(pos, np.zeros_like(pos))
+    kept = interlaced_stencils(state, grid, "linear")
+    forces = force_particle_mesh(state, [kern], grid)
+    (density,) = mollified_density(state, [kern], grid)
+    copies = [forces.copy(), density.copy(), *(a.copy() for stencil in kept for a in stencil)]
+    moved = step(state, np.array([0.3]), 0.05, [kern], sigma, grid.period, "particle_mesh", grid)
+    assert moved.scratch is state.scratch
+    fresh = ParticleState(moved.positions, moved.velocities)  # the same rows without the sweep's arrays
+    assert np.array_equal(force_particle_mesh(moved, [kern], grid), force_particle_mesh(fresh, [kern], grid))
+    assert np.array_equal(mollified_density(moved, [kern], grid), mollified_density(fresh, [kern], grid))
+    for before, after in zip(copies, [forces, density, *(a for stencil in kept for a in stencil)]):
+        assert np.array_equal(before, after)
 
 
 def test_stratified_uniform_subinterval_quantiles():
