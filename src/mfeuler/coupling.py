@@ -200,22 +200,20 @@ def coupled_step(run: CoupledRun) -> CoupledRun:
 def mollified_density(particles: particles_mod.ParticleState, kernels, grid: PeriodicGrid, scheme="linear"):
     """Lattice samples of each system's mollified empirical density, shape (systems,) + grid.shape.
 
-    One interlaced deposit of the whole sweep goes through the cached
-    operator of each system's kernel, which divides out the assignment window
-    and convolves with the sampled mollifier; that keeps each row on the
-    direct particle sum (1/N) sum_j density(x - X_j) up to residual deposit
-    aliasing.  Warns (``KernelAliasingWarning``) for each kernel with over
-    1e-6 of its mass wrapping around.
+    One interlaced deposit of the whole sweep, ``particles.sweep_spectrum``,
+    goes through ``mollifier_transfer`` of each system's kernel, which divides
+    out the assignment window and convolves with the sampled mollifier; that
+    keeps each row on the direct particle sum (1/N) sum_j density(x - X_j) up
+    to residual deposit aliasing.  Warns (``KernelAliasingWarning``) for each
+    kernel with over 1e-6 of its mass wrapping around.
     """
     for kernel in kernels:
         wrapped = kernel.mass_outside(grid.period / 2.0)
         if wrapped > 1e-6:
             message = f"kernel mass {wrapped:.3e} outside the half-period box wraps around"
             warnings.warn(message, KernelAliasingWarning, stacklevel=2)
-    stencils = particles_mod.interlaced_stencils(particles, grid, scheme)
-    spectrum = particles_mod.deposit_spectrum(stencils, grid, len(particles.sizes))
-    transfer = particles_mod._sweep_transfer(particles_mod.mollifier_transfer, tuple(kernels), grid, scheme)
-    density = grid.irfft(transfer * spectrum)
+    _, spectrum = particles_mod.sweep_spectrum(particles, particles_mod.mollifier_transfer, kernels, grid, scheme)
+    density = grid.irfft(spectrum)
     for row, n in zip(density, particles.sizes):
         row /= n
     return density

@@ -23,7 +23,7 @@ The torus is a computational truncation of free space: initial data is
 expected to sit well inside the box, and circular convolutions are exact in
 that regime.  The one assignment stencil ``_stencil`` and its adjoint
 ``gather`` fill arrays their caller hands in, if it does, in place of new
-ones: the particle-mesh force hands in the arrays its sweep's state owns.
+ones: the particle-mesh pass hands in the arrays its sweep's state owns.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str, out=None):
     """Assignment stencil of points given in node units (position / spacing).
 
     The one stencil behind every particle-lattice transfer: ``deposit``,
-    ``interpolate``, the fluid velocity read-back and the particle-mesh force.
+    ``interpolate``, the fluid velocity read-back and the particle-mesh pass.
     Returns ``(flat, weights)`` of one shape: (1, n_points) for ``nearest``,
     and for ``linear`` (2,) * dim + (n_points,) with the last axis's corner
     offset first, so that in C order axis 0 varies fastest.  ``flat`` holds

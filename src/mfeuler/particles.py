@@ -13,17 +13,15 @@ error.  A step advances a sweep of systems, each with its own N and kernel,
 on one shared increment: one ``ParticleState`` holds the rows of every system
 in order, and one system is the sweep of one.  Forces come either from the
 exact O(N^2) pair sum, system by system, or from one fused particle-mesh pass
-for the whole sweep: the particles are placed on two interlaced lattices,
-the nodes and the nodes shifted by half a cell, and each of the two
-assignment stencils serves as the deposit and, by its adjoint, as the gather.
-Between the two, one ``grid.rfft``/``grid.irfft`` pair and one operator cached
-per (kernel, grid, scheme) convolve with the sampled force kernel and divide
-out the assignment window.  The same stencils and deposit of a whole sweep,
-through the stacked ``mollifier_transfer``, give the mollified densities of
-the convergence gauge.  The sweep owns the per-row arrays of that pass: the
-first force on a state makes both stencils and the gather's terms, ``step``
-hands them to the state it returns, and every later force and density on the
-sweep fills them again; forces and densities are new arrays every time.
+for the whole sweep: one assignment stencil places the particles on two
+interlaced lattices, the nodes and the nodes shifted by half a cell, and
+serves as the deposit and, by its adjoint, as the gather.  Between the two,
+one ``grid.rfft``/``grid.irfft`` pair and one operator cached per (kernel,
+grid, scheme) convolve with the sampled force kernel and divide out the
+assignment window.  ``sweep_spectrum``, the pass up to that inverse
+transform, serves the mollified densities of the gauge too.  The first pass
+on a state makes its per-row arrays, ``step`` hands them on, and every later
+pass fills them again; forces and densities are new arrays every time.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ class ParticleState:
     velocities: np.ndarray  # (rows, dim)
     time: float = 0.0
     sizes: tuple | None = None  # by default one system of all the rows
-    # per deposit scheme, the particle-mesh arrays of these rows: both interlaced stencils and the gather's
-    # terms, made by the sweep's first force, handed on by ``step`` and overwritten by every force and density
+    # per deposit scheme, the particle-mesh arrays of these rows on both interlaced lattices (node coordinates,
+    # stencil, gather terms): made by the first force or density, handed on by ``step``, refilled by every pass
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -154,76 +152,84 @@ def mollifier_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) ->
 
 
 def interlaced_stencils(state: ParticleState, grid: PeriodicGrid, scheme: str) -> tuple:
-    """``(flat, weights)`` stencils of the particles of ``state`` at node coordinate u = x/h and at u + 1/2.
+    """One ``(flat, weights)`` stencil, shape (corners..., 2 * rows), of the rows of ``state`` at node coordinate
+    u = x/h and then at u + 1/2, on the lattice shifted by half a cell (the integer wrap folds it back).
 
-    The second places the particles on the lattice shifted by half a cell;
-    the stencil's integer wrap folds u + 1/2 back into the torus.  The node
-    indices of the sweep's system s are offset by s * M**dim, in place, a
-    row slice at a time, so that one ``np.bincount`` deposits every system
-    onto a lattice of its own.  The stencils are new arrays until the
-    state's first force, and from then on its ``scratch`` arrays.
+    Its 2 * systems row blocks run lattice first, then system; block b's node indices are offset by
+    b * M**dim, in place, so that one ``np.bincount`` deposits each block onto a lattice of its own.
+    The arrays are the state's ``scratch``, made by its sweep's first pass.
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
-    out = state.scratch[scheme][0] if scheme in state.scratch else (None, None)
-    u = state.positions / grid.spacing
-    direct = _stencil(u, grid, scheme, out[0])
-    u += 0.5
-    stencils = direct, _stencil(u, grid, scheme, out[1])
-    size = grid.points_per_dim**grid.dim
-    stops = list(accumulate(state.sizes))
-    for flat, _ in stencils:
-        for system in range(1, len(stops)):
-            flat[..., stops[system - 1] : stops[system]] += system * size
-    return stencils
+    rows = state.n_particles
+    if scheme not in state.scratch:  # node coordinates, stencil and gather terms, filled again by every pass
+        shape = ((1,) if scheme == "nearest" else (2,) * grid.dim) + (2 * rows,)
+        stencil = np.empty(shape, dtype=int), np.empty(shape)
+        state.scratch[scheme] = np.empty((2 * rows, state.dim)), stencil, np.empty((state.dim,) + shape)
+    nodes, stencil, _ = state.scratch[scheme]
+    np.divide(state.positions, grid.spacing, out=nodes[:rows])
+    np.add(nodes[:rows], 0.5, out=nodes[rows:])
+    _stencil(nodes, grid, scheme, stencil)
+    starts = list(accumulate(state.sizes * 2, initial=0))
+    for block in range(1, len(starts) - 1):
+        stencil[0][..., starts[block] : starts[block + 1]] += block * grid.points_per_dim**grid.dim
+    return stencil
 
 
-def deposit_spectrum(stencils, grid: PeriodicGrid, systems: int = 1) -> np.ndarray:
+def deposit_spectrum(stencil, grid: PeriodicGrid, systems: int = 1) -> np.ndarray:
     """Interlaced spectra of unit-weight particles, F[lattice] + half-cell phase * F[shifted lattice],
     shape (systems,) + the half spectrum.
 
-    One ``np.bincount`` per stencil deposits each lattice of every system and one real FFT transforms
-    them all.  The phase moves the shifted lattice back onto the particles, so that their average
-    (interlacing) cancels the odd-order alias images of the point masses; the 1/2 and the window are
-    left to the transfer operators.
+    One ``np.bincount`` deposits both lattices of every system as (2, systems) + grid.shape, and one
+    real FFT transforms them all.  The phase moves the shifted lattice back onto the particles, so that
+    their average (interlacing) cancels the odd-order alias images of the point masses; the 1/2 and
+    the window are left to the transfer operators.
     """
-    size = grid.points_per_dim**grid.dim
-    counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=systems * size) for flat, weights in stencils]
-    halves = grid.rfft(np.reshape(counts, (2, systems) + grid.shape))
+    flat, weights = stencil
+    counts = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * systems * grid.points_per_dim**grid.dim)
+    halves = grid.rfft(counts.reshape((2, systems) + grid.shape))
     return halves[0] + _half_cell_phase(grid) * halves[1]
 
 
-def gather(values, stencils, terms=None) -> np.ndarray:
-    """The interlaced deposit's adjoint, shape (points, components): the sum of one ``fields.gather`` per lattice.
+def gather(values, stencil, terms=None) -> np.ndarray:
+    """The interlaced deposit's adjoint, shape (points, components): one ``fields.gather`` of all the stencil's
+    rows, weighing the node values in ``terms`` if given, then each point's second-lattice read added to its first.
 
-    ``values`` has shape (components, 2, ...) + grid.shape: per component, the
-    fields on the lattice and on the shifted lattice, of every system.  Both
-    gathers weigh their node values in ``terms`` if it is given.
+    ``values`` has shape (components, 2, systems) + grid.shape: per component, the fields on the lattice
+    and on the shifted lattice, of every system.
     """
-    read = fields.gather(values[:, 0], stencils[0], terms)
-    read += fields.gather(values[:, 1], stencils[1], terms)
-    return read
+    read = fields.gather(values, stencil, terms)
+    points = len(read) // 2
+    read[:points] += read[points:]
+    return read[:points]
 
 
 @cache
 def _sweep_transfer(operator, kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarray:
     """The transfer ``operator`` of each kernel of a sweep stacked on a systems axis just before the half
     spectrum, built once per (operator, tuple of kernels): (dim, 2, systems) + the half spectrum for
-    ``force_transfer``, (systems,) + the half spectrum for ``mollifier_transfer``.  In this layout the
-    inverse transform of the product holds the fields of all systems as one run of systems * M**dim
-    values, which ``fields.gather`` reads at the offset node indices of ``interlaced_stencils``."""
+    ``force_transfer``, (systems,) + it for ``mollifier_transfer``.  The inverse transform of the force
+    product is then one run of values, which ``fields.gather`` reads at the stencil's offset node indices."""
     stack = [operator(kernel, grid, scheme) for kernel in kernels]
     return read_only(np.stack(stack, axis=-1 - grid.dim))
+
+
+def sweep_spectrum(state: ParticleState, operator, kernels, grid: PeriodicGrid, scheme: str) -> tuple:
+    """The sweep's particle-mesh pass up to the inverse transform: its stencil, and ``operator``
+    (``force_transfer`` or ``mollifier_transfer``) of each system's kernel times its deposit spectrum."""
+    stencil = interlaced_stencils(state, grid, scheme)
+    transfer = _sweep_transfer(operator, tuple(kernels), grid, scheme)
+    return stencil, transfer * deposit_spectrum(stencil, grid, len(state.sizes))
 
 
 def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
     """Particle-mesh forces on a sweep of systems as one fused step, one row per particle of ``state``.
 
     The interlaced deposit of every system, ``force_transfer`` of its kernel
-    divided by its N in ``state.sizes``, then ``gather``: one stencil pair,
-    one ``np.bincount`` per lattice, one ``grid.rfft``/``grid.irfft`` pair and
-    one ``fields.gather`` per lattice for the whole sweep.  Each system's bins and
-    transforms are its own, so its forces are those of a sweep of one.
+    divided by its N in ``state.sizes``, then ``gather``: one stencil, one
+    ``np.bincount``, one ``grid.rfft``/``grid.irfft`` pair and one
+    ``fields.gather`` for both lattices of the whole sweep.  Each system's
+    bins and transforms are its own, so its forces are those of a sweep of one.
 
     Raises
     ------
@@ -236,14 +242,10 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
         raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     for kernel in kernels:
         validate_kernel_mesh(kernel, grid)
-    stencils = interlaced_stencils(state, grid, deposit_scheme)
-    if deposit_scheme not in state.scratch:  # the first force: these stencils become the sweep's own arrays
-        state.scratch[deposit_scheme] = stencils, np.empty((state.dim,) + stencils[0][0].shape)
-    transfer = _sweep_transfer(force_transfer, tuple(kernels), grid, deposit_scheme)
-    spectrum = transfer * deposit_spectrum(stencils, grid, len(state.sizes))
+    stencil, spectrum = sweep_spectrum(state, force_transfer, kernels, grid, deposit_scheme)
     for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
         spectrum[:, :, system] /= n
-    return gather(grid.irfft(spectrum), stencils, state.scratch[deposit_scheme][1])
+    return gather(grid.irfft(spectrum), stencil, state.scratch[deposit_scheme][2])
 
 
 def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from mfeuler.config import RunConfig, validate
 from mfeuler.coupling import build_run, coupled_step, mollified_density, q_functional
 from mfeuler.errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
 from mfeuler.fluid import EulerConfig
+import mfeuler.fields as fields_mod
 import mfeuler.particles as particles_mod
 from mfeuler.fields import (
     EmpiricalMeasure,
@@ -284,23 +285,68 @@ def test_nearest_particles_on_nodes_feel_no_self_force_and_conserve_momentum(dim
 @pytest.mark.parametrize("scheme", ["linear", "nearest"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_interlaced_stencils_deposit_and_gather_are_adjoint(dim, scheme):
-    # per stencil: sum_n w_n gather(f)(x_n) == <deposit of w, f> on the lattice
+    # per lattice: sum_n w_n gather(f)(x_n) == <deposit of w, f> on the lattice
     grid, _, _ = _pm_case(dim)
     rng = np.random.default_rng(dim)
     (pos,) = _particle_sets(512, dim, grid, on_nodes=True)
     w = rng.standard_normal(len(pos))
     f = rng.standard_normal(grid.shape)
-    stencils = interlaced_stencils(ParticleState(pos, np.zeros_like(pos)), grid, scheme)
+    stencil = interlaced_stencils(ParticleState(pos, np.zeros_like(pos)), grid, scheme)
+    n, size = len(pos), grid.points_per_dim**dim
     axes = tuple(range(-dim, 0))
     for s in range(2):
-        # stencil s first, weighted by w, and the other one weighted by 0: the spectrum of stencil s alone
-        (flat, weights), (other, other_weights) = stencils[s], stencils[1 - s]
-        spectrum = deposit_spectrum(((flat, weights * w), (other, 0.0 * other_weights)), grid)
+        # lattice s moved to the first row block, weighted by w, and the other one weighted by 0:
+        # the spectrum of lattice s alone
+        flat, weights = (np.roll(a, -s * n, axis=-1) for a in stencil)
+        flat = flat % size + size * (np.arange(2 * n) >= n)
+        spectrum = deposit_spectrum((flat, weights * np.concatenate([w, 0.0 * w])), grid)
         counts = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-        fields = np.zeros((1, 2) + grid.shape)
-        fields[0, s] = f
-        read = gather(fields, stencils)[:, 0]
+        fields = np.zeros((1, 2, 1) + grid.shape)
+        fields[0, s, 0] = f
+        read = gather(fields, stencil)[:, 0]
         assert abs(np.dot(w, read) - np.sum(counts * f)) <= 1e-12 * np.sum(np.abs(w)) * np.max(np.abs(f))
+
+
+def _sweep_case(dim):
+    """A sweep of three systems on the particle-mesh case of ``dim``, its kernel once per system; the largest
+    system has particles on nodes, at 0 and just below the period."""
+    grid, kern, _ = _pm_case(dim)
+    sizes = (1, 7, 256)
+    pos = np.concatenate([_particle_sets(n, dim, grid, on_nodes=n > 10)[0] for n in sizes])
+    vel = np.random.default_rng(dim).standard_normal(pos.shape)
+    return grid, (kern,) * len(sizes), sizes, pos, vel
+
+
+def _two_stencil_pass(state, grid, scheme, values):
+    """The interlaced deposit spectrum and gather written with one stencil, one ``np.bincount`` and one
+    ``fields.gather`` per lattice, each lattice's systems at node offsets s * M**dim."""
+    size = grid.points_per_dim**grid.dim
+    systems = len(state.sizes)
+    u = state.positions / grid.spacing
+    stencils = [fields_mod._stencil(u, grid, scheme), fields_mod._stencil(u + 0.5, grid, scheme)]
+    stops = np.cumsum(state.sizes)
+    for flat, _ in stencils:
+        for system in range(1, systems):
+            flat[..., stops[system - 1] : stops[system]] += system * size
+    counts = [np.bincount(flat.ravel(), weights.ravel(), minlength=systems * size) for flat, weights in stencils]
+    halves = grid.rfft(np.stack(counts).reshape((2, systems) + grid.shape))
+    spectrum = halves[0] + _half_cell_phase(grid) * halves[1]
+    read = fields_mod.gather(values[:, 0], stencils[0])
+    read += fields_mod.gather(values[:, 1], stencils[1])
+    return spectrum, read
+
+
+@pytest.mark.parametrize("scheme", ["linear", "nearest"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_interlaced_stencil_matches_a_stencil_per_lattice_bitwise(dim, scheme):
+    grid, _, sizes, pos, vel = _sweep_case(dim)
+    state = ParticleState(pos, vel, sizes=sizes)
+    values = np.random.default_rng(dim).standard_normal((dim, 2, len(sizes)) + grid.shape)
+    expected_spectrum, expected_read = _two_stencil_pass(state, grid, scheme, values)
+    for _ in range(2):  # the pass that makes the sweep's arrays, then one that fills them again
+        stencil = interlaced_stencils(state, grid, scheme)
+        assert np.array_equal(deposit_spectrum(stencil, grid, len(sizes)), expected_spectrum)
+        assert np.array_equal(gather(values, stencil, state.scratch[scheme][2]), expected_read)
 
 
 @pytest.mark.parametrize(
@@ -553,17 +599,51 @@ def test_kept_forces_densities_and_stencils_are_not_the_sweeps_arrays():
     sigma = SigmaField("sinusoidal", 0.3, 0.5, grid.period)
     (pos,) = _particle_sets(4096, 1, grid, on_nodes=False)
     state = ParticleState(pos, np.zeros_like(pos))
-    kept = interlaced_stencils(state, grid, "linear")
     forces = force_particle_mesh(state, [kern], grid)
     (density,) = mollified_density(state, [kern], grid)
-    copies = [forces.copy(), density.copy(), *(a.copy() for stencil in kept for a in stencil)]
+    copies = [forces.copy(), density.copy()]
     moved = step(state, np.array([0.3]), 0.05, [kern], sigma, grid.period, "particle_mesh", grid)
     assert moved.scratch is state.scratch
     fresh = ParticleState(moved.positions, moved.velocities)  # the same rows without the sweep's arrays
     assert np.array_equal(force_particle_mesh(moved, [kern], grid), force_particle_mesh(fresh, [kern], grid))
     assert np.array_equal(mollified_density(moved, [kern], grid), mollified_density(fresh, [kern], grid))
-    for before, after in zip(copies, [forces, density, *(a for stencil in kept for a in stencil)]):
+    for before, after in zip(copies, [forces, density]):
         assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_pm_pass_makes_one_stencil_one_bincount_and_one_gather(monkeypatch, dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    force_particle_mesh(ParticleState(pos, vel, sizes=sizes), kernels, grid)  # builds the cached operators
+    mollified_density(ParticleState(pos, vel, sizes=sizes), kernels, grid)
+    calls = []
+    for module, name in ((np, "bincount"), (fields_mod, "_stencil"), (particles_mod, "_stencil"), (fields_mod, "gather")):
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    force_particle_mesh(ParticleState(pos, vel, sizes=sizes), kernels, grid)
+    assert sorted(calls) == ["_stencil", "bincount", "gather"]
+    calls.clear()
+    mollified_density(ParticleState(pos, vel, sizes=sizes), kernels, grid)
+    assert sorted(calls) == ["_stencil", "bincount"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_density_on_a_fresh_state_makes_the_arrays_of_the_next_force_and_step(dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, grid.period)
+    state = ParticleState(pos, vel, sizes=sizes)
+    density = mollified_density(state, kernels, grid)
+    arrays = state.scratch["linear"]
+    forces = force_particle_mesh(state, kernels, grid)
+    assert state.scratch["linear"] is arrays
+    moved = step(state, np.full(dim, 0.3), 0.05, kernels, sigma, grid.period, "particle_mesh", grid)
+    assert moved.scratch["linear"] is arrays
+    assert np.array_equal(density, mollified_density(ParticleState(pos.copy(), vel.copy(), sizes=sizes), kernels, grid))
+    assert np.array_equal(forces, force_particle_mesh(ParticleState(pos.copy(), vel.copy(), sizes=sizes), kernels, grid))
 
 
 def test_stratified_uniform_subinterval_quantiles():
