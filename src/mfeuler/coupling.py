@@ -14,7 +14,9 @@ on N, so every N in the sweep sees identical path bytes.  The fluid state
 does not depend on the particles at all, so one run per sample, one fluid
 solve and one particle state holding every N, drives the whole N sweep.  The
 diagnostics read that sweep as it is: ``q_functional`` returns one record and
-``mean_field_distances`` one value per system, in the order of its N.
+``mean_field_distances`` one value per system, in the order of its N.  A
+gauge's deposit of the particles feeds the next step's force, which deposits
+the same rows.
 """
 
 from __future__ import annotations
@@ -204,8 +206,10 @@ def mollified_density(particles: particles_mod.ParticleState, kernels, grid: Per
     goes through ``mollifier_transfer`` of each system's kernel, which divides
     out the assignment window and convolves with the sampled mollifier; that
     keeps each row on the direct particle sum (1/N) sum_j density(x - X_j) up
-    to residual deposit aliasing.  Warns (``KernelAliasingWarning``) for each
-    kernel with over 1e-6 of its mass wrapping around.
+    to residual deposit aliasing.  The deposit stays with the sweep, so the
+    next step's force on these rows makes none.  Warns (``KernelAliasingWarning``)
+    for each kernel with over 1e-6 of its mass wrapping around; raises
+    ``ValueError`` unless there is one kernel per system.
     """
     for kernel in kernels:
         wrapped = kernel.mass_outside(grid.period / 2.0)

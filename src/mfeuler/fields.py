@@ -6,7 +6,8 @@ lambda_k = 2 pi k / period.  The grid owns the package's one Fourier layout,
 the ``rfftn`` half spectrum over the trailing lattice axes of any stack of
 real fields: ``PeriodicGrid.rfft``/``irfft`` transform to and from it (no
 other module calls ``np.fft``), with the one-axis transforms that ``rfftn``
-is made of and so to its bits, and ``PeriodicGrid.half`` cuts a full
+is made of and so to its bits, into an ``out`` array if the caller hands
+one in, and ``PeriodicGrid.half`` cuts a full
 FFT-order array to it.  The leading axes keep all their modes, the last axis
 its columns 0..M/2, and each interior column stands for itself and its
 conjugate partner.  ``sobolev_weight`` carries the Bessel factor
@@ -116,21 +117,24 @@ class PeriodicGrid:
         half = 0.5 * self.period
         return (self.points() + half) % self.period - half
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
+    def rfft(self, values: np.ndarray, out=None) -> np.ndarray:
         """Half spectrum of a stack of real fields, shape (...) + grid.shape: ``rfftn`` over the lattice axes.
 
         ``rfftn`` is this composition, one-axis ``rfft`` over the last axis then ``fft`` over the one before
-        it in 2-d, so the bits are its bits; the one-axis calls skip its argument handling.
+        it in 2-d, so the bits are its bits; the one-axis calls skip its argument handling.  ``out``, if
+        given, receives the spectrum from the last one-axis call.
         """
-        spectrum = np.fft.rfft(values)
-        return spectrum if self.dim == 1 else np.fft.fft(spectrum, axis=-2)
+        if self.dim == 1:
+            return np.fft.rfft(values, out=out)
+        return np.fft.fft(np.fft.rfft(values), axis=-2, out=out)
 
-    def irfft(self, spectrum: np.ndarray) -> np.ndarray:
+    def irfft(self, spectrum: np.ndarray, out=None) -> np.ndarray:
         """The real fields, shape (...) + grid.shape, of a stack of half spectra: the inverse of ``rfft``,
-        ``ifft`` over axis -2 in 2-d then ``irfft`` to M points over the last axis, as ``irfftn`` does."""
+        ``ifft`` over axis -2 in 2-d then ``irfft`` to M points over the last axis, as ``irfftn`` does;
+        ``out``, if given, receives the fields from that last call."""
         if self.dim == 2:
             spectrum = np.fft.ifft(spectrum, axis=-2)
-        return np.fft.irfft(spectrum, self.points_per_dim)
+        return np.fft.irfft(spectrum, self.points_per_dim, out=out)
 
     def half(self, array: np.ndarray) -> np.ndarray:
         """Columns 0..M/2 of the last axis of a full FFT-order array: the modes ``rfft`` keeps."""

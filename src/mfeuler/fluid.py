@@ -16,7 +16,10 @@ one forward transform, four stages combined in spectral space, one inverse
 transform; each right-hand side takes two transforms in any dimension, one
 ``irfftn`` for rho, v and every d_a v_q and one ``rfftn`` for the quadratic
 products.  Those products are dealiased by zeroing the top modes; an optional
-weak hyperviscosity damps the spectral tail on long runs.  Each step ends with
+weak hyperviscosity damps the spectral tail on long runs.  A drift step
+allocates one set of stage arrays, and its four right-hand sides write every
+intermediate into them in the order of operations of the plain expressions,
+so the bits are theirs.  Each step ends with
 one check that the state is finite and the density strictly positive.  A
 Sobolev-norm guard, one ``rfftn`` of the whole state, stops the state the
 first time ||(rho, v)||_{H^s} reaches the configured threshold, and a stopped
@@ -150,40 +153,79 @@ def drift_rhs(state: FluidState, config: EulerConfig) -> np.ndarray:
     NonPositiveDensity unless the state is finite with strictly positive density.
     """
     grid = state.grid
-    return grid.irfft(_rhs(grid.rfft(_checked(state).u), grid, config))
+    work = _stage_arrays(grid)
+    u_hat = grid.rfft(_checked(state).u, out=work[0][: 1 + grid.dim])
+    return grid.irfft(_rhs(work, grid, config, np.empty_like(u_hat)))
 
 
-def _rhs(u_hat, grid, config):
-    """Spectral tendency of the half spectrum ``u_hat``: one ``grid.irfft`` and one ``grid.rfft``."""
+def _stage_arrays(grid: PeriodicGrid) -> tuple:
+    """The arrays a right-hand side works in: the spectral input of 1 + dim + dim**2 rows, the half spectrum
+    of ``u`` then every i*lambda_a v_q, its real fields, the 2 * dim products and their half spectrum."""
+    dim = grid.dim
+    half = grid.shape[:-1] + (grid.points_per_dim // 2 + 1,)
+    rows = 1 + dim + dim * dim
+    return (
+        np.empty((rows,) + half, dtype=complex),
+        np.empty((rows,) + grid.shape),
+        np.empty((2 * dim,) + grid.shape),
+        np.empty((2 * dim,) + half, dtype=complex),
+    )
+
+
+def _rhs(work, grid, config, out):
+    """Spectral tendency, into ``out``, of the half spectrum in the first 1 + dim rows of ``work``'s spectral
+    input: one ``grid.irfft`` and one ``grid.rfft``, every intermediate one of the ``_stage_arrays``."""
     ilam, dealias, hyper = _workspace(
         grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
     )
+    spectra, values, products, products_hat = work
     dim = grid.dim
-    grad_hat = (ilam[:, None] * u_hat[None, 1:]).reshape((dim * dim,) + u_hat.shape[1:])
-    values = grid.irfft(np.concatenate((u_hat, grad_hat)))
+    u_hat = spectra[: 1 + dim]
+    np.multiply(ilam[:, None], u_hat[None, 1:], out=spectra[1 + dim :].reshape((dim, dim) + u_hat.shape[1:]))
+    grid.irfft(spectra, out=values)
     rho, vel = values[0], values[1 : 1 + dim]
     grad = values[1 + dim :].reshape((dim, dim) + grid.shape)  # grad[a, q] = d_a v_q
-    advect = (vel[:, None] * grad).sum(axis=0)  # v . grad v_q, summed over a in order
-    products_hat = grid.rfft(np.concatenate((rho * vel, advect))) * dealias
+    np.multiply(rho, vel, out=products[:dim])
+    np.multiply(vel[:, None], grad, out=grad)
+    np.add.reduce(grad, axis=0, out=products[dim:])  # v . grad v_q, summed over a in order
+    grid.rfft(products, out=products_hat)
+    products_hat *= dealias
     flux_hat, advect_hat = products_hat[:dim], products_hat[dim:]
 
-    du_hat = np.empty_like(u_hat)
     # hyper*rho - d_0(rho v_0) - d_1(rho v_1) ..., subtracted term by term
-    du_hat[0] = np.subtract.reduce(np.concatenate(([hyper * u_hat[0]], ilam * flux_hat)))
-    du_hat[1:] = -advect_hat - ilam * u_hat[0] + hyper * u_hat[1:]
-    return du_hat
+    np.multiply(hyper, u_hat[0], out=out[0])
+    np.multiply(ilam, flux_hat, out=flux_hat)
+    for term in flux_hat:
+        np.subtract(out[0], term, out=out[0])
+    # -advect - i*lambda rho + hyper*v, left to right; once negated, advect_hat holds each later product
+    np.negative(advect_hat, out=out[1:])
+    np.subtract(out[1:], np.multiply(ilam, u_hat[0], out=advect_hat), out=out[1:])
+    np.add(out[1:], np.multiply(hyper, u_hat[1:], out=advect_hat), out=out[1:])
+    return out
 
 
 def step_drift(state: FluidState, dt: float, config: EulerConfig) -> FluidState:
-    """Classical four-stage Runge-Kutta step of the deterministic part, staged on the half spectrum of ``u``."""
+    """Classical four-stage Runge-Kutta step of the deterministic part, staged on the half spectrum of ``u``.
+
+    The four stages share one set of ``_stage_arrays``: each writes u0 + c * k into the first rows of the
+    spectral input, and each k is added to a running sum once the next stage has read it, in the order of
+    u0 + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), scalars first.
+    """
     grid = state.grid
+    work = _stage_arrays(grid)
+    stage = work[0][: 1 + grid.dim]
     u0 = grid.rfft(state.u)
-    k1 = _rhs(u0, grid, config)
-    k2 = _rhs(u0 + 0.5 * dt * k1, grid, config)
-    k3 = _rhs(u0 + 0.5 * dt * k2, grid, config)
-    k4 = _rhs(u0 + dt * k3, grid, config)
-    u_hat = u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, u=grid.irfft(u_hat), time=state.time + dt)
+    total, k = np.empty_like(u0), np.empty_like(u0)
+    stage[...] = u0
+    _rhs(work, grid, config, total)  # k1, to which the later k's are added
+    np.add(u0, np.multiply(0.5 * dt, total, out=stage), out=stage)
+    for c in (0.5 * dt, dt):  # k2 and k3, each counted twice
+        _rhs(work, grid, config, k)
+        np.add(u0, np.multiply(c, k, out=stage), out=stage)
+        np.add(total, np.multiply(2.0, k, out=k), out=total)
+    np.add(total, _rhs(work, grid, config, k), out=total)
+    np.add(u0, np.multiply(dt / 6.0, total, out=total), out=total)
+    return replace(state, u=grid.irfft(total), time=state.time + dt)
 
 
 def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: float = 1.0) -> FluidState:

@@ -83,11 +83,20 @@ class SigmaField:
             raise ValueError("sigma period must be positive")
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all components at points of shape (n, dim) -> (n, dim)."""
+        """Evaluate all components at points of shape (n, dim) -> (n, dim), a new array.
+
+        The sinusoidal family is written into that one array, operation by operation in the order of
+        base * (1 + modulation * sin(2 pi x / period)).
+        """
         pts = as_points(points)
         if self.family == "constant":
             return np.full_like(pts, self.base)
-        return self.base * (1.0 + self.modulation * np.sin(2.0 * np.pi * pts / self.period))
+        out = np.multiply(2.0 * np.pi, pts)
+        np.divide(out, self.period, out=out)
+        np.sin(out, out=out)
+        np.multiply(self.modulation, out, out=out)
+        np.add(1.0, out, out=out)
+        return np.multiply(self.base, out, out=out)
 
     @cache
     def on_grid(self, grid) -> np.ndarray:

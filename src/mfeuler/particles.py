@@ -20,15 +20,18 @@ one ``grid.rfft``/``grid.irfft`` pair and one operator cached per (kernel,
 grid, scheme) convolve with the sampled force kernel and divide out the
 assignment window.  ``sweep_spectrum``, the pass up to that inverse
 transform, serves the mollified densities of the gauge too.  The first pass
-on a state makes its per-row arrays, ``step`` hands them on, and every later
-pass fills them again; forces and densities are new arrays every time.
+on a state makes its per-row arrays and ``step`` hands them on.  A pass keeps
+its deposit spectrum with them, marked with the positions array, sizes and
+grid it deposited, so the next pass on the same three, such as the force after
+a gauge, makes no stencil and no deposit; any other pass fills them again.
+Forces and densities are new arrays every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -49,8 +52,8 @@ class ParticleState:
     velocities: np.ndarray  # (rows, dim)
     time: float = 0.0
     sizes: tuple | None = None  # by default one system of all the rows
-    # per deposit scheme, the particle-mesh arrays of these rows on both interlaced lattices (node coordinates,
-    # stencil, gather terms): made by the first force or density, handed on by ``step``, refilled by every pass
+    # per deposit scheme, the ``PassArrays`` of these rows: made by the first force or density, handed on by
+    # ``step``, refilled by a pass unless they are current for this state's positions, sizes and that pass's grid
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,7 +75,27 @@ class ParticleState:
 
     def split(self, rows: np.ndarray) -> list:
         """``rows``, one per particle, as one view per system, in order."""
-        return np.split(rows, np.cumsum(self.sizes[:-1]))
+        return [rows[start:stop] for start, stop in pairwise(accumulate(self.sizes, initial=0))]
+
+
+@dataclass
+class PassArrays:
+    """A sweep's particle-mesh arrays for one deposit scheme: the node coordinates (2 * rows, dim), the interlaced
+    stencil and the gather's terms, and the deposit spectrum, each filled again by a refill, with the ``mark``
+    they are current for.
+
+    ``mark`` is (positions, sizes, grid): the very positions array deposited (compared with ``is``), the
+    state's sizes and the grid.  A pass whose state and grid match it reuses the stencil and the spectrum.
+    """
+
+    nodes: np.ndarray
+    stencil: tuple
+    terms: np.ndarray
+    spectrum: np.ndarray | None = None
+    mark: tuple | None = None
+
+    def current(self, state: ParticleState, grid: PeriodicGrid) -> bool:
+        return self.mark is not None and self.mark[0] is state.positions and self.mark[1:] == (state.sizes, grid)
 
 
 def validate_kernel_box(kernel: ScaledKernel, period: float):
@@ -135,7 +158,10 @@ def force_transfer(kernel: ScaledKernel, grid: PeriodicGrid, scheme: str) -> np.
     Entry [q, 0] is -1/4 g_q / W^2 and [q, 1] that times the conjugate half-cell phase: g_q the transform
     of the sampled force-kernel component q, W the assignment window (divided out once for deposit and
     gather), 1/4 the two interlacing halves; a density's 1/cell_volume and a convolution's cell_volume cancel.
+    The kernel must pass ``validate_kernel_mesh`` first; a kernel that fails raises on every call, as a raise
+    caches nothing.
     """
+    validate_kernel_mesh(kernel, grid)
     window = grid.half(assignment_window(grid, scheme))
     direct = -0.25 * grid.rfft(sample_kernel(grid, kernel.potential_gradient)) / window**2
     return read_only(np.stack([direct, direct * np.conj(_half_cell_phase(grid))], axis=1))
@@ -157,16 +183,19 @@ def interlaced_stencils(state: ParticleState, grid: PeriodicGrid, scheme: str) -
 
     Its 2 * systems row blocks run lattice first, then system; block b's node indices are offset by
     b * M**dim, in place, so that one ``np.bincount`` deposits each block onto a lattice of its own.
-    The arrays are the state's ``scratch``, made by its sweep's first pass.
+    The arrays are the state's ``scratch``, its ``PassArrays``, made by its sweep's first pass; a refill
+    clears their mark, as the kept deposit spectrum no longer matches the stencil.
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
     rows = state.n_particles
-    if scheme not in state.scratch:  # node coordinates, stencil and gather terms, filled again by every pass
+    if scheme not in state.scratch:
         shape = ((1,) if scheme == "nearest" else (2,) * grid.dim) + (2 * rows,)
         stencil = np.empty(shape, dtype=int), np.empty(shape)
-        state.scratch[scheme] = np.empty((2 * rows, state.dim)), stencil, np.empty((state.dim,) + shape)
-    nodes, stencil, _ = state.scratch[scheme]
+        state.scratch[scheme] = PassArrays(np.empty((2 * rows, state.dim)), stencil, np.empty((state.dim,) + shape))
+    arrays = state.scratch[scheme]
+    arrays.mark = None
+    nodes, stencil = arrays.nodes, arrays.stencil
     np.divide(state.positions, grid.spacing, out=nodes[:rows])
     np.add(nodes[:rows], 0.5, out=nodes[rows:])
     _stencil(nodes, grid, scheme, stencil)
@@ -176,9 +205,9 @@ def interlaced_stencils(state: ParticleState, grid: PeriodicGrid, scheme: str) -
     return stencil
 
 
-def deposit_spectrum(stencil, grid: PeriodicGrid, systems: int = 1) -> np.ndarray:
+def deposit_spectrum(stencil, grid: PeriodicGrid, systems: int = 1, out=None) -> np.ndarray:
     """Interlaced spectra of unit-weight particles, F[lattice] + half-cell phase * F[shifted lattice],
-    shape (systems,) + the half spectrum.
+    shape (systems,) + the half spectrum, written into ``out`` if given.
 
     One ``np.bincount`` deposits both lattices of every system as (2, systems) + grid.shape, and one
     real FFT transforms them all.  The phase moves the shifted lattice back onto the particles, so that
@@ -188,7 +217,9 @@ def deposit_spectrum(stencil, grid: PeriodicGrid, systems: int = 1) -> np.ndarra
     flat, weights = stencil
     counts = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * systems * grid.points_per_dim**grid.dim)
     halves = grid.rfft(counts.reshape((2, systems) + grid.shape))
-    return halves[0] + _half_cell_phase(grid) * halves[1]
+    if out is None:
+        out = np.empty_like(halves[0])
+    return np.add(halves[0], np.multiply(_half_cell_phase(grid), halves[1], out=out), out=out)
 
 
 def gather(values, stencil, terms=None) -> np.ndarray:
@@ -216,10 +247,30 @@ def _sweep_transfer(operator, kernels: tuple, grid: PeriodicGrid, scheme: str) -
 
 def sweep_spectrum(state: ParticleState, operator, kernels, grid: PeriodicGrid, scheme: str) -> tuple:
     """The sweep's particle-mesh pass up to the inverse transform: its stencil, and ``operator``
-    (``force_transfer`` or ``mollifier_transfer``) of each system's kernel times its deposit spectrum."""
-    stencil = interlaced_stencils(state, grid, scheme)
+    (``force_transfer`` or ``mollifier_transfer``) of each system's kernel times its deposit spectrum.
+
+    The pass keeps the deposit spectrum in the state's ``PassArrays`` for ``scheme``, marked with the
+    positions array, the sizes and the grid, so a pass on the same rows and grid, such as the force after
+    a gauge, makes no stencil and no deposit.  Positions are never written in place, so an unchanged
+    array holds unchanged rows.
+
+    Raises
+    ------
+    ValueError
+        Unless there is one kernel per system.
+    """
+    if len(kernels) != len(state.sizes):
+        raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
+    arrays = state.scratch.get(scheme)
+    if arrays is None or not arrays.current(state, grid):
+        stencil = interlaced_stencils(state, grid, scheme)
+        arrays = state.scratch[scheme]
+        shape = (len(state.sizes),) + _half_cell_phase(grid).shape
+        kept = arrays.spectrum if arrays.spectrum is not None and arrays.spectrum.shape == shape else None
+        arrays.spectrum = deposit_spectrum(stencil, grid, len(state.sizes), kept)  # in place while the shape holds
+        arrays.mark = (state.positions, state.sizes, grid)
     transfer = _sweep_transfer(operator, tuple(kernels), grid, scheme)
-    return stencil, transfer * deposit_spectrum(stencil, grid, len(state.sizes))
+    return arrays.stencil, transfer * arrays.spectrum
 
 
 def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, deposit_scheme: str = "linear"):
@@ -228,7 +279,8 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
     The interlaced deposit of every system, ``force_transfer`` of its kernel
     divided by its N in ``state.sizes``, then ``gather``: one stencil, one
     ``np.bincount``, one ``grid.rfft``/``grid.irfft`` pair and one
-    ``fields.gather`` for both lattices of the whole sweep.  Each system's
+    ``fields.gather`` for both lattices of the whole sweep; after a gauge on the
+    same state, the stencil and the deposit are that pass's.  Each system's
     bins and transforms are its own, so its forces are those of a sweep of one.
 
     Raises
@@ -238,24 +290,27 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
     GridTooCoarse
         If a kernel breaks a rule of ``validate_kernel_mesh``.
     """
-    if len(kernels) != len(state.sizes):
-        raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
-    for kernel in kernels:
-        validate_kernel_mesh(kernel, grid)
     stencil, spectrum = sweep_spectrum(state, force_transfer, kernels, grid, deposit_scheme)
     for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
         spectrum[:, :, system] /= n
-    return gather(grid.irfft(spectrum), stencil, state.scratch[deposit_scheme][2])
+    return gather(grid.irfft(spectrum), stencil, state.scratch[deposit_scheme].terms)
 
 
 def wrap_positions(pos: np.ndarray, period: float) -> np.ndarray:
     """``np.mod(pos, period)`` bit for bit, which for pos in [-period, 2 * period) is the cheaper
-    pos + (period, 0.0 or -period); a value that sum leaves outside [0, period) takes ``np.mod``.
+    pos + (period, 0.0 or -period); when that sum leaves a value outside [0, period), it is ``np.mod``.
+
+    ``pos`` is wrapped in place and returned, or left untouched when the result is a new ``np.mod``
+    array: a caller uses the returned array and hands in one it owns.
     """
-    wrapped = pos + np.where(pos < 0.0, period, np.where(pos >= period, -period, 0.0))
-    if not (wrapped.min(initial=0.0) >= 0.0 and wrapped.max(initial=0.0) < period):
+    below, above = pos < 0.0, pos >= period
+    moved = np.concatenate((pos[below] + period, pos[above] - period))
+    if not (moved.min(initial=0.0) >= 0.0 and moved.max(initial=0.0) < period):
         return np.mod(pos, period)
-    return wrapped
+    np.add(pos, period, out=pos, where=below)
+    np.subtract(pos, period, out=pos, where=above)
+    pos += 0.0  # -0.0 becomes +0.0, as in np.mod
+    return pos
 
 
 def step(
@@ -287,7 +342,7 @@ def step(
     NonFiniteState
         Naming the N of the first system whose state became non-finite.
     """
-    if len(kernels) != len(state.sizes):  # force_particle_mesh checks too; the direct force needs it here
+    if len(kernels) != len(state.sizes):  # sweep_spectrum checks too; the direct force needs it here
         raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
     if method == "direct":
         forces = np.empty_like(state.positions)

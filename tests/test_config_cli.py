@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mfeuler.particles as particles_mod
 from mfeuler import artifacts
 from mfeuler.cli import main
 from mfeuler.config import RunConfig, validate
@@ -477,3 +478,14 @@ def test_field_csv_export(tmp_path):
     assert lines[0] == "x,value"
     assert len(lines) == 9
     assert lines[1] == "0.0,0.0"
+
+
+def test_run_coupled_deposits_once_per_gauge(tmp_path, monkeypatch):
+    # with the gauge at every step, each step's force reuses the deposit its gauge made of the same rows
+    calls = []
+    deposit_spectrum = particles_mod.deposit_spectrum
+    monkeypatch.setattr(particles_mod, "deposit_spectrum", lambda *a: calls.append(1) or deposit_spectrum(*a))
+    cfg_path = _tiny_run_config(tmp_path, **{"output.q_stride": 1})
+    assert main(["run-coupled", "--config", str(cfg_path)]) == 0
+    steps = len((tmp_path / "out" / "mass_trace.csv").read_text().splitlines()) - 2  # header and step 0
+    assert steps == 10 and len(calls) == steps + 1

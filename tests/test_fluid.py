@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfeuler.fields as fields_mod
+import mfeuler.fluid as fluid_mod
 from mfeuler.errors import NonFiniteState, NonPositiveDensity
 from mfeuler.fields import GridField, PeriodicGrid, sobolev_weight
 from mfeuler.fluid import (
@@ -436,3 +437,70 @@ def test_hyperviscosity_damps_tail():
         state = step(state, np.zeros(1), sigma, cfg)
     coeffs = np.abs(np.fft.fft(state.rho.values)) / grid.points_per_dim
     assert coeffs[60] < 0.25e-6
+
+
+def _concatenating_rhs(u_hat, grid, config):
+    """The right-hand side built with ``np.concatenate`` and new arrays for every intermediate: the reference
+    for the staged one, which must keep its every floating-point operation in order."""
+    ilam, dealias, hyper = fluid_mod._workspace(
+        grid, config.dealias_fraction, config.hyperviscosity_nu, config.hyperviscosity_order
+    )
+    dim = grid.dim
+    grad_hat = (ilam[:, None] * u_hat[None, 1:]).reshape((dim * dim,) + u_hat.shape[1:])
+    values = grid.irfft(np.concatenate((u_hat, grad_hat)))
+    rho, vel = values[0], values[1 : 1 + dim]
+    grad = values[1 + dim :].reshape((dim, dim) + grid.shape)
+    advect = (vel[:, None] * grad).sum(axis=0)
+    products_hat = grid.rfft(np.concatenate((rho * vel, advect))) * dealias
+    flux_hat, advect_hat = products_hat[:dim], products_hat[dim:]
+    du_hat = np.empty_like(u_hat)
+    du_hat[0] = np.subtract.reduce(np.concatenate(([hyper * u_hat[0]], ilam * flux_hat)))
+    du_hat[1:] = -advect_hat - ilam * u_hat[0] + hyper * u_hat[1:]
+    return du_hat
+
+
+def _concatenating_step(state, dB, sigma, config):
+    """One Strang step with the reference right-hand side and new arrays for every RK4 stage."""
+    grid, dt = state.grid, config.dt
+    out = noise_step(state, dB, sigma, scale=0.5)
+    u0 = grid.rfft(out.u)
+    k1 = _concatenating_rhs(u0, grid, config)
+    k2 = _concatenating_rhs(u0 + 0.5 * dt * k1, grid, config)
+    k3 = _concatenating_rhs(u0 + 0.5 * dt * k2, grid, config)
+    k4 = _concatenating_rhs(u0 + dt * k3, grid, config)
+    out = FluidState(grid, grid.irfft(u0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), out.time + dt)
+    out = noise_step(out, dB, sigma, scale=0.5)
+    out.step_index = state.step_index + 1
+    return out
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_staged_step_equals_the_concatenating_step_bitwise(dim, m):
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, TWO_PI)
+    cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=1e-3, guard_s=dim / 2.0 + 3.0, guard_m=math.inf)
+    path = NoisePath.generate(3, 0, 20, dim, cfg.dt)
+    state = reference = FluidState(grid, _random_state(grid, 40 + dim))
+    for dB in path.increments:
+        state, reference = step(state, dB, sigma, cfg), _concatenating_step(reference, dB, sigma, cfg)
+        assert state.u.tobytes() == reference.u.tobytes()
+        assert (state.time, state.step_index) == (reference.time, reference.step_index)
+    u = FluidState(grid, _random_state(grid, 50 + dim)).u
+    assert drift_rhs(FluidState(grid, u), cfg).tobytes() == grid.irfft(_concatenating_rhs(grid.rfft(u), grid, cfg)).tobytes()
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_stepped_states_hold_fresh_arrays(dim, m):
+    # the stage arrays are the step's own: two states stepped from one keep their values
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, TWO_PI)
+    cfg = EulerConfig(dt=1e-3, guard_s=dim / 2.0 + 3.0, guard_m=math.inf)
+    start = FluidState(grid, _random_state(grid, 60 + dim))
+    before = start.u.copy()
+    first = step(start, np.full(dim, 0.1), sigma, cfg)
+    kept = first.u.copy()
+    second = step(start, np.full(dim, -0.1), sigma, cfg)
+    drifted = step_drift(start, cfg.dt, cfg)
+    assert not np.shares_memory(first.u, second.u) and not np.shares_memory(first.u, drifted.u)
+    assert np.array_equal(first.u, kept) and np.array_equal(start.u, before)
+    assert not np.array_equal(first.u, second.u)

@@ -36,6 +36,7 @@ from mfeuler.particles import (
     interlaced_stencils,
     mollifier_transfer,
     step,
+    wrap_positions,
 )
 from mfeuler.profiles import DensityProfile, VelocityProfile
 from sde_oracles import ito_reference
@@ -346,7 +347,7 @@ def test_one_interlaced_stencil_matches_a_stencil_per_lattice_bitwise(dim, schem
     for _ in range(2):  # the pass that makes the sweep's arrays, then one that fills them again
         stencil = interlaced_stencils(state, grid, scheme)
         assert np.array_equal(deposit_spectrum(stencil, grid, len(sizes)), expected_spectrum)
-        assert np.array_equal(gather(values, stencil, state.scratch[scheme][2]), expected_read)
+        assert np.array_equal(gather(values, stencil, state.scratch[scheme].terms), expected_read)
 
 
 @pytest.mark.parametrize(
@@ -611,11 +612,8 @@ def test_kept_forces_densities_and_stencils_are_not_the_sweeps_arrays():
         assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_a_pm_pass_makes_one_stencil_one_bincount_and_one_gather(monkeypatch, dim):
-    grid, kernels, sizes, pos, vel = _sweep_case(dim)
-    force_particle_mesh(ParticleState(pos, vel, sizes=sizes), kernels, grid)  # builds the cached operators
-    mollified_density(ParticleState(pos, vel, sizes=sizes), kernels, grid)
+def _count_pass_calls(monkeypatch):
+    """Record by name every ``np.bincount``, ``_stencil`` and ``fields.gather`` call a particle-mesh pass makes."""
     calls = []
     for module, name in ((np, "bincount"), (fields_mod, "_stencil"), (particles_mod, "_stencil"), (fields_mod, "gather")):
 
@@ -624,6 +622,15 @@ def test_a_pm_pass_makes_one_stencil_one_bincount_and_one_gather(monkeypatch, di
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_pm_pass_makes_one_stencil_one_bincount_and_one_gather(monkeypatch, dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    force_particle_mesh(ParticleState(pos, vel, sizes=sizes), kernels, grid)  # builds the cached operators
+    mollified_density(ParticleState(pos, vel, sizes=sizes), kernels, grid)
+    calls = _count_pass_calls(monkeypatch)
     force_particle_mesh(ParticleState(pos, vel, sizes=sizes), kernels, grid)
     assert sorted(calls) == ["_stencil", "bincount", "gather"]
     calls.clear()
@@ -848,3 +855,137 @@ def test_ito_oracles_converge_to_exact_factor():
         errs[scheme] = abs(v[0, 0] - exact)
     assert errs["euler"] < 5e-3
     assert errs["corrected"] < errs["euler"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_pass_refuses_one_kernel_for_a_sweep_of_three_systems(dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    state = ParticleState(pos, vel, sizes=sizes)
+    with pytest.raises(ValueError, match="3 particle systems but 1 kernels"):
+        force_particle_mesh(state, kernels[:1], grid)
+    with pytest.raises(ValueError, match="3 particle systems but 1 kernels"):
+        mollified_density(state, kernels[:1], grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_force_after_a_gauge_on_the_same_state_reuses_its_deposit(monkeypatch, dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    fresh = force_particle_mesh(ParticleState(pos.copy(), vel.copy(), sizes=sizes), kernels, grid)
+    state = ParticleState(pos, vel, sizes=sizes)
+    density = mollified_density(state, kernels, grid)
+    calls = _count_pass_calls(monkeypatch)
+    forces = force_particle_mesh(state, kernels, grid)
+    assert calls == ["gather"]
+    assert np.array_equal(forces, fresh)
+    assert np.array_equal(mollified_density(state, kernels, grid), density)
+    assert calls == ["gather"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_pass_refills_unless_positions_sizes_and_grid_all_match(monkeypatch, dim):
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    state = ParticleState(pos, vel, sizes=sizes)
+    finer = PeriodicGrid(dim, 2 * grid.points_per_dim, grid.period)
+    cases = [  # each after a pass that marked the shared arrays for ``state`` on ``grid``
+        (ParticleState(pos, vel, scratch=state.scratch), kernels[:1], grid),  # the same array as one system
+        (ParticleState(pos.copy(), vel, sizes=sizes, scratch=state.scratch), kernels, grid),  # equal rows, new array
+        (state, kernels, finer),  # another grid
+    ]
+    for moved, kern, lattice in cases:
+        expected = force_particle_mesh(ParticleState(pos.copy(), vel.copy(), sizes=moved.sizes), kern, lattice)
+        mollified_density(state, kernels, grid)
+        calls = _count_pass_calls(monkeypatch)
+        assert np.array_equal(force_particle_mesh(moved, kern, lattice), expected)
+        assert sorted(calls) == ["_stencil", "bincount", "gather"]
+        monkeypatch.undo()
+    expected = force_particle_mesh(ParticleState(pos.copy(), vel.copy(), sizes=sizes), kernels, grid)
+    mollified_density(state, kernels, grid)
+    interlaced_stencils(state, finer, "linear")  # a stencil made outside a pass clears the mark
+    assert np.array_equal(force_particle_mesh(state, kernels, grid), expected)
+
+
+def test_runs_sharing_a_state_with_gauges_between_steps_equal_each_run_alone():
+    # a gauge marks the shared arrays for one run's rows: the other run's next force must refill them,
+    # and a run's own force after its gauge may reuse them
+    cfg = validate(RunConfig())
+    cfg.grid.points_per_dim = 128
+    cfg.study.t_final = 0.02
+    n_values = (64, 256)
+    first = build_run(cfg, 0, n_values)
+    second = replace(build_run(cfg, 1, n_values), particles=first.particles)
+    alone = [build_run(cfg, 0, n_values), build_run(cfg, 1, n_values)]
+    for index in range(4):
+        if index % 2:  # gauge and step each run in turn: the force follows its own run's gauge
+            gauges = [q_functional(first)]
+            first = coupled_step(first)
+            gauges.append(q_functional(second))
+            second = coupled_step(second)
+        else:  # both gauges, then both steps: each force follows the other run's pass
+            gauges = [q_functional(first), q_functional(second)]
+            first, second = coupled_step(first), coupled_step(second)
+        assert gauges == [q_functional(run) for run in alone]
+        alone = [coupled_step(run) for run in alone]
+        assert first.particles.scratch is second.particles.scratch
+        for together, run in zip((first, second), alone):
+            assert np.array_equal(together.particles.positions, run.particles.positions)
+            assert np.array_equal(together.particles.velocities, run.particles.velocities)
+
+
+def test_the_force_validates_each_kernel_once_and_a_bad_kernel_on_every_call(monkeypatch):
+    grid = PeriodicGrid(1, 512, TWO_PI)
+    state = ParticleState(np.array([[1.0], [2.5]]), np.zeros((2, 1)))
+    checked = []
+    validate_mesh = particles_mod.validate_kernel_mesh
+    monkeypatch.setattr(particles_mod, "validate_kernel_mesh", lambda k, g: checked.append(k) or validate_mesh(k, g))
+    kern = gaussian_kernel(1024, width=2.0345)  # a kernel no other test builds an operator for
+    for _ in range(3):
+        force_particle_mesh(state, [kern], grid)
+    assert checked == [kern]
+    coarse = PeriodicGrid(1, 16, TWO_PI)
+    for _ in range(2):
+        with pytest.raises(GridTooCoarse):
+            force_particle_mesh(state, [kern], coarse)
+    assert checked == [kern] * 3
+
+
+@pytest.mark.parametrize("sizes", [(6,), (1, 3, 2), (0, 4, 0, 2, 0)])
+def test_split_gives_the_views_of_np_split(sizes):
+    rows = np.arange(12.0).reshape(6, 2)
+    state = ParticleState(rows, rows, sizes=sizes)
+    got, expected = state.split(rows), np.split(rows, np.cumsum(sizes[:-1]))
+    assert [view.shape for view in got] == [view.shape for view in expected]
+    assert all(np.array_equal(view, want) for view, want in zip(got, expected))
+    assert all(np.shares_memory(view, rows) for view in got if view.size)
+
+
+def _wrap_reference(pos, period):
+    """The wrap as a sum with ``np.where`` offsets into a new array, falling back to ``np.mod``."""
+    wrapped = pos + np.where(pos < 0.0, period, np.where(pos >= period, -period, 0.0))
+    if not (wrapped.min(initial=0.0) >= 0.0 and wrapped.max(initial=0.0) < period):
+        return np.mod(pos, period)
+    return wrapped
+
+
+def _sigma_reference(sigma, pts):
+    return sigma.base * (1.0 + sigma.modulation * np.sin(2.0 * np.pi * pts / sigma.period))
+
+
+def test_in_place_wrap_and_sigma_match_np_mod_and_the_new_array_forms_bitwise():
+    period = TWO_PI
+    edges = [-1e-17, -0.0, 0.0, period, -period, np.nextafter(period, 0.0), 3 * period, np.inf, -np.inf, np.nan]
+    edges += [1e-300, -1e-300]
+    rng = np.random.default_rng(8)
+    random_rows = rng.random((4096, 1)) * 3 * period - period
+    arrays = [np.array([[value], [1.0], [period - 1.0]]) for value in edges]
+    arrays += [np.array(edges)[:, None], random_rows, rng.random((4096, 2)) * period + 0.01 * rng.standard_normal((4096, 2))]
+    for pos in arrays:
+        with np.errstate(invalid="ignore"):
+            expected, old = np.mod(pos, period), _wrap_reference(pos, period)
+            given = pos.copy()
+            wrapped = wrap_positions(given, period)
+        assert wrapped.tobytes() == expected.tobytes() == old.tobytes()
+        assert wrapped is given or given.tobytes() == pos.tobytes()  # wrapped in place, or left untouched
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, period)
+    for pos in arrays[-3:]:
+        with np.errstate(invalid="ignore"):  # sin of +-inf
+            assert sigma.values(pos).tobytes() == _sigma_reference(sigma, pos).tobytes()
