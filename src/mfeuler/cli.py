@@ -191,7 +191,8 @@ def _self_test_checks(cfg):
     def dirac_distance():
         grid = fields.PeriodicGrid(1, 64, 2 * math.pi)
         measure = fields.EmpiricalMeasure(np.zeros((1, 1)))
-        val = fields.neg_sobolev_distance(measure, None, 2.0, 16, grid=grid)
+        zero = fields.box_spectra(np.zeros((1,) + grid.shape), grid, 16)
+        val = fields.neg_sobolev_distance(measure, zero, 2.0, grid, 16)
         k = np.arange(-16, 17)
         direct = math.sqrt((1 / (2 * math.pi)) * np.sum((1 + k.astype(float) ** 2) ** -2.0))
         assert abs(val - direct) < 1e-12, f"{val} vs {direct}"

@@ -30,7 +30,7 @@ from . import fluid as fluid_mod
 from . import particles as particles_mod
 from .config import RunConfig
 from .errors import ConfigError, DegenerateFit, GridTooCoarse, KernelAliasingWarning
-from .fields import EmpiricalMeasure, GridField, PeriodicGrid, neg_sobolev_distance, neg_sobolev_tail_bound
+from .fields import EmpiricalMeasure, PeriodicGrid, box_spectra, neg_sobolev_distance, neg_sobolev_tail_bound
 from .kernels import MollifierSpec, ScaledKernel
 from .noise import NoisePath, SigmaField
 from .profiles import DensityProfile, VelocityProfile
@@ -245,17 +245,17 @@ def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
     Returns two arrays, ||S - rho||^2 and ||V - rho v||^2, one value per
     system in the order of its sizes, evaluated at the current time (frozen at
     the stopping time if the guard fired): the two quantities the mean-field
-    bound controls.  The systems are summed one at a time, so the phase
-    tables never span more than one system's rows.
+    bound controls.  One ``box_spectra`` of (rho, rho v) serves every
+    system, and the systems are summed one at a time, so the phase tables
+    never span more than one system's rows.  A ``freq_cutoff`` of None is M/2.
     """
-    p = run.particles
-    rho = run.fluid.rho
-    u = run.fluid.u
-    momentum_fields = [GridField(run.grid, m) for m in u[0] * u[1:]]
+    p, grid, u = run.particles, run.grid, run.fluid.u
+    cutoff = grid.points_per_dim // 2 if freq_cutoff is None else int(freq_cutoff)
+    spectra = box_spectra(np.concatenate((u[:1], u[0] * u[1:])), grid, cutoff)
     dist_s, dist_v = [], []
     for pos, vel, n in zip(p.split(p.positions), p.split(p.velocities), p.sizes):
-        dist_s.append(neg_sobolev_distance(EmpiricalMeasure(pos), rho, alpha, freq_cutoff) ** 2)
-        dist_v.append(neg_sobolev_distance(EmpiricalMeasure(pos, vel / n), momentum_fields, alpha, freq_cutoff) ** 2)
+        dist_s.append(neg_sobolev_distance(EmpiricalMeasure(pos), spectra[:1], alpha, grid, cutoff) ** 2)
+        dist_v.append(neg_sobolev_distance(EmpiricalMeasure(pos, vel / n), spectra[1:], alpha, grid, cutoff) ** 2)
     return np.array(dist_s), np.array(dist_v)
 
 

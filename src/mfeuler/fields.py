@@ -12,19 +12,20 @@ FFT-order array to it.  The leading axes keep all their modes, the last axis
 its columns 0..M/2, and each interior column stands for itself and its
 conjugate partner.  ``sobolev_weight`` carries the Bessel factor
 (1 + |lambda|^2)**s, that column multiplicity and the normalisation, so that
-||f||_s^2 = sum sobolev_weight(grid, s) * |grid.rfft(f)|^2.  Both mode sums
-run on the half box |k|_inf <= cutoff of ``_mode_box``: the negative-Sobolev
-distance (type 1) is that sum at s = -alpha with the measure's phase sums
-over the cell volume in place of grid.rfft(f), and the spectral interpolant
-(type 2) the real part of the multiplicity-weighted coefficients against
-exp(+i lambda_k . x) at the Nyquist cutoff.  At that cutoff in 2-d the
-leading axis's Nyquist row counts as -M/2 on the half-spectrum columns and as
-+M/2 through their conjugate partners; on the lattice nodes the two agree.
-The torus is a computational truncation of free space: initial data is
-expected to sit well inside the box, and circular convolutions are exact in
-that regime.  The one assignment stencil ``_stencil`` and its adjoint
-``gather`` fill arrays their caller hands in, if it does, in place of new
-ones: the particle-mesh pass hands in the arrays its sweep's state owns.
+||f||_s^2 = sum sobolev_weight(grid, s) * |grid.rfft(f)|^2.  Every distance
+is that sum, ``sobolev_mode_sum``, on the half box |k|_inf <= cutoff of
+``_mode_box``, of a difference of (components, modes) arrays: fields'
+``box_spectra`` or a measure's phase sums (type 1) over the cell volume.
+The spectral interpolant (type 2) is the real part of the multiplicity-
+weighted coefficients against exp(+i lambda_k . x) at the Nyquist cutoff.
+At that cutoff in 2-d the leading axis's Nyquist row counts as -M/2 on the
+half-spectrum columns and as +M/2 through their conjugate partners; on the
+lattice nodes the two agree.  The torus is a computational truncation of
+free space: initial data is expected to sit well inside the box, and
+circular convolutions are exact in that regime.  The one assignment stencil
+``_stencil`` and its adjoint ``gather`` fill arrays their caller hands in,
+if it does, in place of new ones: the particle-mesh pass hands in the
+arrays its sweep's state owns.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ class EmpiricalMeasure:
         self.points = as_points(self.points)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape[0] != self.points.shape[0]:
-                raise ValueError("weights and points must agree on the particle count")
+            if self.weights.ndim not in (1, 2) or self.weights.shape[0] != self.n_points:
+                raise ValueError(f"weights of shape {self.weights.shape} for {self.n_points} points: expected (N,) or (N, m)")
 
     @property
     def n_points(self):
@@ -414,47 +415,43 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
     return sums.T if weights.ndim == 2 else sums[0]
 
 
-def neg_sobolev_distance(measure, fields, alpha, freq_cutoff=None, grid=None, check_alpha=True):
-    """Negative-Sobolev distance between an empirical measure and grid fields.
+def box_spectra(values: np.ndarray, grid: PeriodicGrid, cutoff: int) -> np.ndarray:
+    """One ``grid.rfft`` of a stack of fields, shape (fields,) + grid.shape, cut to the half box
+    |k|_inf <= cutoff: shape (fields, modes), the modes of ``_mode_box`` in C order."""
+    _, box = _mode_box(grid, cutoff)
+    return grid.rfft(values)[(slice(None),) + box].reshape(len(values), -1)
 
-    The sum of ``sobolev_weight(grid, -alpha)`` * |S / h**dim - grid.rfft(f)|^2
-    over the half box |k|_inf <= cutoff and the components, with S the
-    measure's ``measure_mode_coefficients``.  ``fields`` may be a single
-    GridField, a sequence of component fields matching vector weights, or
-    ``None`` for the zero field (then ``grid`` must be supplied).
-    ``check_alpha=False`` computes the bare truncated sum, which is finite for
-    any alpha; it exists for oracle comparisons only.
+
+def sobolev_mode_sum(diff: np.ndarray, s, grid: PeriodicGrid, cutoff: int) -> float:
+    """sum of ``sobolev_weight(grid, s)`` * sum_c |diff_c|^2 over the half box |k|_inf <= cutoff, for any s.
+
+    ``diff`` has shape (components, modes), on the modes of ``box_spectra``.
+    """
+    _, box = _mode_box(grid, cutoff)
+    return float(np.sum(sobolev_weight(grid, s)[box].ravel() * np.sum(np.abs(diff) ** 2, axis=0)))
+
+
+def neg_sobolev_distance(measure: EmpiricalMeasure, spectra: np.ndarray, alpha, grid: PeriodicGrid, cutoff: int):
+    """The square root of ``sobolev_mode_sum`` at s = -alpha of S / h**dim - spectra.
+
+    S is the measure's ``measure_mode_coefficients``, one row per weight
+    column, and ``spectra`` the fields' ``box_spectra`` on the same box.
 
     Raises
     ------
     AlphaTooSmall
         Unless alpha > dim/2 + 1, the frequency tail over point masses does
         not converge as the cutoff grows.
+    ValueError
+        If ``spectra`` and the measure's coefficients differ in shape.
     """
-    if fields is None:
-        if grid is None:
-            raise ValueError("grid required when comparing against the zero field")
-        components = None
-    elif isinstance(fields, GridField):
-        grid = fields.grid
-        components = [fields]
-    else:
-        components = list(fields)
-        grid = components[0].grid
-    if check_alpha and alpha <= grid.dim / 2.0 + 1.0:
+    if alpha <= grid.dim / 2.0 + 1.0:
         raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
-    cutoff = grid.points_per_dim // 2 if freq_cutoff is None else int(freq_cutoff)
-
-    _, box = _mode_box(grid, cutoff)
     sums = measure_mode_coefficients(measure, grid, cutoff)
-    diff = sums.reshape(len(sums), -1).T / grid.cell_volume  # (components, n_modes)
-    if components is not None:
-        if len(components) != len(diff):
-            raise ValueError("component count of fields and measure weights differ")
-        spectra = grid.rfft(np.stack([f.values for f in components]))
-        diff -= spectra[(slice(None),) + box].reshape(len(diff), -1)
-    weight = sobolev_weight(grid, -alpha)[box].ravel()
-    return float(np.sqrt(np.sum(weight * np.sum(np.abs(diff) ** 2, axis=0))))
+    diff = sums.reshape(len(sums), -1).T / grid.cell_volume  # (components, modes)
+    if diff.shape != spectra.shape:
+        raise ValueError(f"field spectra of shape {spectra.shape} against measure coefficients of shape {diff.shape}")
+    return math.sqrt(sobolev_mode_sum(diff - spectra, -alpha, grid, cutoff))
 
 
 def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, outer=None):

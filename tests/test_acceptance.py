@@ -15,7 +15,14 @@ from mfeuler.cli import main
 from mfeuler.config import RunConfig, validate
 from mfeuler.coupling import fit_loglog, monte_carlo_rate
 from mfeuler.errors import AlphaTooSmall
-from mfeuler.fields import EmpiricalMeasure, PeriodicGrid, neg_sobolev_distance
+from mfeuler.fields import (
+    EmpiricalMeasure,
+    PeriodicGrid,
+    box_spectra,
+    measure_mode_coefficients,
+    neg_sobolev_distance,
+    sobolev_mode_sum,
+)
 from mfeuler.fluid import (
     EulerConfig,
     make_fluid_state,
@@ -190,14 +197,17 @@ def test_criterion_5_negative_sobolev_oracle():
     grid = PeriodicGrid(1, 128, TWO_PI)
     measure = EmpiricalMeasure(np.zeros((1, 1)))
     cutoff = 32
-    value = neg_sobolev_distance(measure, None, 1.0, cutoff, grid=grid, check_alpha=False)
+    # the bare alpha = 1 sum, which the distance refuses, from the mode sum of the Dirac's phase sums over h
+    phase_sums = measure_mode_coefficients(measure, grid, cutoff)[None] / grid.cell_volume
+    value = math.sqrt(sobolev_mode_sum(phase_sums, -1.0, grid, cutoff))
     k = np.arange(-cutoff, cutoff + 1).astype(float)
     direct = math.sqrt((1.0 / TWO_PI) * np.sum((1.0 + k**2) ** -1.0))
     assert abs(value - direct) <= 1e-12
+    zero = box_spectra(np.zeros((1,) + grid.shape), grid, cutoff)
     with pytest.raises(AlphaTooSmall):
-        neg_sobolev_distance(measure, None, 1.0, cutoff, grid=grid)
+        neg_sobolev_distance(measure, zero, 1.0, grid, cutoff)
     with pytest.raises(AlphaTooSmall):
-        neg_sobolev_distance(measure, None, 1.5, cutoff, grid=grid)
+        neg_sobolev_distance(measure, zero, 1.5, grid, cutoff)
     print(f"\nACCEPTANCE 5 PASS: Dirac oracle matches direct sum to {abs(value - direct):.1e}; alpha guard rejects")
 
 

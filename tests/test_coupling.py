@@ -327,6 +327,33 @@ def test_mean_field_distances_permutation_invariant():
     assert d1[1] == pytest.approx(d2[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mean_field_distances_transform_the_fluid_once_per_gauge(monkeypatch, dim):
+    # one grid.rfft of the stacked (rho, rho v) serves every system of the sweep
+    edits = {
+        "grid.dim": 2,
+        "grid.points_per_dim": 64,
+        "kernel.width": 1.0,
+        "particles.init_scheme": "iid",
+        "study.alpha": 2.5,
+        "study.n_values": (256, 512, 1024),
+    }
+    cfg = tiny_config(**(edits if dim == 2 else {}))
+    run = coupled_step(build_run(cfg, 0, cfg.study.n_values))
+    assert len(run.particles.sizes) == 3
+    calls = []
+    rfft = PeriodicGrid.rfft
+
+    def counted(grid, values, out=None):
+        calls.append(np.shape(values))
+        return rfft(grid, values, out)
+
+    monkeypatch.setattr(PeriodicGrid, "rfft", counted)
+    dist_s, dist_v = mean_field_distances(run, cfg.study.alpha)
+    assert calls == [(1 + dim,) + run.grid.shape]
+    assert dist_s.shape == dist_v.shape == (3,)
+
+
 def test_mean_field_distances_initial_sweep_decreases():
     values = []
     for n in (256, 1024, 4096):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +15,13 @@ from mfeuler.fields import (
     EmpiricalMeasure,
     GridField,
     PeriodicGrid,
+    box_spectra,
     deposit,
     interpolate,
     measure_mode_coefficients,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,
+    sobolev_mode_sum,
     sobolev_weight,
 )
 from mfeuler.kernels import MollifierSpec, ScaledKernel, TaylorWeightFamily
@@ -301,7 +304,9 @@ def test_mode_coefficients_peak_memory_stays_small():
 _MODE_SUM_DIGEST = """
 import hashlib
 import numpy as np
-from mfeuler.fields import EmpiricalMeasure, GridField, PeriodicGrid, interpolate, measure_mode_coefficients
+from mfeuler.fields import (
+    EmpiricalMeasure, GridField, PeriodicGrid, box_spectra, interpolate, measure_mode_coefficients, neg_sobolev_distance
+)
 
 rng = np.random.default_rng(17)
 digest = hashlib.sha256()
@@ -311,6 +316,9 @@ for dim, m, cutoff in ((1, 512, 256), (2, 64, 32)):
     for w in (None, rng.standard_normal(8192), rng.standard_normal((8192, dim))):
         digest.update(measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff).tobytes())
     digest.update(interpolate(GridField(g, rng.standard_normal(g.shape)), pts, "spectral").tobytes())
+    spectra = box_spectra(rng.standard_normal((dim,) + g.shape), g, cutoff)
+    distance = neg_sobolev_distance(EmpiricalMeasure(pts, rng.standard_normal((8192, dim))), spectra, 2.5, g, cutoff)
+    digest.update(np.float64(distance).tobytes())
 print(digest.hexdigest())
 """
 
@@ -338,11 +346,17 @@ def test_spectral_interpolation_2d_exact_for_band_limited_field():
     np.testing.assert_allclose(got, np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1]), rtol=0, atol=1e-12)
 
 
+def zero_spectra(g, cutoff):
+    """The ``box_spectra`` of the zero field: zeros of shape (1, modes of the half box)."""
+    return box_spectra(np.zeros((1,) + g.shape), g, cutoff)
+
+
 def test_dirac_distance_matches_direct_sum():
+    # the bare alpha = 1 sum, below the distance's alpha guard, from the mode sum of the Dirac's phase sums over h
     g = grid1()
     measure = EmpiricalMeasure(np.zeros((1, 1)))
     cutoff = 16
-    val = neg_sobolev_distance(measure, None, 1.0, cutoff, grid=g, check_alpha=False)
+    val = math.sqrt(sobolev_mode_sum(measure_mode_coefficients(measure, g, cutoff)[None] / g.cell_volume, -1.0, g, cutoff))
     k = np.arange(-cutoff, cutoff + 1).astype(float)
     direct = math.sqrt((1.0 / TWO_PI) * np.sum((1.0 + k**2) ** -1.0))
     assert val == pytest.approx(direct, abs=1e-12)
@@ -352,7 +366,7 @@ def test_dirac_distance_2d_direct_sum():
     g = PeriodicGrid(2, 32, TWO_PI)
     measure = EmpiricalMeasure(np.zeros((1, 2)))
     cutoff = 8
-    val = neg_sobolev_distance(measure, None, 2.5, cutoff, grid=g)
+    val = neg_sobolev_distance(measure, zero_spectra(g, cutoff), 2.5, g, cutoff)
     k = np.arange(-cutoff, cutoff + 1).astype(float)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     direct = math.sqrt(np.sum((1.0 + kx**2 + ky**2) ** -2.5) / TWO_PI**2)
@@ -363,17 +377,17 @@ def test_alpha_too_small_rejected():
     g = grid1()
     measure = EmpiricalMeasure(np.zeros((1, 1)))
     with pytest.raises(AlphaTooSmall):
-        neg_sobolev_distance(measure, None, 1.5, 16, grid=g)
+        neg_sobolev_distance(measure, zero_spectra(g, 16), 1.5, g, 16)
     with pytest.raises(AlphaTooSmall):
-        neg_sobolev_distance(measure, None, 1.0, 16, grid=g)
+        neg_sobolev_distance(measure, zero_spectra(g, 16), 1.0, g, 16)
 
 
 def test_distance_monotone_in_alpha():
     g = grid1(128)
     rng = np.random.default_rng(5)
     measure = EmpiricalMeasure(rng.random((32, 1)) * g.period)
-    f = GridField(g, np.full(g.shape, 1.0 / g.period))
-    vals = [neg_sobolev_distance(measure, f, a) for a in (1.6, 2.0, 3.0, 4.0)]
+    spectra = box_spectra(np.full((1,) + g.shape, 1.0 / g.period), g, 64)
+    vals = [neg_sobolev_distance(measure, spectra, a, g, 64) for a in (1.6, 2.0, 3.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -381,13 +395,11 @@ def test_distance_translation_invariance():
     g = grid1(128)
     rng = np.random.default_rng(6)
     pts = rng.random((32, 1)) * g.period
-    rho = GridField(g, 1.0 / g.period + 0.02 * np.cos(g.axis_coords))
-    base = neg_sobolev_distance(EmpiricalMeasure(pts), rho, 2.0)
+    rho = 1.0 / g.period + 0.02 * np.cos(g.axis_coords)
+    base = neg_sobolev_distance(EmpiricalMeasure(pts), box_spectra(rho[None], g, 64), 2.0, g, 64)
     shift = 8 * g.spacing  # lattice shift keeps the field values a pure roll
-    shifted_rho = GridField(g, np.roll(rho.values, 8))
-    shifted = neg_sobolev_distance(
-        EmpiricalMeasure(np.mod(pts + shift, g.period)), shifted_rho, 2.0
-    )
+    shifted_rho = box_spectra(np.roll(rho, 8)[None], g, 64)
+    shifted = neg_sobolev_distance(EmpiricalMeasure(np.mod(pts + shift, g.period)), shifted_rho, 2.0, g, 64)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -396,9 +408,8 @@ def test_lattice_deposit_of_field_has_tiny_distance():
     # field coefficients exactly up to the cutoff
     g = grid1(64)
     rho_vals = (1.0 + 0.3 * np.cos(g.axis_coords)) / g.period
-    rho = GridField(g, rho_vals)
     measure = EmpiricalMeasure(g.axis_coords[:, None], rho_vals * g.spacing)
-    val = neg_sobolev_distance(measure, rho, 2.0, 16)
+    val = neg_sobolev_distance(measure, box_spectra(rho_vals[None], g, 16), 2.0, g, 16)
     assert val < 1e-13
 
 
@@ -409,12 +420,11 @@ def test_momentum_distance_vanishes_in_degenerate_case():
     g = grid1(64)
     rho_vals = (1.0 + 0.3 * np.cos(g.axis_coords)) / g.period
     v_vals = 0.1 * np.sin(g.axis_coords)
-    rho = GridField(g, rho_vals)
-    product = GridField(g, rho_vals * v_vals)
+    rho, product = box_spectra(np.stack([rho_vals, rho_vals * v_vals]), g, 16)
     weights = (rho_vals * g.spacing)[:, None] * v_vals[:, None]
     measure = EmpiricalMeasure(g.axis_coords[:, None], weights)
-    assert neg_sobolev_distance(measure, [product], 2.0, 16) < 1e-13
-    assert neg_sobolev_distance(EmpiricalMeasure(g.axis_coords[:, None], rho_vals * g.spacing), rho, 2.0, 16) < 1e-13
+    assert neg_sobolev_distance(measure, product[None], 2.0, g, 16) < 1e-13
+    assert neg_sobolev_distance(EmpiricalMeasure(g.axis_coords[:, None], rho_vals * g.spacing), rho[None], 2.0, g, 16) < 1e-13
 
 
 def test_vector_measure_distance_components():
@@ -422,20 +432,49 @@ def test_vector_measure_distance_components():
     rng = np.random.default_rng(8)
     pts = rng.random((16, 1)) * g.period
     weights = rng.standard_normal((16, 1)) / 16.0
-    zero = GridField(g, np.zeros(g.shape))
-    v = neg_sobolev_distance(EmpiricalMeasure(pts, weights), [zero], 2.0, 16)
-    s = neg_sobolev_distance(EmpiricalMeasure(pts, weights[:, 0]), zero, 2.0, 16)
+    v = neg_sobolev_distance(EmpiricalMeasure(pts, weights), zero_spectra(g, 16), 2.0, g, 16)
+    s = neg_sobolev_distance(EmpiricalMeasure(pts, weights[:, 0]), zero_spectra(g, 16), 2.0, g, 16)
     assert v == pytest.approx(s, abs=1e-14)
+
+
+def test_distance_refuses_spectra_of_another_shape():
+    # two velocity components against one field, and a field cut to another box, each name both shapes
+    g = grid1(64)
+    rng = np.random.default_rng(20)
+    pts = rng.random((16, 1)) * g.period
+    with pytest.raises(ValueError, match=r"shape \(1, 17\) against measure coefficients of shape \(2, 17\)"):
+        neg_sobolev_distance(EmpiricalMeasure(pts, rng.standard_normal((16, 2))), zero_spectra(g, 16), 2.0, g, 16)
+    with pytest.raises(ValueError, match=r"shape \(1, 9\) against measure coefficients of shape \(1, 17\)"):
+        neg_sobolev_distance(EmpiricalMeasure(pts), zero_spectra(g, 8), 2.0, g, 16)
+
+
+@pytest.mark.parametrize("weights", [np.ones((5, 2, 2)), np.float64(0.2)], ids=["rank3", "scalar"])
+def test_measure_refuses_weights_of_another_rank_naming_the_shape(weights):
+    pts = np.zeros((5, 1))
+    with pytest.raises(ValueError, match=rf"weights of shape {re.escape(str(weights.shape))} for 5 points"):
+        EmpiricalMeasure(pts, weights)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_field_against_field_mode_sum_is_the_sobolev_norm_of_the_difference(dim, m):
+    # at the Nyquist cutoff the half box is the whole half spectrum, so the sum is ||f - g||_s^2
+    grid = PeriodicGrid(dim, m, 5.0)
+    f, g = np.random.default_rng(21 + dim).standard_normal((2, 3) + grid.shape)
+    cutoff = m // 2
+    for s in (-2.5, 0.0, 1.5):
+        got = sobolev_mode_sum(box_spectra(f, grid, cutoff) - box_spectra(g, grid, cutoff), s, grid, cutoff)
+        expected = np.sum(sobolev_weight(grid, s) * np.abs(grid.rfft(f - g)) ** 2)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_cutoff_tail_bound():
     g = grid1(256)
     rng = np.random.default_rng(9)
     measure = EmpiricalMeasure(rng.random((64, 1)) * g.period)
-    rho = GridField(g, np.full(g.shape, 1.0 / g.period))
+    rho = np.full((1,) + g.shape, 1.0 / g.period)
     alpha = 2.0
-    d_small = neg_sobolev_distance(measure, rho, alpha, 32)
-    d_large = neg_sobolev_distance(measure, rho, alpha, 64)
+    d_small = neg_sobolev_distance(measure, box_spectra(rho, g, 32), alpha, g, 32)
+    d_large = neg_sobolev_distance(measure, box_spectra(rho, g, 64), alpha, g, 64)
     gap = abs(d_large**2 - d_small**2)
     bound = neg_sobolev_tail_bound(g, alpha, 32, outer=64)
     assert gap <= bound
@@ -465,10 +504,11 @@ def test_tail_bound_matches_dense_mode_table(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_negative_freq_cutoff_is_refused_naming_it(dim):
     g = PeriodicGrid(dim, 16, 2 * math.pi)
-    rho = GridField(g, np.full(g.shape, 1.0 / g.period**dim))
     measure = EmpiricalMeasure(np.full((4, dim), 1.0))
     with pytest.raises(ValueError, match="freq_cutoff = -1 must be nonnegative"):
-        neg_sobolev_distance(measure, rho, 2.5, -1)
+        neg_sobolev_distance(measure, np.zeros((1, 1)), 2.5, g, -1)
+    with pytest.raises(ValueError, match="freq_cutoff = -2 must be nonnegative"):
+        box_spectra(np.zeros((1,) + g.shape), g, -2)
     with pytest.raises(ValueError, match="freq_cutoff = -3 must be nonnegative"):
         neg_sobolev_tail_bound(g, 2.5, -3)
 
@@ -491,14 +531,14 @@ def test_distance_is_one_half_spectrum_sobolev_sum():
     rng = np.random.default_rng(18)
     pts = rng.random((23, 2)) * g.period
     w = rng.standard_normal((23, 2)) / 23
-    comps = [GridField(g, rng.standard_normal(g.shape)) for _ in range(2)]
+    comps = rng.standard_normal((2,) + g.shape)
     for cutoff in (3, 8):
         box = _half_box(g, cutoff)
         phases = np.exp(-1j * (2.0 * np.pi / g.period) * box @ pts.T)
-        spectra = np.stack([np.fft.rfftn(f.values)[tuple(box.T)] for f in comps], axis=-1)
+        spectra = np.stack([np.fft.rfftn(f)[tuple(box.T)] for f in comps], axis=-1)
         weight = sobolev_weight(g, -2.5)[tuple(box.T)]
         expected = math.sqrt(np.sum(weight[:, None] * np.abs(phases @ w / g.cell_volume - spectra) ** 2))
-        got = neg_sobolev_distance(EmpiricalMeasure(pts, w), comps, 2.5, cutoff)
+        got = neg_sobolev_distance(EmpiricalMeasure(pts, w), box_spectra(comps, g, cutoff), 2.5, g, cutoff)
         assert got == pytest.approx(expected, rel=1e-12)
 
 

@@ -17,6 +17,7 @@ from mfeuler.fields import (
     PeriodicGrid,
     _column_multiplicity,
     assignment_window,
+    box_spectra,
     deposit,
     interpolate,
     neg_sobolev_distance,
@@ -818,10 +819,12 @@ def test_iid_init_distance_matches_sampling_variance():
     rho = dens.on_grid(grid)
     spectrum = grid.rfft(rho.values)
     rho_hat = spectrum / spectrum[0]
+    cutoff = grid.points_per_dim // 2
+    rho_spectra = box_spectra(rho.values[None], grid, cutoff)
     weights = _column_multiplicity(grid) * (1.0 + grid.half(grid.freq_norm_sq)) ** -alpha
     for n in (256, 1024, 4096):
         samples = [init_well_prepared(dens, vel, n, "iid", 21, (m, n)) for m in range(400)]
-        sq = [neg_sobolev_distance(EmpiricalMeasure(st.positions), rho, alpha) ** 2 for st in samples]
+        sq = [neg_sobolev_distance(EmpiricalMeasure(st.positions), rho_spectra, alpha, grid, cutoff) ** 2 for st in samples]
         expected = np.sum(weights * (1.0 - np.abs(rho_hat) ** 2)) / (n * grid.period)
         se = np.std(sq, ddof=1) / math.sqrt(len(sq))
         assert abs(np.mean(sq) - expected) < 4.0 * se, (n, np.mean(sq), expected, se)
