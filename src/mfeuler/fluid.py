@@ -10,20 +10,20 @@ so no division by the density ever happens.  The state is one real array
 ``u`` of shape (1 + dim,) + grid shape, u[0] = rho and u[1 + q] = v_q, and
 every operator acts on it whole, with real FFTs over the trailing lattice
 axes.  Time stepping is a Strang composition: half an exact
-multiplicative-noise map, a classical four-stage Runge-Kutta drift step, half
-a noise map.  The drift step runs on the ``rfftn`` half spectrum of ``u``:
-one forward transform, four stages combined in spectral space, one inverse
-transform; each right-hand side takes two transforms in any dimension, one
-``irfftn`` for rho, v and every d_a v_q and one ``rfftn`` for the quadratic
-products.  Those products are dealiased by zeroing the top modes; an optional
-weak hyperviscosity damps the spectral tail on long runs.  A drift step
-allocates one set of stage arrays, and its four right-hand sides write every
-intermediate into them in the order of operations of the plain expressions,
-so the bits are theirs.  Each step ends with
-one check that the state is finite and the density strictly positive.  A
-Sobolev-norm guard, one ``rfftn`` of the whole state, stops the state the
-first time ||(rho, v)||_{H^s} reaches the configured threshold, and a stopped
-state is never advanced again.
+multiplicative-noise map, a classical four-stage Runge-Kutta drift step, half a
+noise map, both halves one factor exp(sigma dB / 2) computed once.  The drift
+step runs on the ``rfftn`` half spectrum of ``u``: one forward transform, four
+stages combined in spectral space, one inverse transform; each right-hand side
+takes two transforms in any dimension, one ``irfftn`` for rho, v and every d_a
+v_q and one ``rfftn`` for the quadratic products.  Those products are dealiased
+by zeroing the top modes; an optional weak hyperviscosity damps the spectral
+tail on long runs.  A drift step allocates one set of stage arrays, and its
+four right-hand sides write every intermediate into them in the order of
+operations of the plain expressions, so the bits are theirs.  Each step ends
+with one check that the state is finite and the density strictly positive.  A
+Sobolev-norm guard, one ``rfftn`` of the whole state, stops the state the first
+time ||(rho, v)||_{H^s} reaches the configured threshold, recording why in
+``stopping``; a stopped state never steps again.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class FluidState:
     u: np.ndarray
     time: float = 0.0
     step_index: int = 0
-    stopped: bool = False
     stopping: StoppingRecord | None = None
 
     def __post_init__(self):
@@ -92,6 +91,10 @@ class FluidState:
         shape = (1 + self.grid.dim,) + self.grid.shape
         if self.u.shape != shape:
             raise ValueError(f"state shape {self.u.shape} != (1 + dim,) + grid shape {shape}")
+
+    @property
+    def stopped(self) -> bool:
+        return self.stopping is not None
 
     @property
     def rho(self) -> GridField:
@@ -233,11 +236,15 @@ def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: floa
 
     The density carries no noise term and is untouched.
     """
-    grid = state.grid
-    increment = (np.asarray(dB, dtype=float) * scale).reshape((grid.dim,) + (1,) * grid.dim)
     u = state.u.copy()
-    u[1:] *= np.exp(sigma.on_grid(grid) * increment)
+    u[1:] *= _noise_factor(state.grid, dB, sigma, scale)
     return replace(state, u=u)
+
+
+def _noise_factor(grid: PeriodicGrid, dB: np.ndarray, sigma: SigmaField, scale: float) -> np.ndarray:
+    """exp(sigma_q(x) dB_q * scale) on the lattice, shaped like the velocity rows ``u[1:]``."""
+    increment = (np.asarray(dB, dtype=float) * scale).reshape((grid.dim,) + (1,) * grid.dim)
+    return np.exp(sigma.on_grid(grid) * increment)
 
 
 def stopping_guard(state: FluidState, config: EulerConfig) -> FluidState:
@@ -249,7 +256,7 @@ def stopping_guard(state: FluidState, config: EulerConfig) -> FluidState:
     norm = state_norm(state, config.guard_s)
     if norm >= config.guard_m:
         record = StoppingRecord(state.step_index, state.time, norm, config.guard_m)
-        return replace(state, stopped=True, stopping=record)
+        return replace(state, stopping=record)
     return state
 
 
@@ -263,10 +270,11 @@ def step(state: FluidState, dB: np.ndarray, sigma: SigmaField, config: EulerConf
     if state.stopped:
         return state
     config.validate_guard_order(state.grid.dim)
-    out = noise_step(state, dB, sigma, scale=0.5)
-    out = step_drift(out, config.dt, config)
-    out = noise_step(out, dB, sigma, scale=0.5)
-    out.step_index = state.step_index + 1
+    half = _noise_factor(state.grid, dB, sigma, 0.5)
+    u = state.u.copy()
+    u[1:] *= half
+    out = step_drift(FluidState(state.grid, u, state.time, state.step_index + 1), config.dt, config)
+    out.u[1:] *= half
     return stopping_guard(_checked(out), config)
 
 

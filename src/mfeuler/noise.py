@@ -54,8 +54,8 @@ class NoisePath:
 
     def coarsen(self, factor: int) -> "NoisePath":
         """Aggregate consecutive increments: the same path on a coarser step grid."""
-        if self.n_steps % factor:
-            raise ValueError("coarsening factor must divide the step count")
+        if factor < 1 or self.n_steps % factor:
+            raise ValueError(f"coarsening factor {factor} must be a positive divisor of the step count {self.n_steps}")
         inc = self.increments.reshape(self.n_steps // factor, factor, self.dim).sum(axis=1)
         return NoisePath(inc, self.dt * factor, self.master_seed, self.sample_index)
 

@@ -257,10 +257,12 @@ def sweep_spectrum(state: ParticleState, operator, kernels, grid: PeriodicGrid, 
     Raises
     ------
     ValueError
-        Unless there is one kernel per system.
+        Unless there is one kernel per system and no system is empty, which would have no N to divide by.
     """
     if len(kernels) != len(state.sizes):
         raise ValueError(f"{len(state.sizes)} particle systems but {len(kernels)} kernels")
+    if 0 in state.sizes:
+        raise ValueError(f"system sizes {state.sizes} include an empty system")
     arrays = state.scratch.get(scheme)
     if arrays is None or not arrays.current(state, grid):
         stencil = interlaced_stencils(state, grid, scheme)
@@ -286,7 +288,7 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
     Raises
     ------
     ValueError
-        Unless there is one kernel per system.
+        Unless there is one kernel per system and no system is empty.
     GridTooCoarse
         If a kernel breaks a rule of ``validate_kernel_mesh``.
     """

@@ -504,3 +504,81 @@ def test_stepped_states_hold_fresh_arrays(dim, m):
     assert not np.shares_memory(first.u, second.u) and not np.shares_memory(first.u, drifted.u)
     assert np.array_equal(first.u, kept) and np.array_equal(start.u, before)
     assert not np.array_equal(first.u, second.u)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_a_step_makes_one_noise_factor_and_two_states(dim, m, monkeypatch):
+    # both Strang halves multiply by one exp(sigma dB / 2), each evaluation reading sigma.on_grid once;
+    # the states built are the pre-drift one and the drift's, and the drift runs through the module
+    counts = {"factor": 0, "state": 0, "drift": 0}
+    on_grid, post_init, drift = SigmaField.on_grid, FluidState.__post_init__, fluid_mod.step_drift
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def no_noise_step(*args, **kwargs):
+        raise AssertionError("step called noise_step")
+
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    state = FluidState(grid, _random_state(grid, 70 + dim))
+    monkeypatch.setattr(SigmaField, "on_grid", counted("factor", on_grid))
+    monkeypatch.setattr(FluidState, "__post_init__", counted("state", post_init))
+    monkeypatch.setattr(fluid_mod, "step_drift", counted("drift", drift))
+    monkeypatch.setattr(fluid_mod, "noise_step", no_noise_step)
+    cfg = EulerConfig(dt=1e-3, guard_s=dim / 2.0 + 3.0, guard_m=1e300)
+    out = step(state, np.full(dim, 0.1), SigmaField("sinusoidal", 0.3, 0.5, TWO_PI), cfg)
+    assert not out.stopped and out.step_index == 1
+    assert counts == {"factor": 1, "state": 2, "drift": 1}
+
+
+def test_stopped_is_read_from_the_stopping_record():
+    grid = PeriodicGrid(1, 16, TWO_PI)
+    u = _random_state(grid, 80)
+    with pytest.raises(TypeError):
+        FluidState(grid, u, stopped=True)
+    state = FluidState(grid, u)
+    assert not state.stopped
+    with pytest.raises(AttributeError):
+        state.stopped = True
+    record = fluid_mod.StoppingRecord(3, 0.5, 2.0, 1.0)
+    assert FluidState(grid, u, stopping=record).stopped
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_a_guarded_step_carries_the_record_of_the_reference_step(dim, m):
+    grid = PeriodicGrid(dim, m, TWO_PI)
+    sigma = SigmaField("sinusoidal", 0.3, 0.5, TWO_PI)
+    cfg = EulerConfig(dt=1e-3, hyperviscosity_nu=1e-3, guard_s=dim / 2.0 + 3.0, guard_m=1e-3)
+    state = FluidState(grid, _random_state(grid, 90 + dim), time=0.25, step_index=7)
+    dB = np.full(dim, 0.05)
+    out = step(state, dB, sigma, cfg)
+    expected = stopping_guard(_concatenating_step(state, dB, sigma, cfg), cfg).stopping
+    assert out.stopped and out.stopping == expected
+    assert (expected.step_index, expected.time) == (8, 0.25 + cfg.dt)
+
+
+def test_the_strang_step_is_galilean_boost_covariant():
+    # with constant sigma, (rho, v) -> (rho(x - s), v(x - s) + c exp(sigma B_t)) with ds = c exp(sigma B_t) dt maps
+    # solutions to solutions; the Strang step translates during its drift by the offset after the first
+    # half factor, c exp(sigma (B_n + dB_n / 2)) dt, to roundoff (a Lie step, noise after drift, misses by ~1e-6)
+    m, c, dt, sigma0 = 512, 0.3, 1e-3, 0.25
+    grid = PeriodicGrid(1, m, TWO_PI)
+    sigma = SigmaField("constant", sigma0)
+    cfg = EulerConfig(dt=dt, guard_m=math.inf)
+    path = NoisePath.generate(5, 0, 200, 1, dt)
+    dB = path.increments[:, 0]
+    B = np.concatenate(([0.0], np.cumsum(dB)))
+    plain = make_fluid_state(grid, DensityProfile(), VelocityProfile("sine", 0.1, TWO_PI))
+    boosted = FluidState(grid, plain.u + np.array([[0.0], [c]]))
+    for inc in path.increments:
+        plain, boosted = step(plain, inc, sigma, cfg), step(boosted, inc, sigma, cfg)
+    s = np.sum(c * np.exp(sigma0 * (B[:-1] + 0.5 * dB)) * dt)
+    lam = np.fft.rfftfreq(m, 1.0 / m)
+    expected = np.fft.irfft(np.fft.rfft(plain.u) * np.exp(-1j * lam * s), m)
+    expected[1] += c * math.exp(sigma0 * B[-1])
+    assert np.max(np.abs(boosted.u[0] - expected[0])) < 1e-12
+    assert np.max(np.abs(boosted.u[1] - expected[1])) < 1e-12

@@ -992,3 +992,59 @@ def test_in_place_wrap_and_sigma_match_np_mod_and_the_new_array_forms_bitwise():
     for pos in arrays[-3:]:
         with np.errstate(invalid="ignore"):  # sin of +-inf
             assert sigma.values(pos).tobytes() == _sigma_reference(sigma, pos).tobytes()
+
+
+def _boost_errors(method, grid):
+    """Largest position (modulo the period) and velocity errors of a boosted run, 200 steps at N = 256.
+
+    With constant sigma, (X, V) -> (X + s, V + c exp(sigma B_t)) maps the symplectic-Euler runs onto
+    each other, where s = sum_n c exp(sigma B_n) dt: each drift moves by the offset before its factor.
+    The direct force sees differences only; the particle-mesh force also sees the lattice.
+    """
+    c, dt, sigma0, n = 0.3, 1e-3, 0.25, 256
+    sigma = SigmaField("constant", sigma0)
+    kernel = gaussian_kernel(n)
+    path = NoisePath.generate(5, 0, 200, 1, dt)
+    B = np.concatenate(([0.0], np.cumsum(path.increments[:, 0])))
+    plain = init_well_prepared(DensityProfile(), VelocityProfile("sine", 0.1, TWO_PI), n)
+    boosted = ParticleState(plain.positions.copy(), plain.velocities + c)
+    for dB in path.increments:
+        plain = step(plain, dB, dt, [kernel], sigma, TWO_PI, method, grid)
+        boosted = step(boosted, dB, dt, [kernel], sigma, TWO_PI, method, grid)
+    s = np.sum(c * np.exp(sigma0 * B[:-1]) * dt)
+    moved = np.remainder(boosted.positions - plain.positions - s + math.pi, TWO_PI) - math.pi
+    offset = boosted.velocities - plain.velocities - c * math.exp(sigma0 * B[-1])
+    return np.max(np.abs(moved)), np.max(np.abs(offset))
+
+
+def test_direct_particles_are_galilean_boost_covariant():
+    position, velocity = _boost_errors("direct", None)
+    assert position < 1e-12 and velocity < 1e-12
+
+
+def test_particle_mesh_boost_error_falls_with_the_mesh():
+    # measured 1.4e-7 / 6.7e-7 at M = 512 and 1.8e-8 / 8.3e-8 at M = 1024
+    coarse = _boost_errors("particle_mesh", PeriodicGrid(1, 512, TWO_PI))
+    fine = _boost_errors("particle_mesh", PeriodicGrid(1, 1024, TWO_PI))
+    assert coarse[0] < 3e-7 and coarse[1] < 1.5e-6
+    assert fine[0] <= coarse[0] / 4 and fine[1] <= coarse[1] / 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_pass_refuses_an_empty_system(dim):
+    # an empty system has no N to divide its spectrum or density row by; the state itself may hold one
+    grid = PeriodicGrid(dim, 512 if dim == 1 else 64, TWO_PI)
+    kernels = [ScaledKernel(MollifierSpec("gaussian", 2.0 / dim, dim), 1024, 0.5)] * 2
+    pos = np.random.default_rng(9).random((4, dim)) * TWO_PI
+    state = ParticleState(pos, np.zeros_like(pos), sizes=(4, 0))
+    with pytest.raises(ValueError, match=r"system sizes \(4, 0\) include an empty system"):
+        force_particle_mesh(state, kernels, grid)
+    with pytest.raises(ValueError, match=r"system sizes \(4, 0\) include an empty system"):
+        mollified_density(state, kernels, grid)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 3])
+def test_noise_path_coarsen_refuses_a_factor_that_is_not_a_positive_divisor(factor):
+    path = NoisePath.generate(5, 1, 64, 2, 0.5 / 64)
+    with pytest.raises(ValueError, match=f"coarsening factor {factor} must be a positive divisor of the step count 64"):
+        path.coarsen(factor)
