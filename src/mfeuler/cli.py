@@ -121,17 +121,11 @@ def cmd_kernel_report(args) -> int:
     )
     lines = [report.to_text(), "[smoothing error sweep] (f = sin, probe ratio vs scale bound)"]
     sweep_n = [2**j for j in range(4, 15)]
-    probes = np.linspace(0.0, 2.0 * np.pi, 65)
-    if cfg.grid.dim == 2:
-        probes = np.stack([probes, np.zeros_like(probes)], axis=-1)
-
-    def f_sin(x):
-        # the probe layout of mollification_error_ratio: flat in 1-d, (n, 2) in 2-d
-        return np.sin(x[:, 0]) if cfg.grid.dim == 2 else np.sin(x)
-
+    probes = np.zeros((65, cfg.grid.dim))
+    probes[:, 0] = np.linspace(0.0, 2.0 * np.pi, 65)
     for n in sweep_n:
         kern = kernels.ScaledKernel(spec, n, cfg.kernel.beta)
-        ratio = kernels.mollification_error_ratio(kern, f_sin, 1.0, probes)
+        ratio = kernels.mollification_error_ratio(kern, lambda x: np.sin(x[:, 0]), 1.0, probes)
         lines.append(f"ratio@N={n}: {ratio!r}")
     text = "\n".join(lines) + "\n"
     path = os.path.join(out, "kernel_report.txt")

@@ -12,7 +12,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .errors import ConfigError
+from .errors import ConfigError, DensityNotNormalizable
 
 
 @dataclass
@@ -143,8 +143,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        return cls.from_text(text)
 
 
 _SECTION_ORDER = tuple(f.name for f in dc_fields(RunConfig))
@@ -223,9 +227,14 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require(i.velocity_family in VELOCITY_FAMILIES, f"init.velocity_family must be one of {VELOCITY_FAMILIES}")
     _require(i.density_concentration > 0, "init.density_concentration must be positive")
     try:  # the profile holds its family's positivity range for the amplitude
-        DensityProfile(i.density_family, i.density_amplitude)
+        density = DensityProfile(i.density_family, i.density_amplitude, i.density_concentration, g.period, g.dim, i.normalize)
     except ValueError as exc:
         raise ConfigError(f"init.density_amplitude: {exc}") from None
+    if not i.normalize:  # a normalized profile has unit mass; only a raw one can miss it
+        try:
+            density.lattice_density()
+        except DensityNotNormalizable as exc:
+            raise ConfigError(f"init.normalize = false: {exc}") from None
 
     p = cfg.particles
     _require(p.n >= 1, "particles.n must be >= 1")

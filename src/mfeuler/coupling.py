@@ -239,7 +239,7 @@ def q_functional(run: CoupledRun) -> list[QRecord]:
     return records
 
 
-def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
+def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff: int):
     """Squared negative-Sobolev distances of each system's empirical measures to the fluid.
 
     Returns two arrays, ||S - rho||^2 and ||V - rho v||^2, one value per
@@ -247,15 +247,15 @@ def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff=None):
     the stopping time if the guard fired): the two quantities the mean-field
     bound controls.  One ``box_spectra`` of (rho, rho v) serves every
     system, and the systems are summed one at a time, so the phase tables
-    never span more than one system's rows.  A ``freq_cutoff`` of None is M/2.
+    never span more than one system's rows.  The sums run over the half box
+    |k|_inf <= ``freq_cutoff``, 0 to M/2: 0 keeps the mean mode only.
     """
     p, grid, u = run.particles, run.grid, run.fluid.u
-    cutoff = grid.points_per_dim // 2 if freq_cutoff is None else int(freq_cutoff)
-    spectra = box_spectra(np.concatenate((u[:1], u[0] * u[1:])), grid, cutoff)
+    spectra = box_spectra(np.concatenate((u[:1], u[0] * u[1:])), grid, freq_cutoff)
     dist_s, dist_v = [], []
     for pos, vel, n in zip(p.split(p.positions), p.split(p.velocities), p.sizes):
-        dist_s.append(neg_sobolev_distance(EmpiricalMeasure(pos), spectra[:1], alpha, grid, cutoff) ** 2)
-        dist_v.append(neg_sobolev_distance(EmpiricalMeasure(pos, vel / n), spectra[1:], alpha, grid, cutoff) ** 2)
+        dist_s.append(neg_sobolev_distance(EmpiricalMeasure(pos), spectra[:1], alpha, grid, freq_cutoff) ** 2)
+        dist_v.append(neg_sobolev_distance(EmpiricalMeasure(pos, vel / n), spectra[1:], alpha, grid, freq_cutoff) ** 2)
     return np.array(dist_s), np.array(dist_v)
 
 

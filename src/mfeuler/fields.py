@@ -15,9 +15,11 @@ conjugate partner.  ``sobolev_weight`` carries the Bessel factor
 ||f||_s^2 = sum sobolev_weight(grid, s) * |grid.rfft(f)|^2.  Every distance
 is that sum, ``sobolev_mode_sum``, on the half box |k|_inf <= cutoff of
 ``_mode_box``, of a difference of (components, modes) arrays: fields'
-``box_spectra`` or a measure's phase sums (type 1) over the cell volume.
-The spectral interpolant (type 2) is the real part of the multiplicity-
-weighted coefficients against exp(+i lambda_k . x) at the Nyquist cutoff.
+``box_spectra`` or a measure's phase sums (type 1), (modes, m) for its (N, m)
+weights, over the cell volume.  ``interpolate``, the one lattice reader,
+reads a stack of fields by the stencil or by the spectral interpolant (type
+2): the real part of the multiplicity-weighted coefficients against
+exp(+i lambda_k . x) at the Nyquist cutoff.
 At that cutoff in 2-d the leading axis's Nyquist row counts as -M/2 on the
 half-spectrum columns and as +M/2 through their conjugate partners; on the
 lattice nodes the two agree.  The torus is a computational truncation of
@@ -194,9 +196,9 @@ def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
 class EmpiricalMeasure:
     """Atomic measure supported on particle positions.
 
-    ``weights=None`` means the uniform probability weights 1/N.  Explicit
-    weights may be scalar per point, shape (N,), or vector-valued, shape
-    (N, m), e.g. velocity/N weights for the momentum measure.
+    ``weights`` is (N, m) after construction, a column per component, e.g.
+    velocity/N for the momentum measure: ``None`` becomes one column of the
+    uniform probability weights 1/N and an (N,) array one column.
     """
 
     points: np.ndarray
@@ -204,28 +206,22 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         self.points = as_points(self.points)
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.ndim not in (1, 2) or self.weights.shape[0] != self.n_points:
-                raise ValueError(f"weights of shape {self.weights.shape} for {self.n_points} points: expected (N,) or (N, m)")
+        n = self.n_points
+        weights = np.full((n, 1), 1.0 / n) if self.weights is None else np.asarray(self.weights, dtype=float)
+        if weights.ndim not in (1, 2) or weights.shape[0] != n:
+            raise ValueError(f"weights of shape {weights.shape} for {n} points: expected (N,) or (N, m)")
+        self.weights = weights[:, None] if weights.ndim == 1 else weights
 
     @property
     def n_points(self):
         return self.points.shape[0]
-
-    def scalar_weights(self):
-        if self.weights is None:
-            return np.full(self.n_points, 1.0 / self.n_points)
-        if self.weights.ndim != 1:
-            raise ValueError("expected scalar per-point weights")
-        return self.weights
 
 
 def _stencil(nodes: np.ndarray, grid: PeriodicGrid, scheme: str, out=None):
     """Assignment stencil of points given in node units (position / spacing).
 
     The one stencil behind every particle-lattice transfer: ``deposit``,
-    ``interpolate``, the fluid velocity read-back and the particle-mesh pass.
+    ``interpolate`` (the fluid velocity read-back) and the particle-mesh pass.
     Returns ``(flat, weights)`` of one shape: (1, n_points) for ``nearest``,
     and for ``linear`` (2,) * dim + (n_points,) with the last axis's corner
     offset first, so that in C order axis 0 varies fastest.  ``flat`` holds
@@ -288,7 +284,7 @@ def gather(values: np.ndarray, stencil, terms=None) -> np.ndarray:
 
 
 def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear") -> GridField:
-    """Spread particle weights onto the lattice as a density field.
+    """Spread particle weights, one column, onto the lattice as a density field.
 
     ``nearest`` assigns each particle to its closest node; ``linear`` spreads
     it over the 2**dim surrounding nodes with barycentric weights.  The
@@ -296,29 +292,29 @@ def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear
     """
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown deposit scheme {scheme!r}")
+    if measure.weights.shape[1] != 1:
+        raise ValueError("expected scalar per-point weights")
     flat, weights = _stencil(measure.points / grid.spacing, grid, scheme)
-    weights = weights * measure.scalar_weights()
+    weights = weights * measure.weights[:, 0]
     # corner-major order: each node sums its corner-0 contributions first, in particle order
     out = np.bincount(flat.ravel(), weights.ravel(), minlength=grid.points_per_dim**grid.dim)
     return GridField(grid, out.reshape(grid.shape) / grid.cell_volume)
 
 
-def interpolate_stack(grid: PeriodicGrid, values: np.ndarray, points, scheme: str = "linear") -> np.ndarray:
+def interpolate(values: np.ndarray, points, grid: PeriodicGrid, scheme: str = "linear") -> np.ndarray:
     """Read lattice fields ``values``, shape (components,) + grid.shape, at points (n, grid.dim): shape (n, components).
 
-    One stencil, or one pair of phase tables for ``spectral``, serves every component.
+    The adjoint of ``deposit``; one stencil, or one pair of phase tables for ``spectral``, serves every
+    component.  Values whose trailing shape is not ``grid.shape`` are a ValueError.
     """
+    if np.shape(values)[1:] != grid.shape:
+        raise ValueError(f"values of shape {np.shape(values)} on a grid of shape {grid.shape}: expected (components,) + grid shape")
     pts = np.asarray(points, dtype=float)
     if scheme == "spectral":
         return _trig_interpolate(grid, values, pts)
     if scheme not in ("nearest", "linear"):
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
     return gather(values, _stencil(pts / grid.spacing, grid, scheme))
-
-
-def interpolate(field: GridField, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
-    """Read a lattice field back at points (n, grid.dim), shape (n,) (inverse of deposit)."""
-    return interpolate_stack(field.grid, field.values[None], points, scheme)[:, 0]
 
 
 @cache
@@ -400,19 +396,16 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
     The modes are those of ``_mode_box(grid, cutoff)`` in C order, and S
     is on the scale of ``grid.rfft`` times the cell volume: for a measure with
     lattice density f, S / h**dim approximates grid.rfft(f) there.  Returns shape
-    (n_modes,) for scalar weights or (n_modes, m) for vector weights.  The sum
-    over particles is exact: each weight column is folded into the left
-    phase table as extra rows, so the whole sum is one matrix product
-    (left * w) @ right.T.
+    (n_modes, m), a column per weight column.  The sum over particles is
+    exact: each weight column is folded into the left phase table as extra
+    rows, so the whole sum is one matrix product (left * w) @ right.T.
     """
     modes, _ = _mode_box(grid, cutoff)
     n_modes = modes[0].size ** (grid.dim - 1) * modes[1].size
     left, right = _phase_tables(grid, modes, measure.points, -1j)
-    weights = measure.scalar_weights() if measure.weights is None else measure.weights
-    columns = weights.reshape(measure.n_points, -1).T
+    columns = measure.weights.T
     weighted = (columns[:, None, :] * left).reshape(-1, measure.n_points)
-    sums = (weighted @ right.T).reshape(len(columns), -1)[:, :n_modes]
-    return sums.T if weights.ndim == 2 else sums[0]
+    return (weighted @ right.T).reshape(len(columns), -1)[:, :n_modes].T
 
 
 def box_spectra(values: np.ndarray, grid: PeriodicGrid, cutoff: int) -> np.ndarray:
@@ -434,8 +427,8 @@ def sobolev_mode_sum(diff: np.ndarray, s, grid: PeriodicGrid, cutoff: int) -> fl
 def neg_sobolev_distance(measure: EmpiricalMeasure, spectra: np.ndarray, alpha, grid: PeriodicGrid, cutoff: int):
     """The square root of ``sobolev_mode_sum`` at s = -alpha of S / h**dim - spectra.
 
-    S is the measure's ``measure_mode_coefficients``, one row per weight
-    column, and ``spectra`` the fields' ``box_spectra`` on the same box.
+    S is the measure's ``measure_mode_coefficients`` transposed, one row per
+    weight column, and ``spectra`` the fields' ``box_spectra`` on the same box.
 
     Raises
     ------
@@ -447,8 +440,7 @@ def neg_sobolev_distance(measure: EmpiricalMeasure, spectra: np.ndarray, alpha, 
     """
     if alpha <= grid.dim / 2.0 + 1.0:
         raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
-    sums = measure_mode_coefficients(measure, grid, cutoff)
-    diff = sums.reshape(len(sums), -1).T / grid.cell_volume  # (components, modes)
+    diff = measure_mode_coefficients(measure, grid, cutoff).T / grid.cell_volume  # (components, modes)
     if diff.shape != spectra.shape:
         raise ValueError(f"field spectra of shape {spectra.shape} against measure coefficients of shape {diff.shape}")
     return math.sqrt(sobolev_mode_sum(diff - spectra, -alpha, grid, cutoff))

@@ -35,7 +35,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import NonFiniteState, NonPositiveDensity
-from .fields import GridField, PeriodicGrid, interpolate_stack, read_only, sobolev_weight
+from .fields import GridField, PeriodicGrid, interpolate, read_only, sobolev_weight
 from .noise import SigmaField
 
 
@@ -280,7 +280,7 @@ def step(state: FluidState, dB: np.ndarray, sigma: SigmaField, config: EulerConf
 
 def sample_velocity(state: FluidState, points: np.ndarray, scheme: str = "linear") -> np.ndarray:
     """Read the bulk velocity at off-lattice points, shape (n, dim), through one stencil for all components."""
-    return interpolate_stack(state.grid, state.u[1:], points, scheme)
+    return interpolate(state.u[1:], points, state.grid, scheme)
 
 
 def make_fluid_state(grid: PeriodicGrid, density_profile, velocity_profile) -> FluidState:

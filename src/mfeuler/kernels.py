@@ -552,24 +552,18 @@ def hypothesis_report(
 
 
 def mollification_error_ratio(kernel: ScaledKernel, f, grad_sup, probes):
-    """Sup of |f - f * density| over probe points, divided by the scale bound.
+    """Sup of |f - f * density| over probe points (n, dim), divided by the scale bound.
 
     The divisor is ``N**(-beta/dim) * grad_sup``; a ratio that stays bounded
     uniformly in N is the numerical evidence that the mollification error
-    scales with the smoothing length.  ``probes`` is flat in one dimension
-    and (n, 2) in two, and ``f`` must accept batched points in that layout.
+    scales with the smoothing length.  ``f`` maps (m, dim) points to an
+    array of m values.
     """
     if grad_sup <= 0:
         raise ValueError("grad_sup must be positive")
     spec = kernel.spec
-    probes_arr = np.asarray(probes, dtype=float)
-    probes_arr = as_points(probes_arr[:, None] if spec.dim == 1 else probes_arr, spec.dim)
-
-    def f_batch(y):
-        # points in the layout of the probes: flat in one dimension
-        return np.asarray(f(y[:, 0] if spec.dim == 1 else y))
-
+    probes = as_points(probes, spec.dim)
     radius = kernel.density_support_radius()
-    conv = _convolve(probes_arr, f_batch, kernel.density, radius, spec._quad_resolution(), spec.dim)
-    err = np.abs(f_batch(probes_arr) - conv)
+    conv = _convolve(probes, f, kernel.density, radius, spec._quad_resolution(), spec.dim)
+    err = np.abs(f(probes) - conv)
     return float(np.max(err) / (kernel.smoothing_length * grad_sup))

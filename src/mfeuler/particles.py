@@ -35,7 +35,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from .errors import DensityNotNormalizable, GridTooCoarse, NonFiniteState
+from .errors import GridTooCoarse, NonFiniteState
 from . import fields
 from .fields import PeriodicGrid, _stencil, as_points, assignment_window, read_only, sample_kernel
 from .kernels import ScaledKernel
@@ -387,9 +387,8 @@ def init_well_prepared(
 ) -> ParticleState:
     """Positions sampled from the density profile, velocities read off the velocity profile.
 
-    Both dimensions read the profile's one cached lattice evaluation,
-    ``density.lattice_shape()`` on ``density.lattice``, divided by its mass if
-    the profile normalizes, and check that mass on the same lattice.
+    Both dimensions read the profile's ``lattice_density()`` on
+    ``density.lattice``, which checks its mass on the same lattice.
     In 1-d, ``stratified`` inverts the accumulated CDF, with breakpoints at the
     nodes and the period, at the quantile midpoints (k - 1/2)/N; ``iid`` draws
     uniforms from the stream tagged by (master_seed, "init", *seed_tags) and
@@ -409,12 +408,7 @@ def init_well_prepared(
     if scheme == "stratified" and density.dim != 1:
         raise ValueError("stratified initialization is defined for dim=1 only; use iid")
     lattice = density.lattice
-    dens = density.lattice_shape()
-    if density.normalize:
-        dens = dens / density.mass
-    mass = float(np.sum(dens) * lattice.cell_volume)
-    if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
-        raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
+    dens = density.lattice_density()
     rng = stream(master_seed, "init", *seed_tags)
     if density.dim == 1:
         cdf = np.concatenate([[0.0], np.cumsum(dens) * lattice.spacing])

@@ -13,6 +13,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import DensityNotNormalizable
 from .fields import GridField, PeriodicGrid, as_points, read_only
 
 DENSITY_FAMILIES = ("uniform", "bump", "sine")
@@ -86,6 +87,17 @@ class DensityProfile:
         for _ in range(self.dim):
             total = total * h
         return float(total)
+
+    def lattice_density(self) -> np.ndarray:
+        """The density on ``lattice``, flat in C order: the raw shape, over its mass if the profile
+        normalizes.  Raises DensityNotNormalizable unless its lattice mass is within 1e-6 of 1."""
+        dens = self.lattice_shape()
+        if self.normalize:
+            dens = dens / self.mass
+        mass = float(np.sum(dens) * self.lattice.cell_volume)
+        if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
+            raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
+        return dens
 
     def __call__(self, points):
         vals = self.shape_values(points)

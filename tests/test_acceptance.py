@@ -198,7 +198,7 @@ def test_criterion_5_negative_sobolev_oracle():
     measure = EmpiricalMeasure(np.zeros((1, 1)))
     cutoff = 32
     # the bare alpha = 1 sum, which the distance refuses, from the mode sum of the Dirac's phase sums over h
-    phase_sums = measure_mode_coefficients(measure, grid, cutoff)[None] / grid.cell_volume
+    phase_sums = measure_mode_coefficients(measure, grid, cutoff).T / grid.cell_volume
     value = math.sqrt(sobolev_mode_sum(phase_sums, -1.0, grid, cutoff))
     k = np.arange(-cutoff, cutoff + 1).astype(float)
     direct = math.sqrt((1.0 / TWO_PI) * np.sum((1.0 + k**2) ** -1.0))
@@ -218,7 +218,7 @@ def test_criterion_6_smoothing_error_sweep():
     ratios = []
     for j in range(4, 15):
         kern = ScaledKernel(spec, 2**j, 0.5)
-        ratios.append(mollification_error_ratio(kern, np.sin, 1.0, probes))
+        ratios.append(mollification_error_ratio(kern, lambda x: np.sin(x[:, 0]), 1.0, probes[:, None]))
     assert all(r <= 2.0 * ratios[0] for r in ratios)
     assert all(r >= 0.0 for r in ratios)
     print(

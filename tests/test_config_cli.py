@@ -194,6 +194,30 @@ def test_cli_non_positive_density_amplitude_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "init.density_amplitude" in err
 
 
+@pytest.mark.parametrize("content", [None, b"[run]\nmaster_seed = 1\xff\n"], ids=["missing", "not_utf8"])
+def test_cli_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, content):
+    path = tmp_path / "cfg.ini"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["run-coupled", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unnormalized_density_of_another_mass_exits_2(tmp_path, capsys):
+    # the default bump has lattice mass 6.46..., which the particles' initialisation would refuse at run time
+    path = tmp_path / "raw.ini"
+    path.write_text("[init]\nnormalize = false\n")
+    assert main(["run-coupled", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "init.normalize" in err
+    assert not (tmp_path / "out").exists()
+    # a uniform density over a unit period has unit mass as it stands
+    validated = RunConfig.from_text("[grid]\nperiod = 1.0\n[init]\ndensity_family = uniform\nnormalize = false\n")
+    assert validated.init.normalize is False
+
+
 def test_cli_kernel_the_step_refuses_exits_2(tmp_path, capsys):
     # beta = 0.25 at width 2: the support radius at the smallest N exceeds half the period
     cfg_path = _tiny_run_config(tmp_path, **{"kernel.beta": 0.25})

@@ -52,6 +52,22 @@ def test_q_additivity_bit_exact():
     assert rec.kinetic_term >= 0 and rec.density_term >= 0
 
 
+def test_q_functional_reads_the_velocity_in_one_interpolate(monkeypatch):
+    # the kinetic term reads the fluid velocity at every particle of the sweep with one fields.interpolate
+    cfg = tiny_config()
+    run = build_run(cfg, 0, cfg.study.n_values)
+    reads = []
+    interpolate = fluid_mod.interpolate
+
+    def counted(values, points, grid, scheme):
+        reads.append((values.shape, points.shape))
+        return interpolate(values, points, grid, scheme)
+
+    monkeypatch.setattr(fluid_mod, "interpolate", counted)
+    assert len(q_functional(run)) == 3
+    assert reads == [((1, 128), (64 + 128 + 256, 1))]
+
+
 def test_well_prepared_kinetic_term_zero_at_start():
     cfg = tiny_config()
     cfg.euler.velocity_interpolation = "spectral"
@@ -76,7 +92,7 @@ def test_lattice_transforms_run_only_in_fields(monkeypatch):
     cfg = tiny_config()
     run = coupled_step(build_run(cfg))
     q_functional(run)
-    mean_field_distances(run, cfg.study.alpha)
+    mean_field_distances(run, cfg.study.alpha, run.grid.points_per_dim // 2)
     state_norm(run.fluid, cfg.euler.guard_s)
     grid = PeriodicGrid(2, 16, TWO_PI)
     rng = np.random.default_rng(5)
@@ -301,9 +317,10 @@ def test_sweep_gauge_and_distances_equal_each_system_built_alone(dim, deposit_sc
             sweep = coupled_step(sweep)
             solos = [coupled_step(solo) for solo in solos]
         assert sweep.step_index == steps
-        alone = [(q_functional(solo), mean_field_distances(solo, alpha)) for solo in solos]
+        cutoff = sweep.grid.points_per_dim // 2
+        alone = [(q_functional(solo), mean_field_distances(solo, alpha, cutoff)) for solo in solos]
         assert q_functional(sweep) == [record for (record,), _ in alone]
-        dist_s, dist_v = mean_field_distances(sweep, alpha)
+        dist_s, dist_v = mean_field_distances(sweep, alpha, cutoff)
         assert dist_s.tolist() == [ds for _, ((ds,), _) in alone]
         assert dist_v.tolist() == [dv for _, (_, (dv,)) in alone]
 
@@ -311,7 +328,8 @@ def test_sweep_gauge_and_distances_equal_each_system_built_alone(dim, deposit_sc
 def test_mean_field_distances_permutation_invariant():
     cfg = tiny_config()
     run = build_run(cfg)
-    d1 = mean_field_distances(run, 2.0)
+    cutoff = run.grid.points_per_dim // 2
+    d1 = mean_field_distances(run, 2.0, cutoff)
     rng = np.random.default_rng(0)
     perm = rng.permutation(run.particles.n_particles)
     from dataclasses import replace
@@ -322,7 +340,7 @@ def test_mean_field_distances_permutation_invariant():
             run.particles.positions[perm], run.particles.velocities[perm], run.particles.time
         ),
     )
-    d2 = mean_field_distances(shuffled, 2.0)
+    d2 = mean_field_distances(shuffled, 2.0, cutoff)
     assert d1[0] == pytest.approx(d2[0], rel=1e-12)
     assert d1[1] == pytest.approx(d2[1], rel=1e-12)
 
@@ -349,7 +367,7 @@ def test_mean_field_distances_transform_the_fluid_once_per_gauge(monkeypatch, di
         return rfft(grid, values, out)
 
     monkeypatch.setattr(PeriodicGrid, "rfft", counted)
-    dist_s, dist_v = mean_field_distances(run, cfg.study.alpha)
+    dist_s, dist_v = mean_field_distances(run, cfg.study.alpha, run.grid.points_per_dim // 2)
     assert calls == [(1 + dim,) + run.grid.shape]
     assert dist_s.shape == dist_v.shape == (3,)
 
@@ -359,7 +377,7 @@ def test_mean_field_distances_initial_sweep_decreases():
     for n in (256, 1024, 4096):
         cfg = tiny_config(**{"particles.n": n, "grid.points_per_dim": 512})
         run = build_run(cfg)
-        (ds,), (dv,) = mean_field_distances(run, 2.0)
+        (ds,), (dv,) = mean_field_distances(run, 2.0, run.grid.points_per_dim // 2)
         values.append((ds, dv))
     assert values[0][0] > values[1][0] > values[2][0]
     assert values[0][1] > values[1][1] > values[2][1]
@@ -473,7 +491,7 @@ def test_2d_coupled_run_smoke():
         run = coupled_step(run)
     (rec,) = q_functional(run)
     assert math.isfinite(rec.q_total) and rec.q_total >= 0
-    (ds,), (dv,) = mean_field_distances(run, cfg.study.alpha)
+    (ds,), (dv,) = mean_field_distances(run, cfg.study.alpha, run.grid.points_per_dim // 2)
     assert ds > 0 and dv > 0
     assert abs(run.fluid.mass() - mass0) < 1e-10
     assert run.particles.positions.shape == (128, 2)

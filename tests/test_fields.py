@@ -65,7 +65,8 @@ def sobolev_norm(f, s):
 def lattice_measure_coefficients(g, f):
     # the measure f(x_j) h on the nodes; its phase sums over the period are the
     # normalised Fourier coefficients of f, rfftn(f) / m on the half box
-    return measure_mode_coefficients(EmpiricalMeasure(g.axis_coords[:, None], f * g.spacing), g, g.points_per_dim // 4) / g.period
+    sums = measure_mode_coefficients(EmpiricalMeasure(g.axis_coords[:, None], f * g.spacing), g, g.points_per_dim // 4)
+    return sums[:, 0] / g.period
 
 
 def test_constant_field_spectrum():
@@ -153,14 +154,63 @@ def test_deposit_2d_mass():
 
 def test_interpolate_lattice_and_constant():
     g = grid1(64)
-    f = GridField(g, np.sin(g.axis_coords))
-    got = interpolate(f, g.axis_coords[:, None], "linear")
-    np.testing.assert_allclose(got, f.values, atol=1e-14)
-    c = GridField(g, np.full(g.shape, 4.2))
+    f = np.sin(g.axis_coords)
+    got = interpolate(f[None], g.axis_coords[:, None], g, "linear")
+    np.testing.assert_allclose(got[:, 0], f, atol=1e-14)
+    c = np.full((1,) + g.shape, 4.2)
     rng = np.random.default_rng(4)
     pts = rng.random((10, 1)) * g.period
-    np.testing.assert_allclose(interpolate(c, pts, "linear"), 4.2, atol=1e-14)
-    np.testing.assert_allclose(interpolate(c, pts, "spectral"), 4.2, atol=1e-12)
+    np.testing.assert_allclose(interpolate(c, pts, g, "linear"), 4.2, atol=1e-14)
+    np.testing.assert_allclose(interpolate(c, pts, g, "spectral"), 4.2, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["nearest", "linear", "spectral"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolate_reads_a_stack_as_its_components(dim, scheme):
+    # one read of a stack of three fields equals three one-field reads, bit for bit
+    g = PeriodicGrid(dim, 32 if dim == 1 else 16, 5.0)
+    rng = np.random.default_rng(40 + dim)
+    stack = rng.standard_normal((3,) + g.shape)
+    pts = rng.random((50, dim)) * g.period
+    got = interpolate(stack, pts, g, scheme)
+    assert got.shape == (50, 3)
+    expected = np.stack([interpolate(f[None], pts, g, scheme)[:, 0] for f in stack], axis=-1)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["nearest", "linear", "spectral"])
+@pytest.mark.parametrize("shape", [(1, 64), (1, 256), (64,), (1, 128, 128)], ids=["coarser", "finer", "no_stack", "2d"])
+def test_interpolate_refuses_values_of_another_lattice(shape, scheme):
+    # a 64-node field on a 128-node grid used to read node 63 for every point past it
+    g = grid1(128)
+    with pytest.raises(ValueError, match=rf"values of shape {re.escape(str(shape))} on a grid of shape \(128,\)"):
+        interpolate(np.zeros(shape), np.zeros((3, 1)), g, scheme)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_measure_weights_are_columns_and_phase_sums_have_a_column_axis(dim):
+    g = PeriodicGrid(dim, 16, 5.0)
+    rng = np.random.default_rng(50 + dim)
+    pts = rng.random((9, dim)) * g.period
+    scalar, vector = rng.standard_normal(9), rng.standard_normal((9, 2))
+    uniform = EmpiricalMeasure(pts)
+    assert uniform.weights.shape == (9, 1)
+    assert uniform.weights.tobytes() == np.full((9, 1), 1.0 / 9).tobytes()
+    explicit = measure_mode_coefficients(EmpiricalMeasure(pts, np.full(9, 1.0 / 9)), g, 4)
+    assert measure_mode_coefficients(uniform, g, 4).tobytes() == explicit.tobytes()
+    n_modes = 5 if dim == 1 else 9 * 5
+    for w, m in ((None, 1), (scalar, 1), (scalar[:, None], 1), (vector, 2)):
+        measure = EmpiricalMeasure(pts, w)
+        assert measure.weights.shape == (9, m)
+        assert measure_mode_coefficients(measure, g, 4).shape == (n_modes, m)
+    sums = measure_mode_coefficients(EmpiricalMeasure(pts, scalar), g, 4)
+    assert sums.tobytes() == measure_mode_coefficients(EmpiricalMeasure(pts, scalar[:, None]), g, 4).tobytes()
+
+
+def test_deposit_refuses_two_weight_columns():
+    measure = EmpiricalMeasure(np.zeros((3, 1)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="expected scalar per-point weights"):
+        deposit(measure, grid1())
 
 
 def _reference_deposit(pts, w, g, scheme):
@@ -219,7 +269,7 @@ def test_stencil_matches_per_corner_reference_and_is_adjoint(dim, scheme):
 
     dep = deposit(EmpiricalMeasure(pts, w), g, scheme)
     np.testing.assert_array_equal(dep.values, _reference_deposit(pts, w, g, scheme))
-    vals = interpolate(field, pts, scheme)
+    vals = interpolate(field.values[None], pts, g, scheme)[:, 0]
     np.testing.assert_array_equal(vals, _reference_interpolate(field.values, pts, g, scheme))
 
     lattice_side = g.cell_volume * np.sum(dep.values * field.values)
@@ -240,7 +290,7 @@ def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed):
     w = {"uniform": None, "scalar": rng.standard_normal(37), "vector": rng.standard_normal((37, 2))}[weights]
     for cutoff in cutoffs:
         dense = np.exp(-1j * (2.0 * np.pi / g.period) * _half_box(g, cutoff) @ pts.T)
-        expected = dense.mean(axis=1) if w is None else dense @ w
+        expected = (dense.mean(axis=1) if w is None else dense @ w).reshape(len(dense), -1)
         got = measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -275,7 +325,7 @@ def test_spectral_interpolation_matches_dense_trigonometric_sum(dim):
         count = np.where((column == 0) | (column == g.points_per_dim // 2), 1.0, 2.0)
         coeffs = count * np.fft.rfftn(field.values)[tuple(modes.T)] / g.points_per_dim**dim
         dense = np.exp(1j * (2.0 * np.pi / g.period) * pts @ modes.T) @ coeffs
-    got = interpolate(field, pts, "spectral")
+    got = interpolate(field.values[None], pts, g, "spectral")[:, 0]
     assert np.max(np.abs(got - dense.real)) <= 1e-12 * np.max(np.abs(dense.real))
 
 
@@ -283,7 +333,7 @@ def test_spectral_interpolation_2d_returns_node_values_of_a_random_field():
     # off the lattice the leading axis's Nyquist row may be read as -M/2 or +M/2; on it both agree
     g = PeriodicGrid(2, 16, 5.0)
     field = GridField(g, np.random.default_rng(19).standard_normal(g.shape))
-    got = interpolate(field, g.points(), "spectral")
+    got = interpolate(field.values[None], g.points(), g, "spectral")[:, 0]
     np.testing.assert_allclose(got, field.values.ravel(), rtol=0, atol=1e-12)
 
 
@@ -305,7 +355,7 @@ _MODE_SUM_DIGEST = """
 import hashlib
 import numpy as np
 from mfeuler.fields import (
-    EmpiricalMeasure, GridField, PeriodicGrid, box_spectra, interpolate, measure_mode_coefficients, neg_sobolev_distance
+    EmpiricalMeasure, PeriodicGrid, box_spectra, interpolate, measure_mode_coefficients, neg_sobolev_distance
 )
 
 rng = np.random.default_rng(17)
@@ -315,7 +365,7 @@ for dim, m, cutoff in ((1, 512, 256), (2, 64, 32)):
     pts = rng.random((8192, dim)) * g.period
     for w in (None, rng.standard_normal(8192), rng.standard_normal((8192, dim))):
         digest.update(measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff).tobytes())
-    digest.update(interpolate(GridField(g, rng.standard_normal(g.shape)), pts, "spectral").tobytes())
+    digest.update(interpolate(rng.standard_normal((1,) + g.shape), pts, g, "spectral").tobytes())
     spectra = box_spectra(rng.standard_normal((dim,) + g.shape), g, cutoff)
     distance = neg_sobolev_distance(EmpiricalMeasure(pts, rng.standard_normal((8192, dim))), spectra, 2.5, g, cutoff)
     digest.update(np.float64(distance).tobytes())
@@ -340,9 +390,9 @@ def test_mode_sums_identical_across_blas_thread_counts():
 def test_spectral_interpolation_2d_exact_for_band_limited_field():
     g = PeriodicGrid(2, 16, TWO_PI)
     xx, yy = np.meshgrid(g.axis_coords, g.axis_coords, indexing="ij")
-    f = GridField(g, np.sin(xx) * np.cos(2 * yy))
+    f = np.sin(xx) * np.cos(2 * yy)
     pts = np.random.default_rng(13).random((50, 2)) * g.period
-    got = interpolate(f, pts, "spectral")
+    got = interpolate(f[None], pts, g, "spectral")[:, 0]
     np.testing.assert_allclose(got, np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1]), rtol=0, atol=1e-12)
 
 
@@ -356,7 +406,7 @@ def test_dirac_distance_matches_direct_sum():
     g = grid1()
     measure = EmpiricalMeasure(np.zeros((1, 1)))
     cutoff = 16
-    val = math.sqrt(sobolev_mode_sum(measure_mode_coefficients(measure, g, cutoff)[None] / g.cell_volume, -1.0, g, cutoff))
+    val = math.sqrt(sobolev_mode_sum(measure_mode_coefficients(measure, g, cutoff).T / g.cell_volume, -1.0, g, cutoff))
     k = np.arange(-cutoff, cutoff + 1).astype(float)
     direct = math.sqrt((1.0 / TWO_PI) * np.sum((1.0 + k**2) ** -1.0))
     assert val == pytest.approx(direct, abs=1e-12)
@@ -583,10 +633,10 @@ _KERN1 = ScaledKernel(_SPEC1, 16, 0.5)
         lambda: EmpiricalMeasure(_FLAT),
         lambda: deposit(EmpiricalMeasure(_FLAT), grid1()),
         lambda: deposit(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI)),
-        lambda: interpolate(GridField(grid1(), np.zeros(64)), _FLAT),
-        lambda: interpolate(GridField(grid1(), np.zeros(64)), _FLAT, "spectral"),
-        lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1))),
-        lambda: interpolate(GridField(PeriodicGrid(2, 16, TWO_PI), np.zeros((16, 16))), np.zeros((3, 1)), "spectral"),
+        lambda: interpolate(np.zeros((1, 64)), _FLAT, grid1()),
+        lambda: interpolate(np.zeros((1, 64)), _FLAT, grid1(), "spectral"),
+        lambda: interpolate(np.zeros((1, 16, 16)), np.zeros((3, 1)), PeriodicGrid(2, 16, TWO_PI)),
+        lambda: interpolate(np.zeros((1, 16, 16)), np.zeros((3, 1)), PeriodicGrid(2, 16, TWO_PI), "spectral"),
         lambda: measure_mode_coefficients(EmpiricalMeasure(np.zeros((3, 1))), PeriodicGrid(2, 16, TWO_PI), 4),
         lambda: mollified_density(ParticleState(_FLAT, _FLAT), [_KERN1], grid1()),
         lambda: DensityProfile("uniform")(np.zeros(3)),

@@ -474,25 +474,25 @@ def test_hypothesis_report_underflow_raises():
 
 def test_mollification_ratio_constant_is_zero():
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 64, 0.5)
-    probes = np.linspace(0, 2 * math.pi, 33)
-    ratio = mollification_error_ratio(kern, lambda x: np.ones_like(np.asarray(x)), 1.0, probes)
+    probes = np.linspace(0, 2 * math.pi, 33)[:, None]
+    ratio = mollification_error_ratio(kern, lambda x: np.ones(len(x)), 1.0, probes)
     assert ratio < 1e-12
 
 
 def test_mollification_ratio_linear_function():
     kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), 32, 0.5)
-    probes = np.linspace(-1.0, 1.0, 21)
-    ratio = mollification_error_ratio(kern, lambda x: np.asarray(x), 1.0, probes)
+    probes = np.linspace(-1.0, 1.0, 21)[:, None]
+    ratio = mollification_error_ratio(kern, lambda x: x[:, 0], 1.0, probes)
     assert 0.0 < ratio < 10.0
 
 
 def test_mollification_sweep_bounded_by_first_value():
     spec = MollifierSpec("gaussian", 1.0, 1)
-    probes = np.linspace(0, 2 * math.pi, 65)
+    probes = np.linspace(0, 2 * math.pi, 65)[:, None]
     ratios = []
     for j in range(4, 15):
         kern = ScaledKernel(spec, 2**j, 0.5)
-        ratios.append(mollification_error_ratio(kern, np.sin, 1.0, probes))
+        ratios.append(mollification_error_ratio(kern, lambda x: np.sin(x[:, 0]), 1.0, probes))
     assert all(r <= 2.0 * ratios[0] for r in ratios)
 
 
@@ -515,14 +515,14 @@ def _mollification_ratio_reference(kernel, f, grad_sup, probes):
     ("f", "noise"), [(np.sin, 0.0), (lambda x: x, 1e-13)], ids=["sin", "identity"]
 )
 def test_mollification_ratio_matches_one_dimensional_reference(f, noise):
-    # f receives flat points in 1-d, like the probes criterion 6 passes to np.sin.  For the identity
-    # the exact error is zero, so both ratios are rounding noise: compare them to max|f| / smoothing length.
+    # the reference takes flat points, the ratio (n, 1) points.  For the identity the exact error
+    # is zero, so both ratios are rounding noise: compare them to max|f| / smoothing length.
     probes = np.linspace(0.0, 2.0 * math.pi, 65)
     for n in (2**4, 2**9, 2**14):
         kern = ScaledKernel(MollifierSpec("gaussian", 1.0, 1), n, 0.5)
         ref = _mollification_ratio_reference(kern, f, 1.0, probes)
         scale = np.max(np.abs(f(probes))) / kern.smoothing_length
-        got = mollification_error_ratio(kern, f, 1.0, probes)
+        got = mollification_error_ratio(kern, lambda x: f(x[:, 0]), 1.0, probes[:, None])
         assert got == pytest.approx(ref, rel=1e-13, abs=noise * scale), n
 
 

@@ -13,7 +13,6 @@ import mfeuler.fields as fields_mod
 import mfeuler.particles as particles_mod
 from mfeuler.fields import (
     EmpiricalMeasure,
-    GridField,
     PeriodicGrid,
     _column_multiplicity,
     assignment_window,
@@ -189,9 +188,9 @@ def _parent_force(pos, kernel, grid, scheme):
     for q in range(grid.dim):
         g_hat = np.fft.fftn(sample_kernel(grid, lambda pts: np.asarray(kernel.potential_gradient(pts))[:, q]))
         corrected = dens_hat * g_hat * grid.cell_volume / window
-        direct = interpolate(GridField(grid, np.fft.ifftn(corrected).real), pos, scheme)
-        shifted_field = GridField(grid, np.fft.ifftn(corrected * phase).real)
-        shifted = interpolate(shifted_field, np.mod(pos - h / 2.0, period), scheme)
+        direct = interpolate(np.fft.ifftn(corrected).real[None], pos, grid, scheme)[:, 0]
+        shifted_field = np.fft.ifftn(corrected * phase).real[None]
+        shifted = interpolate(shifted_field, np.mod(pos - h / 2.0, period), grid, scheme)[:, 0]
         forces[:, q] = -0.5 * (direct + shifted)
     return forces
 
