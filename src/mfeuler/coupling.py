@@ -249,8 +249,12 @@ def mean_field_distances(run: CoupledRun, alpha: float, freq_cutoff: int):
     system, and the systems are summed one at a time, so the phase tables
     never span more than one system's rows.  The sums run over the half box
     |k|_inf <= ``freq_cutoff``, 0 to M/2: 0 keeps the mean mode only.
+    Raises ``ValueError`` if a system is empty, which would have no N to
+    divide its velocity weights by, as ``q_functional`` does.
     """
     p, grid, u = run.particles, run.grid, run.fluid.u
+    if 0 in p.sizes:
+        raise ValueError(f"system sizes {p.sizes} include an empty system")
     spectra = box_spectra(np.concatenate((u[:1], u[0] * u[1:])), grid, freq_cutoff)
     dist_s, dist_v = [], []
     for pos, vel, n in zip(p.split(p.positions), p.split(p.velocities), p.sizes):
@@ -273,6 +277,8 @@ def fit_loglog(xs, ys):
     ordered = np.sort(xs)  # not np.unique, which imports numpy.ma
     if np.any(ordered[1:] == ordered[:-1]):
         raise DegenerateFit("log-log fit needs distinct x values")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DegenerateFit("log-log fit needs finite x and y values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateFit("log-log fit needs strictly positive values")
     lx, ly = np.log(xs), np.log(ys)

@@ -424,6 +424,11 @@ def sobolev_mode_sum(diff: np.ndarray, s, grid: PeriodicGrid, cutoff: int) -> fl
     return float(np.sum(sobolev_weight(grid, s)[box].ravel() * np.sum(np.abs(diff) ** 2, axis=0)))
 
 
+def _require_alpha(alpha, grid: PeriodicGrid):
+    if alpha <= grid.dim / 2.0 + 1.0:
+        raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
+
+
 def neg_sobolev_distance(measure: EmpiricalMeasure, spectra: np.ndarray, alpha, grid: PeriodicGrid, cutoff: int):
     """The square root of ``sobolev_mode_sum`` at s = -alpha of S / h**dim - spectra.
 
@@ -438,8 +443,7 @@ def neg_sobolev_distance(measure: EmpiricalMeasure, spectra: np.ndarray, alpha, 
     ValueError
         If ``spectra`` and the measure's coefficients differ in shape.
     """
-    if alpha <= grid.dim / 2.0 + 1.0:
-        raise AlphaTooSmall(f"alpha = {alpha} must exceed dim/2 + 1 = {grid.dim / 2 + 1}")
+    _require_alpha(alpha, grid)
     diff = measure_mode_coefficients(measure, grid, cutoff).T / grid.cell_volume  # (components, modes)
     if diff.shape != spectra.shape:
         raise ValueError(f"field spectra of shape {spectra.shape} against measure coefficients of shape {diff.shape}")
@@ -455,7 +459,14 @@ def neg_sobolev_tail_bound(grid: PeriodicGrid, alpha, cutoff, outer=None):
     squared distance is at most the weighted mode count times that square.
     ``outer`` limits the sum to cutoff < |k|_inf <= outer (default: grid
     Nyquist plus a continuum estimate beyond).
+
+    Raises
+    ------
+    AlphaTooSmall
+        Under ``neg_sobolev_distance``'s rule, unless alpha > dim/2 + 1: below
+        it the continuum estimate has no finite value.
     """
+    _require_alpha(alpha, grid)
     if cutoff < 0:
         raise ValueError(f"freq_cutoff = {cutoff} must be nonnegative")
     lam_unit = 2.0 * np.pi / grid.period

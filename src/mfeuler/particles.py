@@ -393,10 +393,12 @@ def init_well_prepared(
     nodes and the period, at the quantile midpoints (k - 1/2)/N; ``iid`` draws
     uniforms from the stream tagged by (master_seed, "init", *seed_tags) and
     inverts the same CDF.  In 2-d (``iid`` only) each particle picks a node with
-    probability proportional to its density, then moves uniformly into that
-    node's cell, both draws from the same stream.  Velocities are exact samples
-    of the velocity profile, so the kinetic mismatch vanishes at t = 0 by
-    construction.
+    probability proportional to its density, by inverting the nodes' CDF in C
+    order at a uniform draw (what ``Generator.choice(p=...)`` computes on the
+    same draws, here in the array ``lattice_density()`` hands over), then moves
+    uniformly into that node's cell, both draws from the same stream.  Velocities
+    are exact samples of the velocity profile, so the kinetic mismatch vanishes
+    at t = 0 by construction.
 
     Raises
     ------
@@ -416,7 +418,10 @@ def init_well_prepared(
         u = (np.arange(n) + 0.5) / n if scheme == "stratified" else rng.random(n)
         positions = np.interp(u, cdf, np.append(lattice.axis_coords, density.period))[:, None]
     else:
-        cells = rng.choice(dens.size, size=n, p=dens / dens.sum())
+        cdf = np.divide(dens, dens.sum(), out=dens)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        cells = cdf.searchsorted(rng.random(n), side="right")
         rows, cols = np.divmod(cells, lattice.points_per_dim)
         axis = lattice.axis_coords
         positions = np.stack([axis[rows], axis[cols]], axis=1) + rng.random((n, 2)) * lattice.spacing

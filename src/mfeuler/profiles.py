@@ -3,7 +3,11 @@
 Profiles are exactly periodic closed forms.  The density profile can be
 normalized to unit mass (the probability-density convention both solvers
 share); normalization constants come from a fine lattice quadrature, and the
-raw shape on that lattice is evaluated once per profile value.
+raw shape on that lattice is evaluated once per profile value.  Each density
+family is one term per axis combined across the axes, so the lattice shape
+evaluates that term on the M axis coordinates only and combines them, with
+no point cloud of the lattice; points and lattice share one expression per
+family.
 """
 
 from __future__ import annotations
@@ -56,15 +60,30 @@ class DensityProfile:
         if self.family == "bump" and self.amplitude <= -1.0:
             raise ValueError("bump density amplitude must exceed -1 for positivity")
 
+    def _axis_term(self, x):
+        """The family's term at coordinates ``x`` of one axis, a new array: the bump's cosine phase, or the sine."""
+        two_pi = 2.0 * np.pi / self.period
+        if self.family == "sine":
+            return np.sin(two_pi * x)
+        return np.cos(two_pi * (x - 0.5 * self.period)) - 1.0
+
+    def _finish(self, combined):
+        """1 + amplitude * exp(concentration * combined) for the bump, 1 + amplitude * combined for the sine,
+        in place on ``combined``, which it returns."""
+        if self.family == "bump":
+            combined *= self.concentration
+            np.exp(combined, out=combined)
+        combined *= self.amplitude
+        combined += 1.0
+        return combined
+
     def shape_values(self, points):
         pts = as_points(points, self.dim)
-        two_pi = 2.0 * np.pi / self.period
         if self.family == "uniform":
             return np.ones(pts.shape[0])
         if self.family == "sine":
-            return 1.0 + self.amplitude * np.sin(two_pi * pts[:, 0])
-        phases = np.cos(two_pi * (pts - 0.5 * self.period)) - 1.0
-        return 1.0 + self.amplitude * np.exp(self.concentration * phases.sum(axis=1))
+            return self._finish(self._axis_term(pts[:, 0]))
+        return self._finish(self._axis_term(pts).sum(axis=1))
 
     @property
     def lattice(self) -> PeriodicGrid:
@@ -75,9 +94,19 @@ class DensityProfile:
     def lattice_shape(self) -> np.ndarray:
         """Raw shape at every node of ``lattice``, flat in the C order of ``lattice.points()``, read-only.
 
-        Evaluated once per profile value and kept for the process: equal profiles share one array.
+        The family's term is evaluated on the axis coordinates and combined in one lattice array: in
+        2-d the bump's phases add across the axes (``np.add.outer``) and the sine, which varies along
+        axis 0, the slow index, repeats each value along axis 1.  Evaluated once per profile value and
+        kept for the process: equal profiles share one array.
         """
-        return read_only(self.shape_values(self.lattice.points()))
+        lattice = self.lattice
+        m = lattice.points_per_dim
+        if self.family == "uniform":
+            return read_only(np.ones(m**self.dim))
+        term = self._axis_term(lattice.axis_coords)
+        if self.dim == 2:
+            term = np.add.outer(term, term).ravel() if self.family == "bump" else np.repeat(term, m)
+        return read_only(self._finish(term))
 
     @cached_property
     def mass(self):
@@ -89,11 +118,10 @@ class DensityProfile:
         return float(total)
 
     def lattice_density(self) -> np.ndarray:
-        """The density on ``lattice``, flat in C order: the raw shape, over its mass if the profile
-        normalizes.  Raises DensityNotNormalizable unless its lattice mass is within 1e-6 of 1."""
-        dens = self.lattice_shape()
-        if self.normalize:
-            dens = dens / self.mass
+        """The density on ``lattice``, flat in C order, as a new array the caller may write: the raw
+        shape, over its mass if the profile normalizes.  Raises DensityNotNormalizable unless its
+        lattice mass is within 1e-6 of 1."""
+        dens = self.lattice_shape() / self.mass if self.normalize else self.lattice_shape().copy()
         mass = float(np.sum(dens) * self.lattice.cell_volume)
         if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
             raise DensityNotNormalizable(f"density mass {mass!r} deviates from 1 by more than 1e-6")
@@ -118,6 +146,8 @@ class VelocityProfile:
     def __post_init__(self):
         if self.family not in VELOCITY_FAMILIES:
             raise ValueError(f"unknown velocity family {self.family!r}")
+        if not self.period > 0:
+            raise ValueError(f"velocity period must be positive, got {self.period!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"velocity amplitude must not be NaN or infinite, got {self.amplitude!r}")
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,7 +333,6 @@ def test_mean_field_distances_permutation_invariant():
     d1 = mean_field_distances(run, 2.0, cutoff)
     rng = np.random.default_rng(0)
     perm = rng.permutation(run.particles.n_particles)
-    from dataclasses import replace
 
     shuffled = replace(
         run,
@@ -401,6 +401,26 @@ def test_fit_loglog_cases():
         fit_loglog([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateFit):
         fit_loglog([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_loglog_refuses_non_finite_values(bad):
+    # a NaN or infinite point would give a NaN slope and a RuntimeWarning, not a note
+    with pytest.raises(DegenerateFit, match="finite x and y"):
+        fit_loglog([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+    with pytest.raises(DegenerateFit, match="finite x and y"):
+        fit_loglog([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+
+def test_distances_refuse_an_empty_system_as_the_gauge_does():
+    cfg = tiny_config()
+    run = build_run(cfg, 0, (64, 64))
+    p = run.particles
+    run = replace(run, particles=ParticleState(p.positions[:64], p.velocities[:64], 0.0, (64, 0)))
+    with pytest.raises(ValueError, match=r"system sizes \(64, 0\) include an empty system"):
+        q_functional(run)
+    with pytest.raises(ValueError, match=r"system sizes \(64, 0\) include an empty system"):
+        mean_field_distances(run, cfg.study.alpha, 16)
 
 
 _RATE_STUDY_MODULES = """
@@ -511,17 +531,19 @@ def test_study_evaluates_density_once_on_its_lattice(monkeypatch, dim):
         cfg.study.alpha = 2.5
     validate(cfg)
     profiles.DensityProfile.lattice_shape.cache_clear()
-    sizes = []
-    shape_values = profiles.DensityProfile.shape_values
+    shapes = []
+    axis_term = profiles.DensityProfile._axis_term
 
-    def counted(self, points):
-        sizes.append(len(points))
-        return shape_values(self, points)
+    def counted(self, x):
+        shapes.append(np.shape(x))
+        return axis_term(self, x)
 
-    monkeypatch.setattr(profiles.DensityProfile, "shape_values", counted)
+    monkeypatch.setattr(profiles.DensityProfile, "_axis_term", counted)
     for sample in (0, 1):
         coupling_mod.build_run(cfg, sample, (256, 1024, 2048))
-    assert sizes.count({1: 2**13, 2: 2**18}[dim]) == 1
+    m = {1: 2**13, 2: 2**9}[dim]
+    assert shapes.count((m,)) == 1  # the one lattice evaluation, on the axis coordinates
+    assert (m**dim, dim) not in shapes  # and no lattice point cloud
 
 
 def test_mollified_density_unit_mass():

@@ -551,6 +551,16 @@ def test_tail_bound_matches_dense_mode_table(dim):
     assert 0 < continuum < 0.5 * explicit
 
 
+@pytest.mark.parametrize("dim,alpha", [(1, 0.4), (1, 1.5), (2, 1.0), (2, 2.0)])
+def test_tail_bound_refuses_alpha_below_the_distance_rule(dim, alpha):
+    # below dim/2 + 1 the 1-d bound came out negative and the 2-d one divided by zero
+    g = PeriodicGrid(dim, 64, TWO_PI)
+    with pytest.raises(AlphaTooSmall, match=f"alpha = {alpha} must exceed dim/2 \\+ 1"):
+        neg_sobolev_tail_bound(g, alpha, 16)
+    with pytest.raises(AlphaTooSmall):
+        neg_sobolev_tail_bound(g, alpha, 8, outer=40)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_negative_freq_cutoff_is_refused_naming_it(dim):
     g = PeriodicGrid(dim, 16, 2 * math.pi)

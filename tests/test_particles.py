@@ -677,13 +677,19 @@ def test_init_rejects_unnormalized_density():
         init_well_prepared(dens, vel, 8)
 
 
-def init_2d_reference(density, velocity, n, period, master_seed, seed_tags):
-    """The 2-d ``iid`` init written out on its own 2^9 lattice: density at every node, one choice, one jitter."""
-    lattice = PeriodicGrid(2, 2**9, period)
+def lattice_density_2d_reference(density):
+    """The 2-d density written out on its own 2^9 lattice: the nodes, and the shape at every node, over its mass if
+    the profile normalizes."""
+    lattice = PeriodicGrid(2, 2**9, density.period)
     h = lattice.spacing
     pts = lattice.points()
     raw = density.shape_values(pts)
-    dens = raw / float(np.sum(raw) * h * h)
+    return pts, raw / float(np.sum(raw) * h * h) if density.normalize else raw
+
+
+def init_2d_reference(reference, velocity, n, h, master_seed, seed_tags):
+    """The 2-d ``iid`` init written out on a ``lattice_density_2d_reference``: one ``Generator.choice``, one jitter."""
+    pts, dens = reference
     rng = stream(master_seed, "init", *seed_tags)
     cells = rng.choice(dens.size, size=n, p=dens / dens.sum())
     positions = pts[cells] + rng.random((n, 2)) * h
@@ -719,16 +725,24 @@ def test_init_1d_matches_reference_bitwise(family, scheme):
         assert np.array_equal(st.velocities, velocities)
 
 
-@pytest.mark.parametrize("family", ["bump", "sine"])
+def _unit_mass_raw_profile(family):
+    """A 2-d profile that does not normalize, on the period that gives its raw shape unit lattice mass."""
+    period = DensityProfile(family, 0.3, 6.0, 1.0, 2, True).mass ** -0.5
+    return DensityProfile(family, 0.3, 6.0, period, 2, False)
+
+
+@pytest.mark.parametrize("family", ["bump", "sine", "uniform"])
 def test_init_2d_matches_reference_bitwise(family):
-    dens = DensityProfile(family, 0.3, 6.0, TWO_PI, 2, True)
-    vel = VelocityProfile("sine", 0.1, TWO_PI)
-    for seed in (3, 11):
-        for n in (200, 1024):
-            st = init_well_prepared(dens, vel, n, scheme="iid", master_seed=seed, seed_tags=(0, n))
-            positions, velocities = init_2d_reference(dens, vel, n, TWO_PI, seed, (0, n))
-            assert np.array_equal(st.positions, positions)
-            assert np.array_equal(st.velocities, velocities)
+    # the cells drawn by inverse CDF are Generator.choice(p=...) on the same stream, for a raw profile too
+    for dens in (DensityProfile(family, 0.3, 6.0, TWO_PI, 2, True), _unit_mass_raw_profile(family)):
+        vel = VelocityProfile("sine", 0.1, dens.period)
+        reference = lattice_density_2d_reference(dens)
+        for seed in (0, 3, 11, 12, 29):
+            for n in (1, 7, 256, 2048):
+                st = init_well_prepared(dens, vel, n, scheme="iid", master_seed=seed, seed_tags=(0, n))
+                positions, velocities = init_2d_reference(reference, vel, n, dens.lattice.spacing, seed, (0, n))
+                assert np.array_equal(st.positions, positions)
+                assert np.array_equal(st.velocities, velocities)
 
 
 def test_init_2d_rejects_unnormalized_density():
@@ -788,6 +802,40 @@ def test_profile_lattice_shape_cached_read_only():
     for field, value in (("dim", 3), ("dim", 0), ("period", -1.0), ("period", 0.0)):
         with pytest.raises(ValueError, match=f"density {field}"):
             DensityProfile("bump", **{field: value})
+    for value in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="velocity period must be positive"):
+            VelocityProfile("sine", 0.1, value)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["bump", "sine", "uniform"])
+def test_lattice_shape_from_the_axes_is_shape_values_on_the_lattice_points(family, dim):
+    profile = DensityProfile(family, 0.3, 6.0, 5.0, dim, True)
+    shape = profile.lattice_shape()
+    assert shape.tobytes() == profile.shape_values(profile.lattice.points()).tobytes()
+
+
+@pytest.mark.parametrize("family", ["bump", "sine", "uniform"])
+def test_2d_lattice_shape_and_init_peak_memory(family):
+    # the shape is evaluated on the axes into one lattice array, and the init's CDF is the one array
+    # lattice_density() hands over: no lattice point cloud, no copies for Generator.choice
+    profile = DensityProfile(family, 0.25, 7.0, TWO_PI, 2, True)
+    vel = VelocityProfile("sine", 0.1, TWO_PI)
+    DensityProfile.lattice_shape.cache_clear()
+    tracemalloc.start()
+    try:
+        profile.lattice_shape()
+        shape_peak = tracemalloc.get_traced_memory()[1]
+        init_well_prepared(profile, vel, 2048, "iid", 1, (0, 2048))  # the mass is cached too from here on
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        init_well_prepared(profile, vel, 2048, "iid", 2, (0, 2048))
+        init_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    lattice_bytes = 2**18 * 8  # one float64 array on the 2-d normalization lattice
+    assert shape_peak <= 1.5 * lattice_bytes
+    assert init_peak <= 1.5 * lattice_bytes
 
 
 def test_stratified_density_term_decreases_with_n():
