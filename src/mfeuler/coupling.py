@@ -16,7 +16,7 @@ solve and one particle state holding every N, drives the whole N sweep.  The
 diagnostics read that sweep as it is: ``q_functional`` returns one record and
 ``mean_field_distances`` one value per system, in the order of its N.  A
 gauge's deposit of the particles feeds the next step's force, which deposits
-the same rows.
+the same rows, and its stencil reads the fluid velocity at the particles.
 """
 
 from __future__ import annotations
@@ -224,14 +224,24 @@ def mollified_density(particles: particles_mod.ParticleState, kernels, grid: Per
 
 
 def q_functional(run: CoupledRun) -> list[QRecord]:
-    """The convergence gauge of each system, in the order of ``sizes``, on the current (possibly frozen) states."""
+    """The convergence gauge of each system, in the order of ``sizes``, on the current (possibly frozen) states.
+
+    The fluid velocity is read at the particles through the stencil of the
+    mollified density's particle-mesh pass when both use one scheme, and by
+    ``fluid.sample_velocity`` otherwise; the two read the same bits.
+    """
     particles, fl = run.particles, run.fluid
     if abs(particles.time - fl.time) > 1e-9 * max(1.0, fl.time):
         raise ValueError("particle and fluid clocks are not aligned")
-    mismatch = particles.velocities - fluid_mod.sample_velocity(fl, particles.positions, run.velocity_interpolation)
+    densities = mollified_density(particles, run.kernels, run.grid, run.deposit_scheme)
+    if run.velocity_interpolation == run.deposit_scheme:
+        sampled = particles_mod.read_at_particles(fl.u[1:], particles, run.grid, run.deposit_scheme)
+    else:
+        sampled = fluid_mod.sample_velocity(fl, particles.positions, run.velocity_interpolation)
+    mismatch = particles.velocities - sampled
     squares = particles.split(np.sum(mismatch * mismatch, axis=1))
     records = []
-    for rows, mol in zip(squares, mollified_density(particles, run.kernels, run.grid, run.deposit_scheme)):
+    for rows, mol in zip(squares, densities):
         diff = mol - fl.u[0]
         kinetic = float(np.mean(rows))
         density = float(np.sum(diff * diff) * run.grid.cell_volume)

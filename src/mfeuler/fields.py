@@ -16,9 +16,10 @@ conjugate partner.  ``sobolev_weight`` carries the Bessel factor
 is that sum, ``sobolev_mode_sum``, on the half box |k|_inf <= cutoff of
 ``_mode_box``, of a difference of (components, modes) arrays: fields'
 ``box_spectra`` or a measure's phase sums (type 1), (modes, m) for its (N, m)
-weights, over the cell volume.  ``interpolate``, the one lattice reader,
-reads a stack of fields by the stencil or by the spectral interpolant (type
-2): the real part of the multiplicity-weighted coefficients against
+weights, over the cell volume, summed over blocks of points of ``PHASE_BLOCK``
+table entries, so that their memory does not grow with N.  ``interpolate``,
+the one lattice reader, reads a stack of fields by the stencil or by the
+spectral interpolant (type 2): the real part of the multiplicity-weighted coefficients against
 exp(+i lambda_k . x) at the Nyquist cutoff.
 At that cutoff in 2-d the leading axis's Nyquist row counts as -M/2 on the
 half-spectrum columns and as +M/2 through their conjugate partners; on the
@@ -41,6 +42,10 @@ import numpy as np
 from .errors import AlphaTooSmall
 
 DEFAULT_PERIOD = 4.0 * 2.0 * np.pi
+
+# Complex entries of one block of points in ``measure_mode_coefficients``: the block's two phase tables and
+# its weighted copy of the left one, 512 KiB in all, which stay in cache and bound a call's memory.
+PHASE_BLOCK = 2**15
 
 
 def _lattice(axis, dim):
@@ -198,7 +203,8 @@ class EmpiricalMeasure:
 
     ``weights`` is (N, m) after construction, a column per component, e.g.
     velocity/N for the momentum measure: ``None`` becomes one column of the
-    uniform probability weights 1/N and an (N,) array one column.
+    uniform probability weights 1/N and an (N,) array one column.  A measure
+    of no points, or with a non-finite point or weight, is a ValueError.
     """
 
     points: np.ndarray
@@ -207,10 +213,15 @@ class EmpiricalMeasure:
     def __post_init__(self):
         self.points = as_points(self.points)
         n = self.n_points
+        if n == 0:
+            raise ValueError("an empirical measure needs at least one point")
         weights = np.full((n, 1), 1.0 / n) if self.weights is None else np.asarray(self.weights, dtype=float)
         if weights.ndim not in (1, 2) or weights.shape[0] != n:
             raise ValueError(f"weights of shape {weights.shape} for {n} points: expected (N,) or (N, m)")
         self.weights = weights[:, None] if weights.ndim == 1 else weights
+        for name, values in (("points", self.points), ("weights", self.weights)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"an empirical measure with non-finite {name}")
 
     @property
     def n_points(self):
@@ -341,6 +352,15 @@ def _mode_box(grid: PeriodicGrid, cutoff: int):
     return (lead, last), np.ix_(*(lead,) * (grid.dim - 1), last)
 
 
+def _table_rows(grid: PeriodicGrid, modes):
+    """The (first mode, mode step, rows) of the left and of the right phase table of a mode box."""
+    lead, last = modes
+    if grid.dim == 2:
+        return (lead[0], 1, lead.size), (last[0], 1, last.size)
+    digit = math.isqrt(last.size - 1) + 1
+    return (last[0], digit, -(-last.size // digit)), (0, 1, digit)
+
+
 def _phase_tables(grid: PeriodicGrid, modes, points: np.ndarray, sign: complex):
     """Two small phase tables that factor every phase of a mode box.
 
@@ -352,15 +372,11 @@ def _phase_tables(grid: PeriodicGrid, modes, points: np.ndarray, sign: complex):
     digits as (k_0 + F a) + b with F = ceil(sqrt(K)), so A*F >= K and the
     entries j >= K are padding.  A mode sum then never holds a modes x points
     table.  Each table's rows are a geometric sequence in the mode number,
-    built by repeated multiplication from two exponentials per point.
+    built by repeated multiplication from two exponentials per point, so a
+    point's entries do not depend on the other points in the call.
     """
     points = as_points(points, grid.dim)
-    lead, last = modes
-    if grid.dim == 2:
-        outer, inner = (lead[0], 1, lead.size), (last[0], 1, last.size)  # (first mode, mode step, rows)
-    else:
-        digit = math.isqrt(last.size - 1) + 1
-        outer, inner = (last[0], digit, -(-last.size // digit)), (0, 1, digit)
+    outer, inner = _table_rows(grid, modes)
     unit = sign * 2.0 * np.pi / grid.period
 
     def rows(x, first, step, count):
@@ -397,15 +413,37 @@ def measure_mode_coefficients(measure: EmpiricalMeasure, grid: PeriodicGrid, cut
     is on the scale of ``grid.rfft`` times the cell volume: for a measure with
     lattice density f, S / h**dim approximates grid.rfft(f) there.  Returns shape
     (n_modes, m), a column per weight column.  The sum over particles is
-    exact: each weight column is folded into the left phase table as extra
-    rows, so the whole sum is one matrix product (left * w) @ right.T.
+    exact.  It runs over blocks of points in order: a block's weight columns
+    are folded into its left phase table as extra rows, the block is one
+    matrix product (left * w) @ right.T, and the products are added in block
+    order.  A block holds about ``PHASE_BLOCK`` entries in its tables and
+    their weighted copy, in a multiple of 8 points, so a call's memory does
+    not grow with N or the cutoff.  A short block is padded to a multiple of 8
+    with points of weight zero: OpenBLAS's complex products give the same
+    bits for any thread count at such lengths, and not always at others.  A
+    measure of one block is one product over its points; over several blocks
+    the partial sums change the order of BLAS's additions, which moves S at
+    rounding level (about 1e-15 relative) against one product over all points.
     """
     modes, _ = _mode_box(grid, cutoff)
     n_modes = modes[0].size ** (grid.dim - 1) * modes[1].size
-    left, right = _phase_tables(grid, modes, measure.points, -1j)
-    columns = measure.weights.T
-    weighted = (columns[:, None, :] * left).reshape(-1, measure.n_points)
-    return (weighted @ right.T).reshape(len(columns), -1)[:, :n_modes].T
+    positions, columns = as_points(measure.points, grid.dim), measure.weights.T
+    (_, _, a), (_, _, f) = _table_rows(grid, modes)
+    block = max(1, PHASE_BLOCK // ((1 + len(columns)) * a + f) // 8) * 8
+    total = None
+    for start in range(0, len(positions), block):
+        points, weights = positions[start : start + block], columns[:, start : start + block]
+        if len(points) % 8:  # pad to a multiple of 8 points of weight zero, which adds exact zeros
+            pad = 8 - len(points) % 8
+            points = np.concatenate((points, np.zeros((pad, grid.dim))))
+            weights = np.concatenate((weights, np.zeros((len(columns), pad))), axis=1)
+        left, right = _phase_tables(grid, modes, points, -1j)
+        part = (weights[:, None, :] * left).reshape(-1, len(points)) @ right.T
+        if total is None:  # the first block is the total, to the bit
+            total = part
+        else:
+            total += part
+    return total.reshape(len(columns), -1)[:, :n_modes].T
 
 
 def box_spectra(values: np.ndarray, grid: PeriodicGrid, cutoff: int) -> np.ndarray:

@@ -24,7 +24,8 @@ on a state makes its per-row arrays and ``step`` hands them on.  A pass keeps
 its deposit spectrum with them, marked with the positions array, sizes and
 grid it deposited, so the next pass on the same three, such as the force after
 a gauge, makes no stencil and no deposit; any other pass fills them again.
-Forces and densities are new arrays every time.
+``read_at_particles`` reads lattice fields at the rows through a current
+pass's stencil.  Forces and densities are new arrays every time.
 """
 
 from __future__ import annotations
@@ -235,6 +236,28 @@ def gather(values, stencil, terms=None) -> np.ndarray:
     return read[:points]
 
 
+def read_at_particles(values, state: ParticleState, grid: PeriodicGrid, scheme: str) -> np.ndarray:
+    """Lattice fields ``values``, (components,) + grid.shape, read at every row of ``state``, shape (rows,
+    components), through the stencil of the state's current pass for ``scheme``: to the bits of
+    ``fields.interpolate(values, state.positions, grid, scheme)``, with no stencil of its own.
+
+    The stencil's first rows place the particles on the plain lattice, each system's node indices offset
+    by a multiple of M**dim, a power of two, which a mask takes off.
+
+    Raises
+    ------
+    ValueError
+        Unless a pass for ``scheme`` on the state's positions, sizes and ``grid`` is current.
+    """
+    arrays = state.scratch.get(scheme)
+    if arrays is None or not arrays.current(state, grid):
+        raise ValueError(f"no current {scheme!r} particle-mesh pass on these particles and grid")
+    flat, weights = arrays.stencil
+    first = slice(state.n_particles)
+    plain = np.bitwise_and(flat[..., first], grid.points_per_dim**grid.dim - 1)
+    return fields.gather(values, (plain, weights[..., first]))
+
+
 @cache
 def _sweep_transfer(operator, kernels: tuple, grid: PeriodicGrid, scheme: str) -> np.ndarray:
     """The transfer ``operator`` of each kernel of a sweep stacked on a systems axis just before the half
@@ -279,7 +302,7 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
     """Particle-mesh forces on a sweep of systems as one fused step, one row per particle of ``state``.
 
     The interlaced deposit of every system, ``force_transfer`` of its kernel
-    divided by its N in ``state.sizes``, then ``gather``: one stencil, one
+    times 1/N for its N in ``state.sizes``, then ``gather``: one stencil, one
     ``np.bincount``, one ``grid.rfft``/``grid.irfft`` pair and one
     ``fields.gather`` for both lattices of the whole sweep; after a gauge on the
     same state, the stencil and the deposit are that pass's.  Each system's
@@ -293,8 +316,8 @@ def force_particle_mesh(state: ParticleState, kernels, grid: PeriodicGrid, depos
         If a kernel breaks a rule of ``validate_kernel_mesh``.
     """
     stencil, spectrum = sweep_spectrum(state, force_transfer, kernels, grid, deposit_scheme)
-    for system, n in enumerate(state.sizes):  # (T * D) / N; a 1/N folded into the cached T would change the bits
-        spectrum[:, :, system] /= n
+    for system, n in enumerate(state.sizes):  # (T * D) * (1/N); a 1/N folded into the cached T would change the bits
+        spectrum[:, :, system] *= 1.0 / n
     return gather(grid.irfft(spectrum), stencil, state.scratch[deposit_scheme].terms)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfeuler.coupling as coupling_mod
+import mfeuler.fields as fields_mod
 import mfeuler.fluid as fluid_mod
 import mfeuler.particles as particles_mod
 from mfeuler.config import RunConfig, validate
@@ -53,11 +54,19 @@ def test_q_additivity_bit_exact():
     assert rec.kinetic_term >= 0 and rec.density_term >= 0
 
 
-def test_q_functional_reads_the_velocity_in_one_interpolate(monkeypatch):
-    # the kinetic term reads the fluid velocity at every particle of the sweep with one fields.interpolate
-    cfg = tiny_config()
+@pytest.mark.parametrize("velocity_scheme", ["linear", "nearest"])
+def test_q_functional_reads_the_velocity_through_the_pass_stencil(monkeypatch, velocity_scheme):
+    # one stencil per gauge: with the deposit's scheme the velocity is read through the mollified density's
+    # stencil, with another scheme by one fields.interpolate of the whole sweep; either reads sample_velocity's bits
+    cfg = tiny_config(**{"euler.velocity_interpolation": velocity_scheme})
     run = build_run(cfg, 0, cfg.study.n_values)
-    reads = []
+    p = run.particles
+    mismatch = p.velocities - fluid_mod.sample_velocity(run.fluid, p.positions, velocity_scheme)
+    expected = [float(np.mean(rows)) for rows in p.split(np.sum(mismatch * mismatch, axis=1))]
+    stencils, reads = [], []
+    stencil = fields_mod._stencil
+    for module in (fields_mod, particles_mod):
+        monkeypatch.setattr(module, "_stencil", lambda *a: stencils.append(1) or stencil(*a))
     interpolate = fluid_mod.interpolate
 
     def counted(values, points, grid, scheme):
@@ -65,8 +74,12 @@ def test_q_functional_reads_the_velocity_in_one_interpolate(monkeypatch):
         return interpolate(values, points, grid, scheme)
 
     monkeypatch.setattr(fluid_mod, "interpolate", counted)
-    assert len(q_functional(run)) == 3
-    assert reads == [((1, 128), (64 + 128 + 256, 1))]
+    records = q_functional(run)
+    assert [record.kinetic_term for record in records] == expected
+    if velocity_scheme == "linear":
+        assert (len(stencils), reads) == (1, [])
+    else:
+        assert (len(stencils), reads) == (2, [((1, 128), (64 + 128 + 256, 1))])
 
 
 def test_well_prepared_kinetic_term_zero_at_start():
@@ -421,6 +434,55 @@ def test_distances_refuse_an_empty_system_as_the_gauge_does():
         q_functional(run)
     with pytest.raises(ValueError, match=r"system sizes \(64, 0\) include an empty system"):
         mean_field_distances(run, cfg.study.alpha, 16)
+
+
+def _comb_distance_sq(grid, n, alpha, cutoff):
+    """dist_S^2 of a comb of n equal masses against the uniform density: (1/L) sum (1 + lambda_k^2)^-alpha
+    over the box's modes k != 0 that n divides; the lattice holds the one mode M/2 = -M/2."""
+    k = np.arange(-min(cutoff, grid.points_per_dim // 2 - 1), cutoff + 1)
+    k = k[(k != 0) & (k % n == 0)]
+    return float(np.sum((1.0 + (2.0 * np.pi * k / grid.period) ** 2) ** -alpha)) / grid.period
+
+
+@pytest.mark.parametrize("n_values", [(64, 128, 256, 512, 1024), (256, 512, 1024, 2048, 4096, 8192)])
+def test_uniform_flow_is_an_exact_equilibrium_of_the_coupled_sweep(n_values):
+    # a uniform density moving at one velocity c, under constant sigma, solves both systems: the stratified
+    # particles are a comb that translates, every particle's particle-mesh force is zero, and both sides'
+    # velocity is c * exp(sigma B_t); Q vanishes and the distances are the comb's closed form
+    c, sigma = 0.3, 0.25
+    cfg = tiny_config(
+        **{
+            "grid.points_per_dim": 512,
+            "init.density_family": "uniform",
+            "init.velocity_family": "constant",
+            "init.velocity_amplitude": c,
+            "sigma.family": "constant",
+            "sigma.base": sigma,
+            "study.t_final": 0.2,
+            "study.n_values": n_values,
+        }
+    )
+    run = build_run(cfg, 0, n_values)
+    grid, alpha, cutoff = run.grid, cfg.study.alpha, run.grid.points_per_dim // 2
+    expected = np.array([_comb_distance_sq(grid, n, alpha, cutoff) for n in n_values])
+    assert expected[0] > 0.0 and expected[-1] == 0.0
+    for at_end in (False, True):
+        if at_end:
+            for _ in range(run.path.n_steps):
+                run = coupled_step(run)
+        p = run.particles
+        for n, pos in zip(n_values, p.split(p.positions[:, 0])):
+            gaps = np.diff(np.sort(pos), append=pos.min() + grid.period)
+            assert np.max(np.abs(gaps - grid.period / n)) < 1e-12
+        assert max(record.q_total for record in q_functional(run)) < 1e-20
+        dist_s, dist_v = mean_field_distances(run, alpha, cutoff)
+        inside = expected > 0.0
+        np.testing.assert_allclose(dist_s[inside], expected[inside], rtol=1e-12, atol=0.0)
+        assert np.all(dist_s[~inside] < 1e-24)
+        speed = c * math.exp(sigma * float(np.sum(run.path.increments[: run.step_index])))
+        np.testing.assert_allclose(dist_v[inside], speed**2 * dist_s[inside], rtol=1e-12, atol=0.0)
+        assert np.all(dist_v[~inside] < 1e-24)
+    assert run.step_index == run.path.n_steps and not run.fluid.stopped
 
 
 _RATE_STUDY_MODULES = """

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mfeuler
+import mfeuler.fields as fields_mod
 from mfeuler.coupling import mollified_density
 from mfeuler.errors import AlphaTooSmall, KernelAliasingWarning
 from mfeuler.fields import (
@@ -284,10 +285,10 @@ def _half_box(g, cutoff):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
 
 
-def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed):
+def _assert_mode_coefficients_match_dense_sum(g, cutoffs, weights, seed, n=37):
     rng = np.random.default_rng(seed)
-    pts = rng.random((37, g.dim)) * g.period
-    w = {"uniform": None, "scalar": rng.standard_normal(37), "vector": rng.standard_normal((37, 2))}[weights]
+    pts = rng.random((n, g.dim)) * g.period
+    w = {"uniform": None, "scalar": rng.standard_normal(n), "vector": rng.standard_normal((n, 2))}[weights]
     for cutoff in cutoffs:
         dense = np.exp(-1j * (2.0 * np.pi / g.period) * _half_box(g, cutoff) @ pts.T)
         expected = (dense.mean(axis=1) if w is None else dense @ w).reshape(len(dense), -1)
@@ -351,6 +352,85 @@ def test_mode_coefficients_peak_memory_stays_small():
     assert peak < 16 * 2**20
 
 
+def test_mode_coefficients_peak_memory_does_not_grow_with_the_points():
+    # one table of modes x points would take 1025 * 65536 * 16 B = 1 GiB, and whole-length phase tables 97 MiB
+    g = PeriodicGrid(1, 2048, TWO_PI)
+    rng = np.random.default_rng(22)
+    measure = EmpiricalMeasure(rng.random((65536, 1)) * g.period, rng.standard_normal((65536, 1)) / 65536)
+    tracemalloc.start()
+    try:
+        measure_mode_coefficients(measure, g, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _block_points(g, cutoff, columns):
+    """Points in one block of ``measure_mode_coefficients``: PHASE_BLOCK over a point's table entries, in eights."""
+    modes, _ = fields_mod._mode_box(g, cutoff)
+    left, right = fields_mod._phase_tables(g, modes, np.zeros((1, g.dim)), -1j)
+    return max(1, fields_mod.PHASE_BLOCK // ((1 + columns) * len(left) + len(right)) // 8) * 8
+
+
+def _one_product_mode_coefficients(pts, w, g, cutoff):
+    """The phase sums as one matrix product over every point: weighted left table times the right table."""
+    modes, _ = fields_mod._mode_box(g, cutoff)
+    n_modes = modes[0].size ** (g.dim - 1) * modes[1].size
+    left, right = fields_mod._phase_tables(g, modes, pts, -1j)
+    weighted = (w.T[:, None, :] * left).reshape(-1, len(pts))
+    return (weighted @ right.T).reshape(w.shape[1], -1)[:, :n_modes].T
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("dim, m, cutoff", [(1, 512, 256), (1, 64, 20), (2, 64, 16), (2, 16, 8)])
+def test_mode_coefficients_of_one_block_are_one_product_bitwise(dim, m, cutoff, columns):
+    # a block's point count is a multiple of 8; a measure of fewer points is padded with points of weight zero
+    g = PeriodicGrid(dim, m, TWO_PI)
+    rng = np.random.default_rng(23 + dim)
+    block = _block_points(g, cutoff, columns)
+    for n in (1, 7, 8, 64, block):
+        pts = rng.random((n, dim)) * g.period
+        w = rng.standard_normal((n, columns))
+        got = measure_mode_coefficients(EmpiricalMeasure(pts, w), g, cutoff)
+        padded = -(-n // 8) * 8 - n
+        pts, w = np.concatenate((pts, np.zeros((padded, dim)))), np.concatenate((w, np.zeros((padded, columns))))
+        assert got.tobytes() == _one_product_mode_coefficients(pts, w, g, cutoff).tobytes()
+
+
+@pytest.mark.parametrize("dim, m, cutoff", [(1, 32, 16), (2, 16, 8)])
+def test_mode_coefficients_over_several_blocks_match_dense_sum(dim, m, cutoff):
+    # past one block, and with a last block shorter than the others
+    g = PeriodicGrid(dim, m, 5.0)
+    _assert_mode_coefficients_match_dense_sum(g, (cutoff,), "vector", 24 + dim, n=3 * _block_points(g, cutoff, 2) + 5)
+
+
+@pytest.mark.parametrize("entries", [1, 2**9])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mode_coefficients_match_dense_sum_for_any_block_size(monkeypatch, dim, entries):
+    # the smallest blocks, of 8 points, and a few blocks; either way the 37 points end in a padded block
+    monkeypatch.setattr(fields_mod, "PHASE_BLOCK", entries)
+    g = PeriodicGrid(1, 32, 5.0) if dim == 1 else PeriodicGrid(2, 16, 5.0)
+    _assert_mode_coefficients_match_dense_sum(g, (3, g.points_per_dim // 2), "vector", 25 + dim)
+
+
+@pytest.mark.parametrize(
+    "points, weights, message",
+    [
+        (np.empty((0, 1)), None, "at least one point"),
+        (np.empty((0, 1)), np.empty((0, 1)), "at least one point"),
+        (np.array([[0.5], [np.nan]]), None, "non-finite points"),
+        (np.array([[0.5, np.inf]]), None, "non-finite points"),
+        (np.zeros((2, 1)), np.array([1.0, np.nan]), "non-finite weights"),
+        (np.zeros((2, 1)), np.array([[1.0, -np.inf], [0.0, 0.0]]), "non-finite weights"),
+    ],
+    ids=["empty", "empty_explicit_weights", "nan_point", "inf_point_2d", "nan_weight", "inf_weight_column"],
+)
+def test_measure_refuses_no_points_and_non_finite_values(points, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EmpiricalMeasure(points, weights)
+
+
 _MODE_SUM_DIGEST = """
 import hashlib
 import numpy as np
@@ -381,6 +461,37 @@ def test_mode_sums_identical_across_blas_thread_counts():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c", _MODE_SUM_DIGEST], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
+_UNEVEN_MODE_SUM_DIGEST = """
+import hashlib
+import numpy as np
+from mfeuler.fields import EmpiricalMeasure, PeriodicGrid, measure_mode_coefficients
+
+rng = np.random.default_rng(26)
+digest = hashlib.sha256()
+for dim, m, cutoff in ((1, 512, 256), (2, 64, 16), (2, 64, 32)):
+    g = PeriodicGrid(dim, m, 2.0 * np.pi)
+    for n in (1001, 3003):
+        measure = EmpiricalMeasure(rng.random((n, dim)) * g.period, rng.standard_normal((n, dim)))
+        digest.update(measure_mode_coefficients(measure, g, cutoff).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_mode_sums_of_any_point_count_identical_across_blas_thread_counts():
+    # OpenBLAS's complex products split their work over threads to the same bits when the inner length is
+    # a multiple of 8, and not always otherwise: a block of points is padded to a multiple of 8
+    src = os.path.dirname(os.path.dirname(mfeuler.__file__))
+    digests = set()
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNEVEN_MODE_SUM_DIGEST], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())

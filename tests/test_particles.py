@@ -954,6 +954,23 @@ def test_a_pass_refills_unless_positions_sizes_and_grid_all_match(monkeypatch, d
     assert np.array_equal(force_particle_mesh(state, kernels, grid), expected)
 
 
+@pytest.mark.parametrize("scheme", ["nearest", "linear"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reading_through_the_pass_stencil_is_interpolate_bitwise_and_needs_a_current_pass(dim, scheme):
+    # the stencil's first rows, node indices masked back to the plain lattice, read what interpolate reads
+    grid, kernels, sizes, pos, vel = _sweep_case(dim)
+    state = ParticleState(pos, vel, sizes=sizes)
+    values = np.random.default_rng(40 + dim).standard_normal((dim,) + grid.shape)
+    with pytest.raises(ValueError, match="no current 'linear' particle-mesh pass"):
+        particles_mod.read_at_particles(values, state, grid, "linear")
+    mollified_density(state, kernels, grid, scheme)
+    got = particles_mod.read_at_particles(values, state, grid, scheme)
+    assert got.tobytes() == interpolate(values, pos, grid, scheme).tobytes()
+    moved = ParticleState(pos.copy(), vel, sizes=sizes, scratch=state.scratch)
+    with pytest.raises(ValueError, match="particle-mesh pass on these particles and grid"):
+        particles_mod.read_at_particles(values, moved, grid, scheme)
+
+
 def test_runs_sharing_a_state_with_gauges_between_steps_equal_each_run_alone():
     # a gauge marks the shared arrays for one run's rows: the other run's next force must refill them,
     # and a run's own force after its gauge may reuse them
