@@ -36,9 +36,7 @@ from .errors import (
 )
 from .fields import (
     EmpiricalMeasure,
-    GridField,
     PeriodicGrid,
-    deposit,
     interpolate,
     neg_sobolev_distance,
     neg_sobolev_tail_bound,

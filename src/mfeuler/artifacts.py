@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fields import GridField, PeriodicGrid
+from .fields import PeriodicGrid
 from .particles import ParticleState
 
 FIELD_MAGIC = "mfeuler-field v1"
@@ -96,20 +96,29 @@ def _field_grid(meta) -> PeriodicGrid:
     return PeriodicGrid(meta["dim"], meta["points_per_dim"], meta["period"])
 
 
-def write_field(path, field: GridField):
-    g = field.grid
-    _write_binary(path, FIELD_MAGIC, _FIELD_KEYS, (g.dim, g.points_per_dim, g.period), field.values)
+def _field_values(grid: PeriodicGrid, values) -> np.ndarray:
+    """``values`` as floats of ``grid.shape``, checked before a writer opens its file: else ValueError naming both shapes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"field values of shape {values.shape} on a grid of shape {grid.shape}")
+    return values
 
 
-def read_field(path) -> GridField:
+def write_field(path, grid: PeriodicGrid, values):
+    values = _field_values(grid, values)
+    _write_binary(path, FIELD_MAGIC, _FIELD_KEYS, (grid.dim, grid.points_per_dim, grid.period), values)
+
+
+def read_field(path) -> tuple:
     meta, values = _read_binary(path, FIELD_MAGIC, "field", _FIELD_KEYS, lambda m: _field_grid(m).shape)
-    return GridField(_field_grid(meta), values)
+    return _field_grid(meta), values
 
 
-def write_field_csv(path, field: GridField):
-    if field.grid.dim != 1:
+def write_field_csv(path, grid: PeriodicGrid, values):
+    values = _field_values(grid, values)
+    if grid.dim != 1:
         raise ValueError("CSV export is defined for 1-d fields")
-    _write_table(path, ("x", "value"), zip(field.grid.axis_coords, field.values))
+    _write_table(path, ("x", "value"), zip(grid.axis_coords, values))
 
 
 def write_particles(path, state: ParticleState):

@@ -79,12 +79,12 @@ def cmd_run_coupled(args) -> int:
 
 
 def _write_snapshot(out, tag, run):
-    rho = run.fluid.rho
-    artifacts.write_field(os.path.join(out, f"rho_{tag}.field"), rho)
-    for q, v in enumerate(run.fluid.velocity):
-        artifacts.write_field(os.path.join(out, f"vel{q}_{tag}.field"), v)
-    if run.grid.dim == 1:
-        artifacts.write_field_csv(os.path.join(out, f"rho_{tag}.csv"), rho)
+    grid, (rho, *velocity) = run.grid, run.fluid.u
+    artifacts.write_field(os.path.join(out, f"rho_{tag}.field"), grid, rho)
+    for q, v in enumerate(velocity):
+        artifacts.write_field(os.path.join(out, f"vel{q}_{tag}.field"), grid, v)
+    if grid.dim == 1:
+        artifacts.write_field_csv(os.path.join(out, f"rho_{tag}.csv"), grid, rho)
     artifacts.write_particles(os.path.join(out, f"particles_{tag}.bin"), run.particles)
 
 

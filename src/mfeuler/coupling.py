@@ -143,19 +143,8 @@ def build_run(cfg: RunConfig, sample_index: int = 0, n_values=None) -> CoupledRu
     n_steps = int(round(cfg.study.t_final / cfg.integrator.dt))
     path = NoisePath.generate(cfg.run.master_seed, sample_index, n_steps, grid.dim, cfg.integrator.dt)
     fl = fluid_mod.stopping_guard(fluid_mod.make_fluid_state(grid, density, velocity), euler_cfg)
-    systems = [
-        particles_mod.init_well_prepared(
-            density,
-            velocity,
-            n,
-            scheme=cfg.particles.init_scheme,
-            master_seed=cfg.run.master_seed,
-            seed_tags=(int(sample_index), n),
-        )
-        for n in n_values
-    ]
-    particles = particles_mod.ParticleState(
-        np.concatenate([p.positions for p in systems]), np.concatenate([p.velocities for p in systems]), 0.0, n_values
+    particles = particles_mod.init_well_prepared(
+        density, velocity, n_values, cfg.particles.init_scheme, cfg.run.master_seed, int(sample_index)
     )
     return CoupledRun(
         particles=particles,

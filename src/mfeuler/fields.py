@@ -149,6 +149,7 @@ class PeriodicGrid:
         return array[..., : self.points_per_dim // 2 + 1]
 
 
+# kept while mfbench/tracing.py counts its constructions; no module but this one builds one
 @dataclass
 class GridField:
     """Real scalar field sampled on a periodic lattice."""
@@ -197,6 +198,7 @@ def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# a class, not (points, weights) arrays, while mfbench/tracing.py sizes measure_mode_coefficients by its n_points
 @dataclass
 class EmpiricalMeasure:
     """Atomic measure supported on particle positions.
@@ -294,6 +296,7 @@ def gather(values: np.ndarray, stencil, terms=None) -> np.ndarray:
     return terms.reshape(len(values), -1, n).sum(axis=1).T
 
 
+# kept while mfbench/tracing.py times it and counts its points; the particle-mesh pass deposits by itself
 def deposit(measure: EmpiricalMeasure, grid: PeriodicGrid, scheme: str = "linear") -> GridField:
     """Spread particle weights, one column, onto the lattice as a density field.
 

@@ -35,7 +35,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import NonFiniteState, NonPositiveDensity
-from .fields import GridField, PeriodicGrid, interpolate, read_only, sobolev_weight
+from .fields import PeriodicGrid, interpolate, read_only, sobolev_weight
 from .noise import SigmaField
 
 
@@ -95,14 +95,6 @@ class FluidState:
     @property
     def stopped(self) -> bool:
         return self.stopping is not None
-
-    @property
-    def rho(self) -> GridField:
-        return GridField(self.grid, self.u[0])
-
-    @property
-    def velocity(self) -> tuple:
-        return tuple(GridField(self.grid, v) for v in self.u[1:])
 
     def mass(self):
         return float(np.sum(self.u[0]) * self.grid.cell_volume)
@@ -231,6 +223,7 @@ def step_drift(state: FluidState, dt: float, config: EulerConfig) -> FluidState:
     return replace(state, u=grid.irfft(total), time=state.time + dt)
 
 
+# kept while mfbench/tracing.py times it; ``step`` applies the factor of ``_noise_factor`` itself
 def noise_step(state: FluidState, dB: np.ndarray, sigma: SigmaField, scale: float = 1.0) -> FluidState:
     """Exact pathwise noise map: v_q <- v_q * exp(sigma_q(x) dB_q * scale).
 

@@ -26,6 +26,8 @@ grid it deposited, so the next pass on the same three, such as the force after
 a gauge, makes no stencil and no deposit; any other pass fills them again.
 ``read_at_particles`` reads lattice fields at the rows through a current
 pass's stencil.  Forces and densities are new arrays every time.
+``init_well_prepared`` draws a run's whole sweep from one CDF of the
+density, each system from a stream of its own N.
 """
 
 from __future__ import annotations
@@ -403,25 +405,27 @@ def step(
 def init_well_prepared(
     density,
     velocity,
-    n: int,
+    sizes,
     scheme: str = "stratified",
     master_seed: int = 0,
-    seed_tags=(),
+    sample_index: int = 0,
 ) -> ParticleState:
-    """Positions sampled from the density profile, velocities read off the velocity profile.
+    """A sweep of systems of ``sizes`` particles: positions sampled from the density, velocities read off ``velocity``.
 
     Both dimensions read the profile's ``lattice_density()`` on
-    ``density.lattice``, which checks its mass on the same lattice.
+    ``density.lattice``, which checks its mass on the same lattice, and build
+    its CDF once for the sweep.  System N draws from the stream tagged by
+    (master_seed, "init", sample_index, N), so its rows do not depend on the
+    other sizes in the sweep (common random numbers across N).
     In 1-d, ``stratified`` inverts the accumulated CDF, with breakpoints at the
     nodes and the period, at the quantile midpoints (k - 1/2)/N; ``iid`` draws
-    uniforms from the stream tagged by (master_seed, "init", *seed_tags) and
-    inverts the same CDF.  In 2-d (``iid`` only) each particle picks a node with
-    probability proportional to its density, by inverting the nodes' CDF in C
-    order at a uniform draw (what ``Generator.choice(p=...)`` computes on the
-    same draws, here in the array ``lattice_density()`` hands over), then moves
-    uniformly into that node's cell, both draws from the same stream.  Velocities
-    are exact samples of the velocity profile, so the kinetic mismatch vanishes
-    at t = 0 by construction.
+    N uniforms and inverts the same CDF.  In 2-d (``iid`` only) each particle
+    picks a node with probability proportional to its density, by inverting the
+    nodes' CDF in C order at a uniform draw (what ``Generator.choice(p=...)``
+    computes on the same draws, here in the array ``lattice_density()`` hands
+    over), then moves uniformly into that node's cell, both draws from the
+    system's stream.  Velocities are exact samples of the velocity profile, so
+    the kinetic mismatch vanishes at t = 0 by construction.
 
     Raises
     ------
@@ -434,18 +438,23 @@ def init_well_prepared(
         raise ValueError("stratified initialization is defined for dim=1 only; use iid")
     lattice = density.lattice
     dens = density.lattice_density()
-    rng = stream(master_seed, "init", *seed_tags)
     if density.dim == 1:
         cdf = np.concatenate([[0.0], np.cumsum(dens) * lattice.spacing])
-        cdf /= cdf[-1]
-        u = (np.arange(n) + 0.5) / n if scheme == "stratified" else rng.random(n)
-        positions = np.interp(u, cdf, np.append(lattice.axis_coords, density.period))[:, None]
+        breakpoints = np.append(lattice.axis_coords, density.period)
     else:
         cdf = np.divide(dens, dens.sum(), out=dens)
         np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        cells = cdf.searchsorted(rng.random(n), side="right")
-        rows, cols = np.divmod(cells, lattice.points_per_dim)
-        axis = lattice.axis_coords
-        positions = np.stack([axis[rows], axis[cols]], axis=1) + rng.random((n, 2)) * lattice.spacing
-    return ParticleState(positions, np.asarray(velocity(positions)), 0.0)
+    cdf /= cdf[-1]
+    sizes = tuple(map(int, sizes))
+    state = ParticleState(np.empty((sum(sizes), density.dim)), np.empty((sum(sizes), density.dim)), 0.0, sizes)
+    for positions, velocities, n in zip(state.split(state.positions), state.split(state.velocities), sizes):
+        rng = stream(master_seed, "init", sample_index, n)
+        if density.dim == 1:
+            u = (np.arange(n) + 0.5) / n if scheme == "stratified" else rng.random(n)
+            positions[:, 0] = np.interp(u, cdf, breakpoints)
+        else:
+            rows, cols = np.divmod(cdf.searchsorted(rng.random(n), side="right"), lattice.points_per_dim)
+            positions[:, 0], positions[:, 1] = lattice.axis_coords[rows], lattice.axis_coords[cols]
+            positions += rng.random((n, 2)) * lattice.spacing
+        velocities[...] = velocity(positions)
+    return state

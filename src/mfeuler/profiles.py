@@ -18,7 +18,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DensityNotNormalizable
-from .fields import GridField, PeriodicGrid, as_points, read_only
+from .fields import PeriodicGrid, as_points, read_only
 
 DENSITY_FAMILIES = ("uniform", "bump", "sine")
 VELOCITY_FAMILIES = ("zero", "constant", "sine")
@@ -130,9 +130,6 @@ class DensityProfile:
     def __call__(self, points):
         vals = self.shape_values(points)
         return vals / self.mass if self.normalize else vals
-
-    def on_grid(self, grid):
-        return GridField(grid, self(grid.points()).reshape(grid.shape))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import mfeuler.particles as particles_mod
-from mfeuler import artifacts
+from mfeuler import artifacts, coupling, fields
 from mfeuler.cli import main
 from mfeuler.config import RunConfig, validate
 from mfeuler.coupling import QRecord
 from mfeuler.errors import ConfigError
-from mfeuler.fields import GridField, PeriodicGrid
+from mfeuler.fields import PeriodicGrid
 from mfeuler.particles import ParticleState
 
 
@@ -117,21 +117,21 @@ def test_cli_run_coupled_minimal(tmp_path, capsys):
     RunConfig.from_text(echoed)
 
 
+_RUN_2D_BUMP = {
+    "grid.dim": 2,
+    "grid.points_per_dim": 32,
+    "kernel.family": "bump",
+    "kernel.width": 1.0,
+    "particles.n": 256,
+    "particles.init_scheme": "iid",
+    "study.alpha": 2.5,
+    "study.t_final": 0.005,
+}
+
+
 def test_cli_run_coupled_2d_bump(tmp_path, capsys):
     # the bump's force kernel is a quadrature; only the lattice points within its support are summed
-    cfg_path = _tiny_run_config(
-        tmp_path,
-        **{
-            "grid.dim": 2,
-            "grid.points_per_dim": 32,
-            "kernel.family": "bump",
-            "kernel.width": 1.0,
-            "particles.n": 256,
-            "particles.init_scheme": "iid",
-            "study.alpha": 2.5,
-            "study.t_final": 0.005,
-        },
-    )
+    cfg_path = _tiny_run_config(tmp_path, **_RUN_2D_BUMP)
     assert main(["run-coupled", "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
     q = np.loadtxt(out / "q_series.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -139,7 +139,7 @@ def test_cli_run_coupled_2d_bump(tmp_path, capsys):
     mass = np.loadtxt(out / "mass_trace.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
     assert len(mass) == 6
     assert np.max(np.abs(mass - mass[0])) <= 1e-11 * mass[0]
-    assert artifacts.read_field(out / "vel1_final.field").grid.dim == 2
+    assert artifacts.read_field(out / "vel1_final.field")[0].dim == 2
 
 
 def test_cli_guard_stopped_run_exits_zero(tmp_path, capsys):
@@ -166,6 +166,42 @@ def test_cli_guard_stopped_run_exits_zero(tmp_path, capsys):
     # q series marks the stopped flag once frozen
     q_lines = (tmp_path / "out" / "q_series.csv").read_text().splitlines()
     assert q_lines[-1].endswith(",1")
+
+
+@pytest.mark.parametrize("command", ["run-coupled", "rate-study"])
+def test_commands_construct_no_grid_field(tmp_path, monkeypatch, command):
+    # the fluid leaves as (grid, values): no module but fields builds a GridField
+    built = []
+    post_init = fields.GridField.__post_init__
+    monkeypatch.setattr(fields.GridField, "__post_init__", lambda field: built.append(1) or post_init(field))
+    assert main([command, "--config", str(_tiny_run_config(tmp_path))]) == 0
+    assert built == []
+    fields.GridField(PeriodicGrid(1, 4, 4.0), np.ones(4))  # the count sees a construction
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("edits", [{"output.snapshot_stride": 4}, _RUN_2D_BUMP], ids=["1d", "2d_bump"])
+def test_run_coupled_snapshots_read_back_as_the_fluid_rows(tmp_path, edits):
+    # every snapshot's fields, read back as (grid, values), are the u rows of the same run stepped in process
+    cfg_path = _tiny_run_config(tmp_path, **edits)
+    assert main(["run-coupled", "--config", str(cfg_path)]) == 0
+    cfg = validate(RunConfig.from_file(str(cfg_path)))
+    run = coupling.build_run(cfg, sample_index=0)
+    stride, snapshots = cfg.output.snapshot_stride, {}
+    for i in range(1, run.path.n_steps + 1):
+        run = coupling.coupled_step(run)
+        if stride and i % stride == 0:
+            snapshots[f"step{i:06d}"] = run.fluid.u.copy()
+    snapshots["final"] = run.fluid.u
+    assert list(snapshots) == (["step000004", "step000008", "final"] if run.grid.dim == 1 else ["final"])
+    names = ["rho"] + [f"vel{q}" for q in range(run.grid.dim)]
+    for tag, u in snapshots.items():
+        for name, row in zip(names, u, strict=True):
+            grid, values = artifacts.read_field(tmp_path / "out" / f"{name}_{tag}.field")
+            assert grid == run.grid and values.tobytes() == row.tobytes(), (name, tag)
+        if run.grid.dim == 1:
+            x, rho = np.loadtxt(tmp_path / "out" / f"rho_{tag}.csv", delimiter=",", skiprows=1).T
+            assert np.array_equal(x, run.grid.axis_coords) and np.array_equal(rho, u[0]), tag
 
 
 def test_cli_invalid_config_exit_2(tmp_path, capsys):
@@ -316,22 +352,23 @@ def test_cli_self_test(tmp_path, capsys):
 def test_field_binary_round_trip(tmp_path):
     grid = PeriodicGrid(1, 64, 2 * math.pi)
     rng = np.random.default_rng(0)
-    f = GridField(grid, rng.standard_normal(grid.shape))
+    values = rng.standard_normal(grid.shape)
     path = tmp_path / "f.field"
-    artifacts.write_field(path, f)
-    g = artifacts.read_field(path)
-    assert g.grid == grid
-    np.testing.assert_array_equal(g.values, f.values)
+    artifacts.write_field(path, grid, values)
+    back_grid, back = artifacts.read_field(path)
+    assert back_grid == grid
+    np.testing.assert_array_equal(back, values)
 
 
 def test_field_binary_round_trip_2d(tmp_path):
     grid = PeriodicGrid(2, 16, 4.0)
     rng = np.random.default_rng(1)
-    f = GridField(grid, rng.standard_normal(grid.shape))
+    values = rng.standard_normal(grid.shape)
     path = tmp_path / "f2.field"
-    artifacts.write_field(path, f)
-    g = artifacts.read_field(path)
-    np.testing.assert_array_equal(g.values, f.values)
+    artifacts.write_field(path, grid, values)
+    back_grid, back = artifacts.read_field(path)
+    assert back_grid == grid
+    np.testing.assert_array_equal(back, values)
 
 
 def test_read_field_rejects_non_finite_and_truncated_payloads(tmp_path):
@@ -339,15 +376,25 @@ def test_read_field_rejects_non_finite_and_truncated_payloads(tmp_path):
     values = np.linspace(0.0, 1.0, 16)
     values[5] = np.nan
     path = tmp_path / "nan.field"
-    artifacts.write_field(path, GridField(grid, values))
+    artifacts.write_field(path, grid, values)
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: field values must be finite"):
         artifacts.read_field(path)
 
     path = tmp_path / "short.field"
-    artifacts.write_field(path, GridField(grid, np.ones(16)))
+    artifacts.write_field(path, grid, np.ones(16))
     path.write_bytes(path.read_bytes()[:-12])
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload holds"):
         artifacts.read_field(path)
+
+
+@pytest.mark.parametrize("write", [artifacts.write_field, artifacts.write_field_csv], ids=["field", "csv"])
+@pytest.mark.parametrize("values", [np.ones(17), np.ones((16, 16))], ids=["one_node_too_many", "2d_on_a_1d_grid"])
+def test_field_writers_refuse_values_off_the_grid_shape(tmp_path, write, values):
+    # refused before the file is opened, naming both shapes: no file is left that read_field would reject
+    path = tmp_path / "f.out"
+    with pytest.raises(ValueError, match=re.escape(f"field values of shape {values.shape} on a grid of shape (16,)")):
+        write(path, PeriodicGrid(1, 16, 4.0), values)
+    assert not path.exists()
 
 
 def test_particles_binary_round_trip(tmp_path):
@@ -384,7 +431,7 @@ def test_read_particles_rejects_bad_payloads_naming_the_file(tmp_path, edit, mes
 @pytest.mark.parametrize(
     "kind,write,read",
     [
-        ("field", lambda p: artifacts.write_field(p, GridField(PeriodicGrid(2, 4, 4.0), np.ones((4, 4)))), artifacts.read_field),
+        ("field", lambda p: artifacts.write_field(p, PeriodicGrid(2, 4, 4.0), np.ones((4, 4))), artifacts.read_field),
         ("particle", lambda p: artifacts.write_particles(p, ParticleState(np.ones((5, 2)), np.zeros((5, 2)), 0.5)), artifacts.read_particles),
     ],
     ids=["field", "particles"],
@@ -418,7 +465,7 @@ def test_read_field_rejects_a_grid_the_header_cannot_describe(tmp_path):
         (b"points_per_dim = 4", b"points_per_dim = 3", "points_per_dim must be a power of two"),
     ]
     for line, edited, message in cases:
-        artifacts.write_field(path, GridField(PeriodicGrid(1, 4, 4.0), np.ones(4)))
+        artifacts.write_field(path, PeriodicGrid(1, 4, 4.0), np.ones(4))
         path.write_bytes(path.read_bytes().replace(line, edited))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             artifacts.read_field(path)
@@ -456,15 +503,15 @@ def test_writers_pin_the_output_bytes(tmp_path):
         censored_counts=np.array([0, 2], dtype=np.int64),
     )
     mass_rows = [(0, 0.0, 1.0, 0.5), (np.int64(12), 0.012, 1.0000000000000002, -0.0)]
-    field_1d = GridField(PeriodicGrid(1, 4, 2.0), np.array([-0.0, 1.0, 0.1, 3.0]))
-    field_2d = GridField(PeriodicGrid(2, 2, 4.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    field_1d = PeriodicGrid(1, 4, 2.0), np.array([-0.0, 1.0, 0.1, 3.0])
+    field_2d = PeriodicGrid(2, 2, 4.0), np.array([[1.0, 2.0], [3.0, 4.0]])
     writes = {
         "q.csv": lambda p: artifacts.write_q_series(p, records),
         "mass.csv": lambda p: artifacts.write_mass_trace(p, mass_rows),
         "rate.csv": lambda p: artifacts.write_rate_csv(p, rate),
-        "rho.csv": lambda p: artifacts.write_field_csv(p, field_1d),
-        "rho.field": lambda p: artifacts.write_field(p, field_1d),
-        "u.field": lambda p: artifacts.write_field(p, field_2d),
+        "rho.csv": lambda p: artifacts.write_field_csv(p, *field_1d),
+        "rho.field": lambda p: artifacts.write_field(p, *field_1d),
+        "u.field": lambda p: artifacts.write_field(p, *field_2d),
         "p.bin": lambda p: artifacts.write_particles(
             p, ParticleState(np.array([[0.5, 1.5], [2.5, 3.5]]), np.array([[-0.0, 2.0], [4.0, 8.0]]), 0.25)
         ),
@@ -495,9 +542,8 @@ def test_writers_pin_the_output_bytes(tmp_path):
 
 def test_field_csv_export(tmp_path):
     grid = PeriodicGrid(1, 8, 2.0)
-    f = GridField(grid, np.arange(8.0))
     path = tmp_path / "f.csv"
-    artifacts.write_field_csv(path, f)
+    artifacts.write_field_csv(path, grid, np.arange(8.0))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == 9

@@ -29,6 +29,7 @@ from mfeuler.fluid import EulerConfig, FluidState, state_norm
 from mfeuler.kernels import MollifierSpec, ScaledKernel
 from mfeuler.noise import NoisePath, SigmaField
 from mfeuler.particles import ParticleState
+from mfeuler.profiles import DensityProfile
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,7 +159,7 @@ def test_coupled_step_deterministic():
         runs.append(run)
     np.testing.assert_array_equal(runs[0].particles.positions, runs[1].particles.positions)
     np.testing.assert_array_equal(runs[0].particles.velocities, runs[1].particles.velocities)
-    np.testing.assert_array_equal(runs[0].fluid.rho.values, runs[1].fluid.rho.values)
+    np.testing.assert_array_equal(runs[0].fluid.u[0], runs[1].fluid.u[0])
 
 
 def test_zero_sigma_decouples():
@@ -174,7 +175,7 @@ def test_zero_sigma_decouples():
         )
         f_ref = fluid_mod.step(f_ref, np.zeros(1), run.sigma, run.euler_config)
     np.testing.assert_array_equal(run.particles.positions, p_ref.positions)
-    np.testing.assert_array_equal(run.fluid.rho.values, f_ref.rho.values)
+    np.testing.assert_array_equal(run.fluid.u[0], f_ref.u[0])
 
 
 def test_frozen_run_diagnostics_stable():
@@ -483,6 +484,44 @@ def test_uniform_flow_is_an_exact_equilibrium_of_the_coupled_sweep(n_values):
         np.testing.assert_allclose(dist_v[inside], speed**2 * dist_s[inside], rtol=1e-12, atol=0.0)
         assert np.all(dist_v[~inside] < 1e-24)
     assert run.step_index == run.path.n_steps and not run.fluid.stopped
+
+
+def test_uniform_flow_equilibrium_through_the_rate_study():
+    # the same exact solution through monte_carlo_rate, on 2 samples: Q at rounding at t = 0 and at T for every N,
+    # the mean dist_S^2 the comb's closed form, and no sample censored
+    n_values = (64, 128, 256, 512, 1024)
+    cfg = tiny_config(
+        **{
+            "grid.points_per_dim": 512,
+            "init.density_family": "uniform",
+            "init.velocity_family": "constant",
+            "init.velocity_amplitude": 0.3,
+            "sigma.family": "constant",
+            "sigma.base": 0.25,
+            "study.t_final": 0.2,
+            "study.n_values": n_values,
+            "study.samples": 2,
+        }
+    )
+    result = monte_carlo_rate(cfg)
+    grid = coupling_mod.make_grid(cfg)
+    assert result.n_values == n_values and result.freq_cutoff == grid.points_per_dim // 2
+    expected = np.array([_comb_distance_sq(grid, n, cfg.study.alpha, result.freq_cutoff) for n in n_values])
+    assert np.all(result.mean_q < 1e-20) and np.all(result.mean_q0 < 1e-20)
+    inside = expected > 0.0
+    assert inside.any() and not inside.all()
+    np.testing.assert_allclose(result.mean_dist_s[inside], expected[inside], rtol=1e-12, atol=0.0)
+    assert np.all(result.mean_dist_s[~inside] < 1e-24)
+    assert np.all(result.censored_counts == 0)
+
+
+def test_build_run_reads_the_lattice_density_once_per_sweep(monkeypatch):
+    # one initial-data draw per sweep: one lattice density and one CDF, not one per N
+    calls = []
+    lattice_density = DensityProfile.lattice_density
+    monkeypatch.setattr(DensityProfile, "lattice_density", lambda self: calls.append(self) or lattice_density(self))
+    run = build_run(tiny_config(), 0, (64, 128, 256))
+    assert run.particles.sizes == (64, 128, 256) and len(calls) == 1
 
 
 _RATE_STUDY_MODULES = """

@@ -205,10 +205,10 @@ def test_acoustic_dispersion():
         state = step(state, np.zeros(1), sigma, cfg)
     t = state.time
     np.testing.assert_allclose(
-        state.rho.values, 1.0 + eps * np.cos(grid.axis_coords) * math.cos(t), atol=1e-10
+        state.u[0], 1.0 + eps * np.cos(grid.axis_coords) * math.cos(t), atol=1e-10
     )
     np.testing.assert_allclose(
-        state.velocity[0].values, eps * np.sin(grid.axis_coords) * math.sin(t), atol=1e-10
+        state.u[1], eps * np.sin(grid.axis_coords) * math.sin(t), atol=1e-10
     )
 
 
@@ -228,8 +228,8 @@ def test_noise_step_exactness_and_density_invariance():
     state = make_state(m=64)
     sigma = SigmaField("sinusoidal", 0.3, 0.5, TWO_PI)
     path = NoisePath.generate(4, 0, 1000, 1, 1e-3)
-    rho0 = state.rho.values.copy()
-    v0 = state.velocity[0].values.copy()
+    rho0 = state.u[0].copy()
+    v0 = state.u[1].copy()
     for dB in path.increments:
         state = noise_step(state, dB, sigma)
     sig_vals = sigma.on_grid(state.grid)
@@ -237,12 +237,12 @@ def test_noise_step_exactness_and_density_invariance():
     assert sigma.on_grid(state.grid) is sig_vals and not sig_vals.flags.writeable
     assert sig_vals.shape == (1,) + state.grid.shape
     exact = v0 * np.exp(sig_vals[0] * path.terminal()[0])
-    np.testing.assert_allclose(state.velocity[0].values, exact, rtol=1e-12)
-    np.testing.assert_array_equal(state.rho.values, rho0)
+    np.testing.assert_allclose(state.u[1], exact, rtol=1e-12)
+    np.testing.assert_array_equal(state.u[0], rho0)
     # zero increment leaves the state untouched
-    before = state.velocity[0].values.copy()
+    before = state.u[1].copy()
     state = noise_step(state, np.zeros(1), sigma)
-    np.testing.assert_array_equal(state.velocity[0].values, before)
+    np.testing.assert_array_equal(state.u[1], before)
 
 
 def test_step_raises_when_the_state_turns_non_finite():
@@ -270,8 +270,8 @@ def test_zero_sigma_reduces_to_deterministic_bitwise():
     for dB in path.increments:
         state_a = step(state_a, dB, sigma, cfg)
         state_b = step_drift(state_b, cfg.dt, cfg)
-    np.testing.assert_array_equal(state_a.rho.values, state_b.rho.values)
-    np.testing.assert_array_equal(state_a.velocity[0].values, state_b.velocity[0].values)
+    np.testing.assert_array_equal(state_a.u[0], state_b.u[0])
+    np.testing.assert_array_equal(state_a.u[1], state_b.u[1])
 
 
 def test_self_convergence_fourth_order():
@@ -292,8 +292,8 @@ def test_self_convergence_fourth_order():
     errs, dts = [], []
     for dt in (2e-2, 1e-2, 5e-3, 2.5e-3):
         st = run(dt)
-        err = np.max(np.abs(st.rho.values - ref.rho.values)) + np.max(
-            np.abs(st.velocity[0].values - ref.velocity[0].values)
+        err = np.max(np.abs(st.u[0] - ref.u[0])) + np.max(
+            np.abs(st.u[1] - ref.u[1])
         )
         errs.append(err)
         dts.append(dt)
@@ -337,13 +337,13 @@ def test_steepening_guard_fires_and_freezes():
     record = state.stopping
     assert record.norm_value >= cfg.guard_m
     # the spectrum tail is still tiny when the guard fires (pre-blowup)
-    coeffs = np.abs(np.fft.fft(state.rho.values))
+    coeffs = np.abs(np.fft.fft(state.u[0]))
     tail = coeffs[96:129].max() / coeffs.max()
     assert tail < 1e-3
     # a stopped state is never advanced
     frozen = step(state, np.array([0.3]), sigma, cfg)
     assert frozen is state
-    np.testing.assert_array_equal(frozen.rho.values, state.rho.values)
+    np.testing.assert_array_equal(frozen.u[0], state.u[0])
 
 
 def test_sample_velocity_schemes():
@@ -405,7 +405,7 @@ def test_2d_acoustic_dispersion_diagonal_mode():
         state = step(state, np.zeros(2), sigma, cfg)
     t = state.time
     expected = 1.0 + eps * np.cos(xx + yy) * math.cos(math.sqrt(2.0) * t)
-    np.testing.assert_allclose(state.rho.values, expected, atol=1e-10)
+    np.testing.assert_allclose(state.u[0], expected, atol=1e-10)
 
 
 def test_2d_constants_steady_and_mass_conserved():
@@ -419,7 +419,7 @@ def test_2d_constants_steady_and_mass_conserved():
     for dB in path.increments:
         state = step(state, dB, sigma, cfg)
     assert abs(state.mass() - mass0) < 1e-10 * abs(mass0)
-    assert np.all(np.isfinite(state.rho.values))
+    assert np.all(np.isfinite(state.u[0]))
 
     const = FluidState(grid, np.stack([np.full(grid.shape, c) for c in (1.2, 0.3, -0.2)]))
     du = drift_rhs(const, cfg)
@@ -435,7 +435,7 @@ def test_hyperviscosity_damps_tail():
     sigma = SigmaField("constant", 0.0)
     for _ in range(50):
         state = step(state, np.zeros(1), sigma, cfg)
-    coeffs = np.abs(np.fft.fft(state.rho.values)) / grid.points_per_dim
+    coeffs = np.abs(np.fft.fft(state.u[0])) / grid.points_per_dim
     assert coeffs[60] < 0.25e-6
 
 

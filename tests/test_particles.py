@@ -435,7 +435,7 @@ def test_determinism_same_seed():
         kern = gaussian_kernel(64)
         dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
         vel = VelocityProfile("sine", 0.1, TWO_PI)
-        st = init_well_prepared(dens, vel, 64, scheme="stratified")
+        st = init_well_prepared(dens, vel, (64,), scheme="stratified")
         grid = PeriodicGrid(1, 128, TWO_PI)
         for dB in path.increments:
             st = step(st, dB, path.dt, [kern], sigma, TWO_PI, method="particle_mesh", grid=grid)
@@ -657,7 +657,7 @@ def test_stratified_uniform_subinterval_quantiles():
     # uniform profile on the torus [0, pi), half of [0, 2pi): the quantile midpoints are equispaced
     period = TWO_PI / 2.0
     dens = DensityProfile("uniform", period=period)
-    st = init_well_prepared(dens, VelocityProfile("zero", 0.0, period), 4, scheme="stratified")
+    st = init_well_prepared(dens, VelocityProfile("zero", 0.0, period), (4,), scheme="stratified")
     expected = (np.arange(4) + 0.5) / 4.0 * period
     np.testing.assert_allclose(st.positions[:, 0], expected, atol=2 * TWO_PI / 2**14)
 
@@ -666,7 +666,7 @@ def test_init_velocities_exact_samples():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
     for scheme in ("stratified", "iid"):
-        st = init_well_prepared(dens, vel, 32, scheme=scheme, master_seed=4)
+        st = init_well_prepared(dens, vel, (32,), scheme=scheme, master_seed=4)
         np.testing.assert_array_equal(st.velocities, np.asarray(vel(st.positions)))
 
 
@@ -674,7 +674,7 @@ def test_init_rejects_unnormalized_density():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, normalize=False)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
     with pytest.raises(DensityNotNormalizable):
-        init_well_prepared(dens, vel, 8)
+        init_well_prepared(dens, vel, (8,))
 
 
 def lattice_density_2d_reference(density):
@@ -719,7 +719,7 @@ def test_init_1d_matches_reference_bitwise(family, scheme):
     dens = DensityProfile(family, 0.3, 6.0, TWO_PI, 1, True)
     vel = VelocityProfile("sine", 0.1, TWO_PI)
     for n in (1, 7, 256, 8192):
-        st = init_well_prepared(dens, vel, n, scheme=scheme, master_seed=9, seed_tags=(2, n))
+        st = init_well_prepared(dens, vel, (n,), scheme=scheme, master_seed=9, sample_index=2)
         positions, velocities = init_1d_reference(dens, vel, n, scheme, 9, (2, n))
         assert np.array_equal(st.positions, positions)
         assert np.array_equal(st.velocities, velocities)
@@ -739,17 +739,47 @@ def test_init_2d_matches_reference_bitwise(family):
         reference = lattice_density_2d_reference(dens)
         for seed in (0, 3, 11, 12, 29):
             for n in (1, 7, 256, 2048):
-                st = init_well_prepared(dens, vel, n, scheme="iid", master_seed=seed, seed_tags=(0, n))
+                st = init_well_prepared(dens, vel, (n,), scheme="iid", master_seed=seed)
                 positions, velocities = init_2d_reference(reference, vel, n, dens.lattice.spacing, seed, (0, n))
                 assert np.array_equal(st.positions, positions)
                 assert np.array_equal(st.velocities, velocities)
+
+
+def _sweep_profiles(dim):
+    return DensityProfile("bump", 0.3, 6.0, TWO_PI, dim, True), VelocityProfile("sine", 0.1, TWO_PI)
+
+
+@pytest.mark.parametrize("dim,scheme", [(1, "stratified"), (1, "iid"), (2, "iid")])
+def test_sweep_init_is_the_per_system_draws_concatenated(dim, scheme):
+    # one CDF for the sweep, and system N drawn from the stream tagged (sample, N): the per-system references
+    dens, vel = _sweep_profiles(dim)
+    sizes = (7, 256, 1024)
+    st = init_well_prepared(dens, vel, sizes, scheme, master_seed=9, sample_index=2)
+    if dim == 1:
+        systems = [init_1d_reference(dens, vel, n, scheme, 9, (2, n)) for n in sizes]
+    else:
+        reference = lattice_density_2d_reference(dens)
+        systems = [init_2d_reference(reference, vel, n, dens.lattice.spacing, 9, (2, n)) for n in sizes]
+    assert st.sizes == sizes and st.time == 0.0
+    assert np.array_equal(st.positions, np.concatenate([positions for positions, _ in systems]))
+    assert np.array_equal(st.velocities, np.concatenate([velocities for _, velocities in systems]))
+
+
+@pytest.mark.parametrize("dim,scheme", [(1, "stratified"), (1, "iid"), (2, "iid")])
+def test_sweep_init_rows_do_not_depend_on_the_other_sizes(dim, scheme):
+    # common random numbers across N: the N = 1024 rows of a sweep are the sweep of that N alone
+    dens, vel = _sweep_profiles(dim)
+    alone = init_well_prepared(dens, vel, (1024,), scheme, master_seed=5, sample_index=1)
+    sweep = init_well_prepared(dens, vel, (256, 1024), scheme, master_seed=5, sample_index=1)
+    assert sweep.split(sweep.positions)[1].tobytes() == alone.positions.tobytes()
+    assert sweep.split(sweep.velocities)[1].tobytes() == alone.velocities.tobytes()
 
 
 def test_init_2d_rejects_unnormalized_density():
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 2, normalize=False)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
     with pytest.raises(DensityNotNormalizable):
-        init_well_prepared(dens, vel, 8, scheme="iid")
+        init_well_prepared(dens, vel, (8,), scheme="iid")
 
 
 @pytest.mark.parametrize(
@@ -765,7 +795,7 @@ def test_init_2d_rejects_unnormalized_density():
         (lambda: DensityProfile("bump", 0.2, -1e3), ValueError, "density concentration must be positive"),
         (lambda: EulerConfig(dt=1e-3, hyperviscosity_nu=math.nan), ValueError, "hyperviscosity_nu"),
         (
-            lambda: init_well_prepared(DensityProfile(), VelocityProfile("sine", math.nan), 4),
+            lambda: init_well_prepared(DensityProfile(), VelocityProfile("sine", math.nan), (4,)),
             ValueError,
             "velocity amplitude must not be NaN or infinite",
         ),
@@ -826,10 +856,10 @@ def test_2d_lattice_shape_and_init_peak_memory(family):
     try:
         profile.lattice_shape()
         shape_peak = tracemalloc.get_traced_memory()[1]
-        init_well_prepared(profile, vel, 2048, "iid", 1, (0, 2048))  # the mass is cached too from here on
+        init_well_prepared(profile, vel, (2048,), "iid", 1)  # the mass is cached too from here on
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        init_well_prepared(profile, vel, 2048, "iid", 2, (0, 2048))
+        init_well_prepared(profile, vel, (2048,), "iid", 2)
         init_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -845,14 +875,14 @@ def test_stratified_density_term_decreases_with_n():
     grid = PeriodicGrid(1, 512, TWO_PI)
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
-    rho = dens.on_grid(grid)
+    rho = dens(grid.points())
     errs = []
     for j in range(8, 13):
         n = 2**j
-        st = init_well_prepared(dens, vel, n, scheme="stratified")
+        st = init_well_prepared(dens, vel, (n,), scheme="stratified")
         kern = gaussian_kernel(n)
         (mol,) = mollified_density(st, [kern], grid)
-        errs.append(float(np.sum((mol - rho.values) ** 2) * grid.cell_volume))
+        errs.append(float(np.sum((mol - rho) ** 2) * grid.cell_volume))
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
@@ -863,14 +893,14 @@ def test_iid_init_distance_matches_sampling_variance():
     alpha = 2.0
     dens = DensityProfile("bump", 0.2, 8.0, TWO_PI, 1, True)
     vel = VelocityProfile("zero", 0.0, TWO_PI)
-    rho = dens.on_grid(grid)
-    spectrum = grid.rfft(rho.values)
+    rho = dens(grid.points())
+    spectrum = grid.rfft(rho)
     rho_hat = spectrum / spectrum[0]
     cutoff = grid.points_per_dim // 2
-    rho_spectra = box_spectra(rho.values[None], grid, cutoff)
+    rho_spectra = box_spectra(rho[None], grid, cutoff)
     weights = _column_multiplicity(grid) * (1.0 + grid.half(grid.freq_norm_sq)) ** -alpha
     for n in (256, 1024, 4096):
-        samples = [init_well_prepared(dens, vel, n, "iid", 21, (m, n)) for m in range(400)]
+        samples = [init_well_prepared(dens, vel, (n,), "iid", 21, sample_index=m) for m in range(400)]
         sq = [neg_sobolev_distance(EmpiricalMeasure(st.positions), rho_spectra, alpha, grid, cutoff) ** 2 for st in samples]
         expected = np.sum(weights * (1.0 - np.abs(rho_hat) ** 2)) / (n * grid.period)
         se = np.std(sq, ddof=1) / math.sqrt(len(sq))
@@ -1070,7 +1100,7 @@ def _boost_errors(method, grid):
     kernel = gaussian_kernel(n)
     path = NoisePath.generate(5, 0, 200, 1, dt)
     B = np.concatenate(([0.0], np.cumsum(path.increments[:, 0])))
-    plain = init_well_prepared(DensityProfile(), VelocityProfile("sine", 0.1, TWO_PI), n)
+    plain = init_well_prepared(DensityProfile(), VelocityProfile("sine", 0.1, TWO_PI), (n,))
     boosted = ParticleState(plain.positions.copy(), plain.velocities + c)
     for dB in path.increments:
         plain = step(plain, dB, dt, [kernel], sigma, TWO_PI, method, grid)
