@@ -1,119 +1,76 @@
 """Run configuration: structured-text (INI) parsing, validation, round-trip.
 
-Every tunable lives in a named section; unknown sections or keys are rejected
-with the offending name.  ``to_text`` emits a normalized form that parses back
-to an identical configuration (floats are serialized with full round-trip
-precision), which is what run manifests embed.
+``DEFAULTS`` declares the configuration: every section, every key of a
+section and its default, in the order ``to_text`` writes them.  A
+``RunConfig`` holds one namespace per section, built from the table.  Unknown
+sections or keys are rejected with the offending name, whether read from a
+file or set in code, and so is a value of a type a file never gives its key.
+``to_text`` emits a normalized form that parses back to an identical
+configuration (floats are serialized with full round-trip precision), which
+is what run manifests embed.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from types import SimpleNamespace
 
 from .errors import ConfigError, DensityNotNormalizable
 
-
-@dataclass
-class RunSection:
-    master_seed: int = 12345
-    output_dir: str = "mfeuler-out"
-    threads: int = 1
-
-
-@dataclass
-class GridSection:
-    dim: int = 1
-    points_per_dim: int = 512
-    period: float = 2.0 * math.pi
-
-
-@dataclass
-class KernelSection:
-    family: str = "gaussian"
-    width: float = 2.0
-    beta: float = 0.5
-    report_freq_window: float = 8.0
-    report_space_window: float = 10.0
-    report_ceiling: float = 1e3
-
-
-@dataclass
-class SigmaSection:
-    family: str = "sinusoidal"
-    base: float = 0.25
-    modulation: float = 0.5
-
-
-@dataclass
-class InitSection:
-    density_family: str = "bump"
-    density_amplitude: float = 0.2
-    density_concentration: float = 8.0
-    velocity_family: str = "sine"
-    velocity_amplitude: float = 0.1
-    normalize: bool = True
-
-
-@dataclass
-class ParticlesSection:
-    n: int = 1024
-    init_scheme: str = "stratified"
+DEFAULTS = {
+    "run": {"master_seed": 12345, "output_dir": "mfeuler-out", "threads": 1},
+    "grid": {"dim": 1, "points_per_dim": 512, "period": 2.0 * math.pi},
+    "kernel": {
+        "family": "gaussian",
+        "width": 2.0,
+        "beta": 0.5,
+        "report_freq_window": 8.0,
+        "report_space_window": 10.0,
+        "report_ceiling": 1e3,
+    },
+    "sigma": {"family": "sinusoidal", "base": 0.25, "modulation": 0.5},
+    "init": {
+        "density_family": "bump",
+        "density_amplitude": 0.2,
+        "density_concentration": 8.0,
+        "velocity_family": "sine",
+        "velocity_amplitude": 0.1,
+        "normalize": True,
+    },
+    "particles": {"n": 1024, "init_scheme": "stratified"},
+    "integrator": {"dt": 1e-3, "force_method": "particle_mesh", "deposit_scheme": "linear"},
+    "euler": {
+        "dealias_fraction": 2.0 / 3.0,
+        "hyperviscosity_nu": 1e-8,
+        "hyperviscosity_order": 4,
+        "guard_s": 3.5,
+        "guard_m": 50.0,
+        "velocity_interpolation": "linear",
+    },
+    "study": {
+        "t_final": 0.2,
+        "n_values": (256, 512, 1024, 2048, 4096, 8192),
+        "samples": 32,
+        "alpha": 2.0,
+        "freq_cutoff": 0,  # 0 means grid Nyquist M/2
+    },
+    "output": {"q_stride": 1, "snapshot_stride": 0},  # snapshot_stride 0 means final snapshot only
+}
 
 
-@dataclass
-class IntegratorSection:
-    dt: float = 1e-3
-    force_method: str = "particle_mesh"
-    deposit_scheme: str = "linear"
+class RunConfig(SimpleNamespace):
+    """One ``SimpleNamespace`` per section of ``DEFAULTS``, holding its defaults; equal when every value is."""
 
-
-@dataclass
-class EulerSection:
-    dealias_fraction: float = 2.0 / 3.0
-    hyperviscosity_nu: float = 1e-8
-    hyperviscosity_order: int = 4
-    guard_s: float = 3.5
-    guard_m: float = 50.0
-    velocity_interpolation: str = "linear"
-
-
-@dataclass
-class StudySection:
-    t_final: float = 0.2
-    n_values: tuple = (256, 512, 1024, 2048, 4096, 8192)
-    samples: int = 32
-    alpha: float = 2.0
-    freq_cutoff: int = 0  # 0 means grid Nyquist M/2
-
-
-@dataclass
-class OutputSection:
-    q_stride: int = 1
-    snapshot_stride: int = 0  # 0 means final snapshot only
-
-
-@dataclass
-class RunConfig:
-    run: RunSection = field(default_factory=RunSection)
-    grid: GridSection = field(default_factory=GridSection)
-    kernel: KernelSection = field(default_factory=KernelSection)
-    sigma: SigmaSection = field(default_factory=SigmaSection)
-    init: InitSection = field(default_factory=InitSection)
-    particles: ParticlesSection = field(default_factory=ParticlesSection)
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
-    euler: EulerSection = field(default_factory=EulerSection)
-    study: StudySection = field(default_factory=StudySection)
-    output: OutputSection = field(default_factory=OutputSection)
+    def __init__(self):
+        super().__init__(**{name: SimpleNamespace(**keys) for name, keys in DEFAULTS.items()})
 
     def to_text(self) -> str:
         lines = []
-        for section_name in _SECTION_ORDER:
+        for section_name, keys in DEFAULTS.items():
             section = getattr(self, section_name)
             lines.append(f"[{section_name}]")
-            for f in dc_fields(section):
-                lines.append(f"{f.name} = {_format_value(getattr(section, f.name))}")
+            lines += [f"{key} = {_format_value(getattr(section, key))}" for key in keys]
             lines.append("")
         return "\n".join(lines)
 
@@ -126,18 +83,17 @@ class RunConfig:
             raise ConfigError(f"config parse error: {exc}") from exc
         cfg = cls()
         for section_name in parser.sections():
-            if section_name not in _SECTION_ORDER:
+            if section_name not in DEFAULTS:
                 raise ConfigError(f"unknown config section: {section_name}")
-            section = getattr(cfg, section_name)
-            known = {f.name: f for f in dc_fields(section)}
+            known = DEFAULTS[section_name]
             for key, raw in parser.items(section_name):
                 if key not in known:
                     raise ConfigError(f"unknown config key: {section_name}.{key}")
                 try:
-                    value = _parse_value(raw, getattr(section, key))
+                    value = _parse_value(raw, known[key])
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(f"bad value for {section_name}.{key}: {raw!r} ({exc})") from exc
-                setattr(section, key, value)
+                setattr(getattr(cfg, section_name), key, value)
         validate(cfg)
         return cfg
 
@@ -149,9 +105,6 @@ class RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         return cls.from_text(text)
-
-
-_SECTION_ORDER = tuple(f.name for f in dc_fields(RunConfig))
 
 
 def _format_value(value):
@@ -182,6 +135,16 @@ def _parse_value(raw, template):
     return raw
 
 
+# the types from_text gives a key, by the type of its default, and their name in an error
+_TYPES = {
+    int: ((int,), "an int"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a bool"),
+    str: ((str,), "a string"),
+    tuple: ((tuple,), "a tuple of ints"),
+}
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
@@ -194,15 +157,23 @@ def validate(cfg: RunConfig) -> RunConfig:
     from .particles import FORCE_METHODS
     from .profiles import DENSITY_FAMILIES, VELOCITY_FAMILIES, DensityProfile
 
-    for section_name in _SECTION_ORDER:
+    for section_name in vars(cfg):
+        _require(section_name in DEFAULTS, f"unknown config section: {section_name}")
+    for section_name, keys in DEFAULTS.items():
         section = getattr(cfg, section_name)
-        for f in dc_fields(section):
-            key, value = f"{section_name}.{f.name}", getattr(section, f.name)
-            if isinstance(value, float) and key != "euler.guard_m":  # guard_m = inf means no guard
-                _require(math.isfinite(value), f"{key} must be finite")
+        for key in vars(section):
+            _require(key in keys, f"unknown config key: {section_name}.{key}")
+        for key, default in keys.items():
+            name, value = f"{section_name}.{key}", getattr(section, key)
+            types, kind = _TYPES[type(default)]
+            fits = type(value) in types and (type(value) is not tuple or all(type(v) is int for v in value))
+            _require(fits, f"{name} must be {kind}, not {value!r}")
+            if type(value) is float and name != "euler.guard_m":  # guard_m = inf means no guard
+                _require(math.isfinite(value), f"{name} must be finite")
 
     r = cfg.run
     _require(0 <= r.master_seed < 2**64, "run.master_seed must fit in 64 bits")
+    _require(r.output_dir != "", "run.output_dir must not be empty")
     _require(r.threads >= 1, "run.threads must be >= 1")
 
     g = cfg.grid

@@ -42,9 +42,10 @@ QUAD_POINTS_2D = 2**9
 # zero when choosing quadrature/truncation domains.
 TRUNCATION_EPS = 1e-14
 
-# Entries of one block of (point, quadrature node) pairs: 16 points on the
-# default 1-d lattice, so that a block's temporaries (512 KiB each) stay in cache.
-QUAD_BLOCK = 16 * (QUAD_POINTS + 1)
+# Entries of one block of (point, quadrature node) pairs: 4 points on the
+# default 1-d lattice, so that a block's temporaries (128 KiB each) stay in cache.
+# Blocks of 2 points change the rounding of the bump kernel's lattice samples.
+QUAD_BLOCK = 4 * (QUAD_POINTS + 1)
 
 
 def _quad_lattice(radius, n, dim):

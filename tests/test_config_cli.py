@@ -9,7 +9,7 @@ import pytest
 import mfeuler.particles as particles_mod
 from mfeuler import artifacts, coupling, fields
 from mfeuler.cli import main
-from mfeuler.config import RunConfig, validate
+from mfeuler.config import DEFAULTS, RunConfig, validate
 from mfeuler.coupling import QRecord
 from mfeuler.errors import ConfigError
 from mfeuler.fields import PeriodicGrid
@@ -82,18 +82,188 @@ def test_infinite_guard_threshold_parses():
     assert RunConfig.from_text(cfg.to_text()).euler.guard_m == math.inf
 
 
-def _tiny_run_config(tmp_path, **edits):
+DEFAULT_TEXT = """\
+[run]
+master_seed = 12345
+output_dir = mfeuler-out
+threads = 1
+
+[grid]
+dim = 1
+points_per_dim = 512
+period = 6.283185307179586
+
+[kernel]
+family = gaussian
+width = 2.0
+beta = 0.5
+report_freq_window = 8.0
+report_space_window = 10.0
+report_ceiling = 1000.0
+
+[sigma]
+family = sinusoidal
+base = 0.25
+modulation = 0.5
+
+[init]
+density_family = bump
+density_amplitude = 0.2
+density_concentration = 8.0
+velocity_family = sine
+velocity_amplitude = 0.1
+normalize = true
+
+[particles]
+n = 1024
+init_scheme = stratified
+
+[integrator]
+dt = 0.001
+force_method = particle_mesh
+deposit_scheme = linear
+
+[euler]
+dealias_fraction = 0.6666666666666666
+hyperviscosity_nu = 1e-08
+hyperviscosity_order = 4
+guard_s = 3.5
+guard_m = 50.0
+velocity_interpolation = linear
+
+[study]
+t_final = 0.2
+n_values = 256,512,1024,2048,4096,8192
+samples = 32
+alpha = 2.0
+freq_cutoff = 0
+
+[output]
+q_stride = 1
+snapshot_stride = 0
+"""
+
+
+def test_default_config_text_is_pinned():
+    # section order, key order and the float repr are what every manifest embeds
+    assert RunConfig().to_text() == DEFAULT_TEXT
+
+
+# a valid configuration with every key away from its default, each value of the type a file gives it;
+# a raw (normalize = false) uniform density on the unit square has unit mass
+EVERY_KEY_EDITED = {
+    "run.master_seed": 7,
+    "run.output_dir": "elsewhere",
+    "run.threads": 3,
+    "grid.dim": 2,
+    "grid.points_per_dim": 64,
+    "grid.period": 1.0,
+    "kernel.family": "bump",
+    "kernel.width": 1.5,
+    "kernel.beta": 0.25,
+    "kernel.report_freq_window": 4.5,
+    "kernel.report_space_window": 7.25,
+    "kernel.report_ceiling": 250.0,
+    "sigma.family": "constant",
+    "sigma.base": 0.125,
+    "sigma.modulation": 0.3,
+    "init.density_family": "uniform",
+    "init.density_amplitude": 0.7,
+    "init.density_concentration": 2.5,
+    "init.velocity_family": "constant",
+    "init.velocity_amplitude": 0.05,
+    "init.normalize": False,
+    "particles.n": 100,
+    "particles.init_scheme": "iid",
+    "integrator.dt": 0.002,
+    "integrator.force_method": "direct",
+    "integrator.deposit_scheme": "nearest",
+    "euler.dealias_fraction": 0.5,
+    "euler.hyperviscosity_nu": 1e-6,
+    "euler.hyperviscosity_order": 2,
+    "euler.guard_s": 4.25,
+    "euler.guard_m": math.inf,
+    "euler.velocity_interpolation": "spectral",
+    "study.t_final": 0.01,
+    "study.n_values": (16, 32),
+    "study.samples": 4,
+    "study.alpha": 2.5,
+    "study.freq_cutoff": 8,
+    "output.q_stride": 2,
+    "output.snapshot_stride": 5,
+}
+
+
+def _edited(edits):
     cfg = RunConfig()
-    cfg.grid.points_per_dim = 128
-    cfg.particles.n = 64
-    cfg.study.t_final = 0.01
-    cfg.study.n_values = (64, 128, 256)
-    cfg.study.samples = 2
-    cfg.run.output_dir = str(tmp_path / "out")
     for key, value in edits.items():
         section, name = key.split(".")
         setattr(getattr(cfg, section), name, value)
-    validate(cfg)
+    return cfg
+
+
+def test_every_key_edited_round_trips_through_the_text():
+    assert list(EVERY_KEY_EDITED) == [f"{s}.{k}" for s, keys in DEFAULTS.items() for k in keys]
+    for key, value in EVERY_KEY_EDITED.items():
+        section, name = key.split(".")
+        default = DEFAULTS[section][name]
+        assert value != default and type(value) is type(default), key
+    cfg = validate(_edited(EVERY_KEY_EDITED))
+    again = RunConfig.from_text(cfg.to_text())
+    assert again == cfg and again.to_text() == cfg.to_text()
+    for key, value in EVERY_KEY_EDITED.items():
+        section, name = key.split(".")
+        assert type(getattr(getattr(again, section), name)) is type(value), key
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid.points_per_dim", 512.0, "grid.points_per_dim must be an int"),
+        ("particles.n", "1024", "particles.n must be an int"),
+        ("particles.n", True, "particles.n must be an int"),
+        ("kernel.width", "2.0", "kernel.width must be a number"),
+        ("kernel.width", False, "kernel.width must be a number"),
+        # a numpy scalar: to_text would write its repr, np.float64(0.5), which no file parses
+        ("kernel.beta", np.float64(0.5), "kernel.beta must be a number"),
+        ("init.normalize", 1, "init.normalize must be a bool"),
+        ("kernel.family", None, "kernel.family must be a string"),
+        ("study.n_values", [256, 512], "study.n_values must be a tuple of ints"),
+        ("study.n_values", (256.0, 512.0), "study.n_values must be a tuple of ints"),
+        ("study.n_values", (np.int64(256),), "study.n_values must be a tuple of ints"),
+    ],
+)
+def test_config_edited_in_code_refuses_a_type_no_file_gives(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate(_edited({key: value}))
+
+
+def test_config_edited_in_code_takes_the_types_a_file_gives():
+    cfg = validate(_edited({"kernel.width": 3, "euler.guard_m": 7, "grid.period": 2.5, "study.n_values": (8,)}))
+    assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_config_edited_in_code_refuses_an_unknown_key_or_section():
+    cfg = RunConfig()
+    cfg.grid.dimm = 2
+    with pytest.raises(ConfigError, match=r"unknown config key: grid\.dimm"):
+        validate(cfg)
+    cfg = RunConfig()
+    cfg.turbo = SimpleNamespace(x=1)
+    with pytest.raises(ConfigError, match="unknown config section: turbo"):
+        validate(cfg)
+
+
+def _tiny_run_config(tmp_path, **edits):
+    tiny = {
+        "grid.points_per_dim": 128,
+        "particles.n": 64,
+        "study.t_final": 0.01,
+        "study.n_values": (64, 128, 256),
+        "study.samples": 2,
+        "run.output_dir": str(tmp_path / "out"),
+    }
+    cfg = validate(_edited({**tiny, **edits}))
     path = tmp_path / "run.ini"
     path.write_text(cfg.to_text())
     return path
@@ -220,6 +390,19 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "run.threads" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_cli_empty_output_dir_exits_2(tmp_path, capsys, monkeypatch, source):
+    # an empty output_dir, from the file or from --out "", is refused before any directory is made
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\noutput_dir =\n" if source == "file" else "")
+    flags = ["--out", ""] if source == "flag" else []
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-coupled", "--config", str(path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "run.output_dir" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 def test_cli_non_positive_density_amplitude_exits_2(tmp_path, capsys):

@@ -87,8 +87,10 @@ def test_quadrature_fallback_matches_gaussian_closed_form(dim):
 
 
 def test_convolve_quadrature_makes_one_integrand_call_per_resolution_2d():
-    # 6 points at quad_points = 64 fit one block of QUAD_BLOCK entries at either resolution;
-    # a loop over points and components would make 6 * 2 * 2 = 24 calls
+    # QUAD_BLOCK // 65**2 points at quad_points = 64 fit one block of QUAD_BLOCK entries at either
+    # resolution; a loop over points and components would make 4 calls per point
+    k = QUAD_BLOCK // 65**2
+    assert k >= 2
     spec = MollifierSpec("gaussian", 1.0, 2, quad_points=64)
     calls = []
 
@@ -96,9 +98,9 @@ def test_convolve_quadrature_makes_one_integrand_call_per_resolution_2d():
         calls.append(len(y))
         return spec.gradient(y).T
 
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (k, 2))
     spec._convolve_quadrature(pts, grad)
-    assert calls == [6 * 65**2, 6 * 33**2]
+    assert calls == [k * 65**2, k * 33**2]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -197,19 +199,25 @@ def test_coupled_bump_force_kernel_integrand_sees_only_blocks_near_the_support(m
     cfg.kernel.family = "bump"
     kern = make_kernel(cfg, cfg.particles.n)
     grid = PeriodicGrid(cfg.grid.dim, cfg.grid.points_per_dim, cfg.grid.period)
-    n = kern.spec._quad_resolution()
-    rows = {n + 1: [], n // 2 + 1: []}  # integrand rows seen, by lattice size
+    pts = grid.wrapped_points()[:, 0] * kern.compression
+    near = np.abs(pts) <= 2.0 * kern.spec.width
+    assert near.sum() == 21
+    n, radius = kern.spec._quad_resolution(), kern.spec.truncation_radius()
+    seen = {n + 1: [], n // 2 + 1: []}  # (first row, rows) of each integrand call, by lattice size
     gradient = MollifierSpec.gradient
 
     def counting(spec, y):
-        nodes = next(q for q in rows if len(y) % q == 0)
-        rows[nodes].append(len(y) // nodes)
+        nodes = next(q for q in seen if len(y) % q == 0)
+        # y[0] is the block's first row less the first lattice node, -radius
+        seen[nodes].append((np.argmin(np.abs(pts - (y[0, 0] - radius))), len(y) // nodes))
         return gradient(spec, y)
 
     monkeypatch.setattr(MollifierSpec, "gradient", counting)
     sample_kernel(grid, kern.potential_gradient)
-    for seen in rows.values():
-        assert 1 <= len(seen) <= 2 and sum(seen) < 64
+    for nodes, calls in seen.items():
+        rows = QUAD_BLOCK // nodes
+        blocks = [(start, len(pts[start : start + rows])) for start in range(0, len(pts), rows)]
+        assert calls == [(start, size) for start, size in blocks if near[start : start + size].any()]
 
 
 @pytest.mark.parametrize("n", [256, 1024, 8192])
